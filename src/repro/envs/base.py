@@ -15,6 +15,15 @@ Each environment also publishes the metadata the rest of the system needs:
   folded into the environment here);
 * ``reward_threshold`` — the paper's "required fitness" per task; a NEAT
   or RL run stops once the averaged episode reward reaches it.
+
+An environment may also carry a *structure-of-arrays step kernel*: a
+twin of ``_step`` that advances many instances of the same physics in
+one NumPy pass, repeating the scalar arithmetic operation for operation
+so every row's result is bit-identical to stepping that instance alone.
+A kernel class sets :attr:`Environment.BATCH_PARAMS` and implements
+``_gather_batch`` / ``_step_batch`` / ``_scatter_batch``;
+:func:`repro.envs.rollout.run_lockstep` uses it for whole waves (see
+:meth:`Environment.batch_key` and :meth:`Environment.step_batch`).
 """
 
 from __future__ import annotations
@@ -83,6 +92,76 @@ class Environment:
         if done:
             self._needs_reset = True
         return np.asarray(obs, dtype=np.float64), float(reward), bool(done), info
+
+    # ------------------------------------------ structure-of-arrays kernel
+    #: Attribute names the kernel reads besides per-row state (physics
+    #: constants and thresholds); instances batch together only when all
+    #: of them, and ``max_episode_steps``, are equal.
+    BATCH_PARAMS: tuple[str, ...] = ()
+
+    def batch_key(self) -> tuple | None:
+        """What decides whether instances can share one kernel pass.
+
+        ``None`` when this exact class has no kernel: a subclass never
+        inherits its parent's, since it may have changed the scalar
+        physics the kernel repeats.  Otherwise instances with equal
+        keys step bit-identically as rows of one :meth:`step_batch`.
+        """
+        cls = type(self)
+        if cls is Environment or "_step_batch" not in vars(cls):
+            return None
+        params = tuple(getattr(self, name) for name in self.BATCH_PARAMS)
+        return (cls, self.max_episode_steps, params)
+
+    def step_batch(
+        self, state: np.ndarray, actions: np.ndarray, elapsed: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`step` for every row of a gathered batch at once.
+
+        ``state`` comes from ``_gather_batch`` (or a previous call) and
+        is never modified; ``elapsed`` is the rows' common step count
+        before this step.  Returns ``(state, observations, rewards,
+        done, truncated)``, one row per instance, where ``done`` and
+        ``truncated`` follow :meth:`step`'s time-limit rule.
+        """
+        state, obs, rewards, done = self._step_batch(state, actions)
+        if elapsed + 1 >= self.max_episode_steps:
+            truncated = ~done
+            done = np.ones_like(done)
+        else:
+            truncated = np.zeros_like(done)
+        return state, obs, rewards, done, truncated
+
+    def leave_batch(self, row: np.ndarray, elapsed: int, done: bool) -> None:
+        """Hand one batch row back to this instance.
+
+        Afterwards the instance is exactly as if it had taken the same
+        ``elapsed`` steps through :meth:`step`, so it can go on stepping
+        alone (or be reset) with no trace of the batch.
+        """
+        self._scatter_batch(row)
+        self._elapsed_steps = elapsed
+        self._needs_reset = done
+
+    @classmethod
+    def _gather_batch(cls, envs: list["Environment"]) -> np.ndarray:
+        """Stack the instances' episode state into one row each."""
+        raise NotImplementedError
+
+    def _step_batch(
+        self, state: np.ndarray, actions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Kernel: ``(state, observations, rewards, terminated)``.
+
+        Returns new arrays and never writes ``state``.  The observations
+        may be the state array itself only where ``_step`` likewise
+        returns its new state as the observation.
+        """
+        raise NotImplementedError
+
+    def _scatter_batch(self, row: np.ndarray) -> None:
+        """Restore this instance's episode state from one batch row."""
+        raise NotImplementedError
 
     @property
     def elapsed_steps(self) -> int:

@@ -107,3 +107,63 @@ class CartPole(Environment):
             abs(x) > self.X_THRESHOLD or abs(theta) > self.THETA_THRESHOLD
         )
         return obs, 1.0, done, {}
+
+    # ------------------------------------------ structure-of-arrays kernel
+    BATCH_PARAMS = (
+        "GRAVITY",
+        "CART_MASS",
+        "POLE_MASS",
+        "POLE_HALF_LENGTH",
+        "FORCE_MAG",
+        "TAU",
+        "X_THRESHOLD",
+        "THETA_THRESHOLD",
+    )
+
+    @classmethod
+    def _gather_batch(cls, envs: list[Environment]) -> np.ndarray:
+        return np.array([env._state for env in envs], dtype=np.float64)
+
+    def _step_batch(
+        self, state: np.ndarray, actions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``_step`` over rows ``(x, x_dot, theta, theta_dot)``.
+
+        Same operations in the same order as the scalar path (see the
+        float contract in DESIGN.md): ``np.float_power`` is libm ``pow``,
+        like Python's ``**`` on floats, which is *not* always ``v * v``.
+        """
+        x, x_dot, theta, theta_dot = state.T
+        force = np.where(actions == 1, self.FORCE_MAG, -self.FORCE_MAG)
+
+        total_mass = self.CART_MASS + self.POLE_MASS
+        pole_mass_length = self.POLE_MASS * self.POLE_HALF_LENGTH
+
+        cos_theta = np.cos(theta)
+        sin_theta = np.sin(theta)
+        temp = (
+            force + pole_mass_length * np.float_power(theta_dot, 2) * sin_theta
+        ) / total_mass
+        theta_acc = (self.GRAVITY * sin_theta - cos_theta * temp) / (
+            self.POLE_HALF_LENGTH
+            * (
+                4.0 / 3.0
+                - self.POLE_MASS * np.float_power(cos_theta, 2) / total_mass
+            )
+        )
+        x_acc = temp - pole_mass_length * theta_acc * cos_theta / total_mass
+
+        x = x + self.TAU * x_dot
+        x_dot = x_dot + self.TAU * x_acc
+        theta = theta + self.TAU * theta_dot
+        theta_dot = theta_dot + self.TAU * theta_acc
+        # one C-order row per instance: the next state and observation
+        obs = np.array((x, x_dot, theta, theta_dot)).T.copy()
+
+        done = (np.abs(x) > self.X_THRESHOLD) | (
+            np.abs(theta) > self.THETA_THRESHOLD
+        )
+        return obs, obs, np.ones(len(obs)), done
+
+    def _scatter_batch(self, row: np.ndarray) -> None:
+        self._state = row.copy()

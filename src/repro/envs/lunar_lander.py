@@ -71,20 +71,19 @@ class LunarLander(Environment):
         self._prev_shaping = None
         return self._observation()
 
-    def _observation(self) -> np.ndarray:
+    def _observation(
+        self, contacts: tuple[bool, bool] | None = None
+    ) -> np.ndarray:
         x, y, vx, vy, angle, omega = self._state
-        left, right = self._leg_contacts()
+        left, right = self._leg_contacts() if contacts is None else contacts
         return np.array([x, y, vx, vy, angle, omega, float(left), float(right)])
 
     def _leg_contacts(self) -> tuple[bool, bool]:
-        x, y, _, _, angle, _ = self._state
-        # leg tips at +/- LEG_SPAN along the body's lateral axis, below hull
-        lx = x - self.LEG_SPAN * math.cos(angle)
-        rx = x + self.LEG_SPAN * math.cos(angle)
-        ly = y - self.LEG_SPAN * math.sin(-angle)
-        ry = y + self.LEG_SPAN * math.sin(-angle)
-        del lx, rx  # legs only sense vertical proximity in this model
-        return ly <= 0.01, ry <= 0.01
+        _, y, _, _, angle, _ = self._state
+        # leg tips at +/- LEG_SPAN along the body's lateral axis, below
+        # the hull; legs only sense vertical proximity in this model
+        drop = self.LEG_SPAN * math.sin(-angle)
+        return y - drop <= 0.01, y + drop <= 0.01
 
     # -------------------------------------------------------------- step
     def _step(self, action: Any) -> StepResult:
@@ -117,13 +116,14 @@ class LunarLander(Environment):
         angle += omega * self.DT
         angle = ((angle + math.pi) % (2 * math.pi)) - math.pi
         self._state = np.array([x, y, vx, vy, angle, omega])
+        contacts = self._leg_contacts()
 
         # --- reward shaping (mirrors Gym's potential-based shaping) ---
         shaping = (
             -100.0 * math.sqrt(x * x + y * y)
             - 100.0 * math.sqrt(vx * vx + vy * vy)
             - 100.0 * abs(angle)
-            + 10.0 * sum(self._leg_contacts())
+            + 10.0 * sum(contacts)
         )
         reward = 0.0
         if self._prev_shaping is not None:
@@ -142,7 +142,7 @@ class LunarLander(Environment):
             done = True
             reward -= 100.0
 
-        return self._observation(), reward, done, {}
+        return self._observation(contacts), reward, done, {}
 
     def _is_safe_landing(self) -> bool:
         x, _, vx, vy, angle, _ = self._state
@@ -152,3 +152,118 @@ class LunarLander(Environment):
             and speed <= self.SAFE_LANDING_SPEED
             and abs(angle) <= self.SAFE_LANDING_ANGLE
         )
+
+    # ------------------------------------------ structure-of-arrays kernel
+    BATCH_PARAMS = (
+        "DT",
+        "GRAVITY",
+        "MAIN_ENGINE_ACCEL",
+        "SIDE_ENGINE_ACCEL",
+        "SIDE_ENGINE_TORQUE",
+        "ANGULAR_DAMPING",
+        "LEG_SPAN",
+        "HELIPAD_HALF_WIDTH",
+        "SAFE_LANDING_SPEED",
+        "SAFE_LANDING_ANGLE",
+        "FIELD_HALF_WIDTH",
+        "START_ALTITUDE",
+    )
+
+    #: fuel cost per step, indexed by action (the scalar path's literals)
+    _FUEL_COST = np.array([0.0, 0.03, 0.30, 0.03])
+    _FUEL_COST.flags.writeable = False
+
+    @classmethod
+    def _gather_batch(cls, envs: list[Environment]) -> np.ndarray:
+        """Rows ``(x, y, vx, vy, angle, omega, prev_shaping, has_prev)``."""
+        state = np.zeros((len(envs), 8))
+        state[:, :6] = [env._state for env in envs]
+        for row, env in zip(state, envs):
+            if env._prev_shaping is not None:
+                row[6:] = env._prev_shaping, 1.0
+        return state
+
+    def _step_batch(
+        self, state: np.ndarray, actions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``_step`` over the rows of :meth:`_gather_batch`.
+
+        Each branch of the scalar path is computed for every row and
+        selected per row by action, with the same operations in the
+        same order, so the selected values carry the same bits.
+        """
+        x, y, vx, vy, angle, omega, prev_shaping, has_prev = state.T
+        left = actions == self.LEFT_THRUSTER
+        main = actions == self.MAIN_ENGINE
+        right = actions == self.RIGHT_THRUSTER
+        cos_angle = np.cos(angle)
+        ax = np.where(
+            main,
+            0.0 + -np.sin(angle) * self.MAIN_ENGINE_ACCEL,
+            np.where(
+                left,
+                0.0 + self.SIDE_ENGINE_ACCEL * cos_angle,
+                np.where(
+                    right, 0.0 + -self.SIDE_ENGINE_ACCEL * cos_angle, 0.0
+                ),
+            ),
+        )
+        ay = np.where(
+            main,
+            self.GRAVITY + cos_angle * self.MAIN_ENGINE_ACCEL,
+            self.GRAVITY,
+        )
+        turn = self.SIDE_ENGINE_TORQUE * self.DT
+        omega = np.where(
+            left, omega + turn, np.where(right, omega - turn, omega)
+        )
+        fuel_cost = self._FUEL_COST[actions]
+
+        vx = vx + ax * self.DT
+        vy = vy + ay * self.DT
+        x = x + vx * self.DT
+        y = y + vy * self.DT
+        omega = omega * (1.0 - self.ANGULAR_DAMPING * self.DT)
+        angle = angle + omega * self.DT
+        angle = np.remainder(angle + math.pi, 2 * math.pi) - math.pi
+
+        drop = self.LEG_SPAN * np.sin(-angle)
+        left_leg = (y - drop <= 0.01).astype(np.float64)
+        right_leg = (y + drop <= 0.01).astype(np.float64)
+        speed = np.sqrt(vx * vx + vy * vy)
+        abs_x = np.abs(x)
+        abs_angle = np.abs(angle)
+        shaping = (
+            -100.0 * np.sqrt(x * x + y * y)
+            - 100.0 * speed
+            - 100.0 * abs_angle
+            + 10.0 * (left_leg + right_leg)
+        )
+        reward = (
+            np.where(has_prev != 0, shaping - prev_shaping, 0.0) - fuel_cost
+        )
+
+        landed = y <= 0.0
+        done = landed | (abs_x > self.FIELD_HALF_WIDTH) | (
+            y > 2.0 * self.START_ALTITUDE
+        )
+        if done.any():  # most ticks end no episode: skip the bonus terms
+            safe = (
+                (abs_x <= self.HELIPAD_HALF_WIDTH)
+                & (speed <= self.SAFE_LANDING_SPEED)
+                & (abs_angle <= self.SAFE_LANDING_ANGLE)
+            )
+            bonus = np.where(landed & safe, reward + 100.0, reward - 100.0)
+            reward = np.where(done, bonus, reward)
+
+        # one C-order row per instance in each; separate arrays, so an
+        # observation never aliases the state, as in the scalar path
+        columns = (x, y, vx, vy, angle, omega)
+        has_prev = np.ones(len(x))
+        new_state = np.array((*columns, shaping, has_prev)).T.copy()
+        obs = np.array((*columns, left_leg, right_leg)).T.copy()
+        return new_state, obs, reward, done
+
+    def _scatter_batch(self, row: np.ndarray) -> None:
+        self._state = row[:6].copy()
+        self._prev_shaping = row[6] if row[7] else None

@@ -91,6 +91,14 @@ def decode_action_batch(env: Environment, raw_outputs: np.ndarray) -> list:
     call overhead once per lock-step tick instead of once per individual.
     """
     raw = np.atleast_2d(np.asarray(raw_outputs, dtype=np.float64))
+    actions = _decode_rows(env, raw)
+    if isinstance(env.action_space, Discrete):
+        return actions.tolist()
+    return list(actions)
+
+
+def _decode_rows(env: Environment, raw: np.ndarray) -> np.ndarray:
+    """:func:`decode_action_batch` as one array, one action per row."""
     space = env.action_space
     if isinstance(space, Discrete):
         if raw.shape[1] < space.n:
@@ -98,7 +106,7 @@ def decode_action_batch(env: Environment, raw_outputs: np.ndarray) -> list:
                 f"policy produced {raw.shape[1]} outputs but {env.name} "
                 f"needs {space.n}"
             )
-        return [int(a) for a in np.argmax(raw[:, : space.n], axis=1)]
+        return np.argmax(raw[:, : space.n], axis=1)
     if isinstance(space, Box):
         dim = space.flat_dim
         if raw.shape[1] < dim:
@@ -111,10 +119,9 @@ def decode_action_batch(env: Environment, raw_outputs: np.ndarray) -> list:
         half_range = (space.high - space.low) / 2.0
         half_range = np.where(np.isfinite(half_range), half_range, 1.0)
         center = np.where(np.isfinite(center), center, 0.0)
-        actions = center + half_range * squashed.reshape(
+        return center + half_range * squashed.reshape(
             (raw.shape[0],) + space.shape
         )
-        return [actions[i] for i in range(raw.shape[0])]
     raise TypeError(f"unsupported action space {space!r}")
 
 
@@ -161,6 +168,13 @@ def run_episode(
     )
 
 
+#: Fewest live episodes worth one structure-of-arrays env step.  Below
+#: it a kernel pass costs more than stepping the instances one by one,
+#: so :func:`run_lockstep` hands the survivors back to their instances;
+#: the crossover is pure tuning (both paths produce identical bits).
+BATCH_MIN_WIDTH = 8
+
+
 def run_lockstep(
     envs: Sequence[Environment],
     infer: InferFn,
@@ -180,9 +194,18 @@ def run_lockstep(
     ``cpu-fast`` backend's population inference run through identical
     bookkeeping.
 
+    When every env is an instance of one class with a structure-of-
+    arrays kernel and equal :meth:`~repro.envs.base.Environment.batch_key`
+    (same physics), the wave's envs step as rows of one NumPy pass, the
+    env-side twin of evaluating individuals on parallel PUs.  Once fewer
+    than :data:`BATCH_MIN_WIDTH` are alive the survivors go back to
+    their instances and step one by one.  Wrapped, mixed and kernel-less
+    env lists always step one by one.
+
     Per-slot rewards accumulate in step order, and truncation follows
     :func:`run_episode`'s rule exactly, so a lock-step episode's record
-    is bit-identical to running it alone.
+    is bit-identical to running it alone, and each env ends in the same
+    state as if it had.
     """
     if seeds is not None and len(seeds) != len(envs):
         raise ValueError("seeds, when given, must have one entry per env")
@@ -203,12 +226,24 @@ def run_lockstep(
     ticks = 0
     inferences = 0
     with _span("rollout.lockstep", envs=n):
+        if _batchable(envs):
+            alive, ticks, inferences = _run_batched(
+                envs,
+                infer,
+                observations,
+                limits[0],
+                totals,
+                steps,
+                truncated,
+                rewards if keep_rewards else None,
+            )
+        batched_ticks = ticks
         while alive:
             ticks += 1
             inferences += len(alive)
             outputs = infer({slot: observations[slot] for slot in alive})
             actions = decode_action_batch(
-                envs[alive[0]], np.stack([outputs[slot] for slot in alive])
+                envs[alive[0]], _stacked(outputs, alive)
             )
             survivors = []
             for action, slot in zip(actions, alive):
@@ -229,6 +264,7 @@ def run_lockstep(
     if registry is not None:
         registry.histogram("rollout.wave_size").observe(n)
         registry.counter("rollout.ticks").inc(ticks)
+        registry.counter("rollout.batched_ticks").inc(batched_ticks)
         registry.counter("rollout.inferences").inc(inferences)
         registry.counter("episode.count").inc(n)
         episode_steps = registry.histogram("episode.steps")
@@ -243,6 +279,87 @@ def run_lockstep(
         )
         for i in range(n)
     ]
+
+
+def _stacked(outputs: dict[int, np.ndarray], alive: list[int]) -> np.ndarray:
+    """The live slots' raw outputs as one ``(len(alive), outputs)`` block.
+
+    ``np.array`` over the rows: the values ``np.stack`` would give, at a
+    fraction of its per-row cost.
+    """
+    return np.array([outputs[slot] for slot in alive], dtype=np.float64)
+
+
+def _batchable(envs: Sequence[Environment]) -> bool:
+    """Whether one kernel can step all of ``envs`` bit-identically."""
+    if len(envs) < BATCH_MIN_WIDTH or not isinstance(envs[0], Environment):
+        return False
+    key = envs[0].batch_key()
+    return key is not None and all(
+        isinstance(env, Environment) and env.batch_key() == key
+        for env in envs
+    )
+
+
+def _run_batched(
+    envs: Sequence[Environment],
+    infer: InferFn,
+    observations: list[np.ndarray],
+    limit: int,
+    totals: list[float],
+    steps: list[int],
+    truncated: list[bool],
+    rewards: list[list[float]] | None,
+) -> tuple[list[int], int, int]:
+    """The batched head of :func:`run_lockstep`, from freshly reset envs.
+
+    Steps every live slot with one kernel call per tick until fewer
+    than :data:`BATCH_MIN_WIDTH` are alive, filling the per-slot lists
+    for every finished episode.  Each env gets its state back when its
+    episode ends or the batch hands over; for the survivors
+    ``observations`` holds their latest observation.  Returns
+    ``(survivors, ticks, inferences)``.
+    """
+    head = envs[0]
+    state = type(head)._gather_batch(list(envs))
+    alive = list(range(len(envs)))
+    totals_alive = np.zeros(len(envs))
+    inputs = dict(zip(alive, observations))
+    tick = inferences = 0
+    while True:
+        inferences += len(alive)
+        outputs = infer(inputs)
+        actions = _decode_rows(head, _stacked(outputs, alive))
+        state, obs, reward, done, cut = head.step_batch(state, actions, tick)
+        tick += 1
+        totals_alive += reward
+        if rewards is not None:
+            for slot, value in zip(alive, reward.tolist()):
+                rewards[slot].append(value)
+        if tick >= limit:  # every live episode ends, by the env or the cap
+            cut = cut | ~done
+            ended = np.ones_like(done)
+        else:
+            ended = done
+        if ended.any():
+            for row in np.flatnonzero(ended).tolist():
+                slot = alive[row]
+                totals[slot] = float(totals_alive[row])
+                steps[slot] = tick
+                truncated[slot] = bool(cut[row])
+                envs[slot].leave_batch(state[row], tick, bool(done[row]))
+            running = ~ended
+            state, obs = state[running], obs[running]
+            totals_alive = totals_alive[running]
+            alive = [slot for slot, keep in zip(alive, running.tolist()) if keep]
+        if len(alive) < BATCH_MIN_WIDTH:
+            for row, slot in enumerate(alive):
+                totals[slot] = float(totals_alive[row])
+                steps[slot] = tick
+                observations[slot] = obs[row]
+                envs[slot].leave_batch(state[row], tick, False)
+            return alive, tick, inferences
+        inputs = dict(zip(alive, obs))
 
 
 def evaluate_policy(
