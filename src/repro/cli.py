@@ -54,8 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="where the evaluate phase runs",
     )
     run.add_argument(
-        "--workers", type=int, default=0,
-        help="worker processes for the cpu-fast backend (0 = in-process)",
+        "--workers", type=_non_negative_int, default=0,
+        help="worker processes for the cpu-compiled/cpu-fast backends "
+        "(0 = in-process)",
     )
     _add_fabric_args(run)
     run.add_argument("--population", type=int, default=100)
@@ -90,8 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="fabric backend: number of simulated INAX farm devices",
     )
     resume.add_argument(
-        "--workers", type=int, default=0,
-        help="worker processes for the cpu-fast backend (0 = in-process)",
+        "--workers", type=_non_negative_int, default=0,
+        help="worker processes for the cpu-compiled/cpu-fast backends "
+        "(0 = in-process)",
     )
     resume.add_argument("--generations", type=int, default=20)
     resume.add_argument("--seed", type=int, default=0)
@@ -255,6 +257,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse ``type`` for counts that cannot be negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _add_fabric_args(command) -> None:
     command.add_argument(
         "--devices", type=int, default=1,
@@ -327,7 +342,7 @@ def _add_resilience_args(command) -> None:
     )
     command.add_argument(
         "--shard-timeout", type=float, default=None, metavar="SECONDS",
-        help="cpu-fast backend with --workers: watchdog timeout per "
+        help="cpu-compiled/cpu-fast with --workers: watchdog timeout per "
         "shard attempt before the supervisor retries it",
     )
     command.add_argument(
@@ -490,26 +505,19 @@ def _print_resilience_summary(backend) -> None:
 
 
 def _print_cache_summary(backend) -> None:
-    """Surface the structural-cache statistics in the run summary."""
-    for label, getter in (
-        ("decode cache", "cache_info"),
-        ("compile cache", "compile_cache_info"),
-    ):
-        if not hasattr(backend, getter):
-            continue
-        info = getattr(backend, getter)()
-        lookups = info["hits"] + info["misses"]
-        if not lookups and not info["size"] and not info.get("warmed"):
-            continue  # backend never used this cache (e.g. cpu-compiled's
-            # decode LRU); don't print a dead row
-        rate = 100.0 * info["hits"] / lookups if lookups else 0.0
-        warmed = (
-            f", {info['warmed']} warmed" if info.get("warmed") else ""
-        )
-        print(
-            f"{label}: {info['hits']} hits / {info['misses']} misses "
-            f"({rate:.1f}% hit rate), {info['size']} entries{warmed}"
-        )
+    """Surface the compile-cache statistics in the run summary."""
+    if not hasattr(backend, "compile_cache_info"):
+        return
+    info = backend.compile_cache_info()
+    lookups = info["hits"] + info["misses"]
+    if not lookups and not info["size"] and not info["warmed"]:
+        return  # the cache was never used; don't print a dead row
+    rate = 100.0 * info["hits"] / lookups if lookups else 0.0
+    warmed = f", {info['warmed']} warmed" if info["warmed"] else ""
+    print(
+        f"compile cache: {info['hits']} hits / {info['misses']} misses "
+        f"({rate:.1f}% hit rate), {info['size']} entries{warmed}"
+    )
 
 
 # ---------------------------------------------------------------- commands
@@ -675,7 +683,7 @@ def _cmd_run_islands(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    from repro.core.backends import BACKENDS, FastCPUBackend
+    from repro.core.backends import BACKENDS, CompiledCPUBackend
     from repro.envs.registry import spec
     from repro.neat.checkpoint import load_checkpoint, save_checkpoint
     from repro.neat.reporters import ConsoleReporter, CSVReporter
@@ -706,7 +714,7 @@ def _cmd_resume(args) -> int:
     resilience = _resilience_kwargs(args)
     if "fault_plan" in resilience:
         kwargs["fault_plan"] = resilience["fault_plan"]
-    if issubclass(backend_cls, FastCPUBackend):
+    if issubclass(backend_cls, CompiledCPUBackend):
         kwargs["workers"] = args.workers
         if "supervisor" in resilience:
             kwargs["supervisor"] = resilience["supervisor"]
@@ -719,7 +727,7 @@ def _cmd_resume(args) -> int:
     backend = backend_cls(args.env, population.config, **kwargs)
     # the checkpoint restores genomes but no cache state; warming the
     # structural caches from the restored population keeps post-resume
-    # hit rates (and benchmarks) honest instead of silently re-decoding
+    # hit rates (and benchmarks) honest instead of silently re-compiling
     # the whole first generation
     warmed = backend.warm_caches(population.population)
     if warmed and not args.quiet:

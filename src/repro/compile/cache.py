@@ -1,7 +1,7 @@
 """Cross-generation compile cache: shape key -> compiled structure.
 
-The decode cache (``cpu-fast``) keys on the *weighted* structural hash,
-so only unchanged elites hit.  This cache keys on the weights-excluded
+A cache keyed on the *weighted* structural hash would hit only for
+unchanged elites.  This cache keys on the weights-excluded
 :meth:`~repro.neat.genome.Genome.shape_key`: weight-mutated offspring —
 the bulk of every generation — reuse their parents' compiled structure,
 so steady-state generations build almost nothing.
@@ -74,7 +74,7 @@ class CompileCache:
         return entry
 
     def info(self) -> dict[str, int]:
-        """Statistics in the decode cache's reporting shape."""
+        """Statistics: hits, misses, current size, warmed entries."""
         return {
             "hits": self.hits,
             "misses": self.misses,

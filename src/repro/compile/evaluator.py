@@ -12,7 +12,7 @@ shapes and the alive set shrinks as episodes terminate,
 into those stacks to the proven
 :class:`~repro.neat.vectorized.PopulationEvaluator` engine — same
 flattened tensors, same term-by-term accumulation order, so fitness is
-bit-identical to the ``cpu``/``cpu-fast`` paths by construction.
+bit-identical to the interpreted ``cpu`` path by construction.
 """
 
 from __future__ import annotations

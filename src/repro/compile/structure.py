@@ -22,7 +22,7 @@ from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
 from repro.neat.network import FeedForwardNetwork, NodeEval
 
-# the compiled plan reuses cpu-fast's private lowering on purpose: one
+# the compiled plan reuses the vectorized engine's private lowering: one
 # arithmetic implementation means one bit-identity proof obligation
 from repro.neat.vectorized import _LayerPlan, _NetPlan
 
@@ -112,7 +112,7 @@ class CompiledStructure:
         """Per-layer ``(weights, biases)`` in plan layout for ``genome``.
 
         Shapes match the plan's padded matrices exactly — padded terms
-        stay ``(slot 0, weight 0.0)`` just like ``_NetPlan`` builds them,
+        stay ``(zero slot, weight 0.0)`` just like ``_NetPlan`` builds them,
         so the batched forward is bit-identical to decoding the genome
         itself.
         """
@@ -136,7 +136,7 @@ class CompiledStructure:
         """Fill ``genome``'s weights/biases into preallocated layers.
 
         ``params`` aligns with ``plan.layers``; weight arrays must
-        arrive zeroed (padded terms stay ``(slot 0, weight 0.0)``).
+        arrive zeroed (padded terms stay ``(zero slot, weight 0.0)``).
         The fill runs off a precomputed per-layer index plan — one
         fancy-indexed assignment per layer instead of a Python loop
         per matrix element — because this is the entire per-genome

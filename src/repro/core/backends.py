@@ -6,14 +6,13 @@ run "evaluate":
 * :class:`CPUBackend` — the SW-only baseline (E3-CPU): decode each
   genome and run its episodes with the interpreted per-node forward
   pass;
-* :class:`FastCPUBackend` — the production software path (``cpu-fast``):
-  decode each genome **once** per generation into a
-  :class:`~repro.neat.vectorized.VectorizedNetwork` (an LRU cache keyed
-  on the genome's structural hash carries elites' decoded networks
-  across generations), run the whole population's episodes in lock-step
-  through one :class:`~repro.neat.vectorized.PopulationEvaluator`, and
-  optionally shard the population across a ``multiprocessing`` pool.
-  Fitness trajectories are bit-identical to :class:`CPUBackend`;
+* :class:`CompiledCPUBackend` — the production software path
+  (``cpu-compiled``, also registered as ``cpu-fast``): compile each
+  topology **once** into a cross-generation shape-keyed cache, run the
+  whole population's episodes in lock-step through one
+  :class:`~repro.compile.CompiledPopulationEvaluator`, and optionally
+  shard the population across a ``multiprocessing`` pool.  Fitness
+  trajectories are bit-identical to :class:`CPUBackend`;
 * :class:`INAXBackend` — the co-designed path (E3-INAX): compile each
   genome to a HW configuration, dispatch the population in waves to the
   functional INAX device, and drive the closed CPU<->FPGA loop until
@@ -38,11 +37,9 @@ import hashlib
 import math
 import multiprocessing
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.compile import CompileCache, CompiledPopulationEvaluator
-from repro.core.profiler import PhaseProfiler
 from repro.envs.base import Environment
 from repro.envs.registry import make
 from repro.envs.rollout import run_episode, run_lockstep
@@ -55,7 +52,6 @@ from repro.inax.timing import CycleReport
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
 from repro.neat.network import FeedForwardNetwork
-from repro.neat.vectorized import PopulationEvaluator, VectorizedNetwork
 from repro.resilience.faults import (
     DeviceFault,
     FaultPlan,
@@ -77,8 +73,8 @@ __all__ = [
     "GenerationRecord",
     "EvaluationBackend",
     "CPUBackend",
-    "FastCPUBackend",
     "CompiledCPUBackend",
+    "FastCPUBackend",
     "GPUBackend",
     "INAXBackend",
     "BACKENDS",
@@ -192,9 +188,8 @@ class EvaluationBackend:
 
         ``load_checkpoint`` restores the population but no cache state;
         without warming, the first post-resume generation silently
-        re-decodes/re-compiles everything.  Returns how many cache
-        entries were built; backends without structural caches warm
-        nothing.
+        re-compiles everything.  Returns how many cache entries were
+        built; backends without structural caches warm nothing.
         """
         return 0
 
@@ -225,12 +220,12 @@ class EvaluationBackend:
         backends across jobs; this resets everything a run accumulates
         — generation records, the generation counter, LPT cost history,
         quarantine/resilience accounting — while deliberately keeping
-        the *structural* caches (decoded networks, compiled shapes,
-        live worker pools).  Those are keyed purely on genome content
-        and cannot change fitness bits, so a reused backend is
-        bit-identical to a fresh one but skips cold-start decode and
-        pool-spawn costs.  ``base_seed`` rebinds the run seed (it feeds
-        every per-episode seed draw) when the next job differs.
+        the *structural* caches (compiled shapes, live worker pools).
+        Those are keyed purely on genome content and cannot change
+        fitness bits, so a reused backend is bit-identical to a fresh
+        one but skips cold-start compile and pool-spawn costs.
+        ``base_seed`` rebinds the run seed (it feeds every per-episode
+        seed draw) when the next job differs.
         """
         self.records = []
         self._generation = 0
@@ -258,7 +253,7 @@ class EvaluationBackend:
     def _make_env(self) -> Environment:
         env = make(self.env_name, **self.env_kwargs)
         # env-level faults apply identically on every backend (and inside
-        # cpu-fast workers): FaultySensor keys its draws off the episode
+        # shard workers): FaultySensor keys its draws off the episode
         # seed, so sharding/fallback cannot change what fires
         return wrap_env(env, self.fault_plan)
 
@@ -399,93 +394,23 @@ class GPUBackend(CPUBackend):
     name = "gpu"
 
 
-@dataclass
-class _Decoded:
-    """One genome's per-generation decode products, cached together."""
-
-    config: HWNetConfig
-    net: FeedForwardNetwork
-    #: None when the genome's plan is not vectorizable (exotic
-    #: aggregation/activation) — those fall back to the interpreted path.
-    vnet: VectorizedNetwork | None
-
-
-class _DecodeCache:
-    """LRU of structural-hash -> :class:`_Decoded`.
-
-    Elites are copied unchanged between generations, so their decoded
-    networks and compiled HW configs hash identically and need decoding
-    only once per run instead of once per generation.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self.hits = 0
-        self.misses = 0
-        #: entries inserted by :meth:`warm` (resume warm-start); kept out
-        #: of hits/misses so hit-rate telemetry stays honest
-        self.warmed = 0
-        self._entries: OrderedDict[str, _Decoded] = OrderedDict()
-
-    def get(self, genome: Genome, config: NEATConfig) -> _Decoded:
-        key = genome.structural_hash()
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return entry
-        self.misses += 1
-        self._build(key, genome, config)
-        return self._entries[key]
-
-    def warm(self, genome: Genome, config: NEATConfig) -> bool:
-        """Insert ``genome``'s decode without touching hit/miss counts.
-
-        Returns True when an entry was actually built (False: already
-        cached).
-        """
-        key = genome.structural_hash()
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return False
-        self.warmed += 1
-        self._build(key, genome, config)
-        return True
-
-    def _build(self, key: str, genome: Genome, config: NEATConfig) -> None:
-        net = FeedForwardNetwork.create(genome, config)
-        try:
-            vnet = VectorizedNetwork(net)
-        except ValueError:
-            vnet = None
-        self._entries[key] = _Decoded(
-            config=compile_genome(genome, config), net=net, vnet=vnet
-        )
-        if len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 # ------------------------------------------------------------------ pool
 class _WorkerState:
-    """One worker process's state for FastCPUBackend's shards.
+    """One worker process's state for the compiled backend's shards.
 
-    Bundles the worker-local backend with the cumulative cache counters
-    it has already reported, so each shard result ships a *delta* the
-    parent can sum regardless of which worker the shard landed on.  The
-    whole object is rebuilt by :func:`_fastcpu_worker_init` every time a
-    pool (re)initializes its workers — counters can never leak between
-    successive or concurrent runs in one process the way the former
-    module-level dicts did.
+    Bundles the worker-local backend with the cumulative compile-cache
+    counters it has already reported, so each shard result ships a
+    *delta* the parent can sum regardless of which worker the shard
+    landed on.  The whole object is rebuilt by
+    :func:`_fastcpu_worker_init` every time a pool (re)initializes its
+    workers — counters can never leak between successive or concurrent
+    runs in one process the way the former module-level dicts did.
     """
 
-    __slots__ = ("backend", "reported_cache", "reported_compile")
+    __slots__ = ("backend", "reported_compile")
 
-    def __init__(self, backend: "FastCPUBackend") -> None:
+    def __init__(self, backend: "CompiledCPUBackend") -> None:
         self.backend = backend
-        self.reported_cache = {"hits": 0, "misses": 0}
         self.reported_compile = {"hits": 0, "misses": 0}
 
 
@@ -515,12 +440,12 @@ def _fastcpu_worker_init(
     env_kwargs: dict,
     cache_size: int,
     fault_plan: FaultPlan | None = None,
-    backend_cls: "type[FastCPUBackend] | None" = None,
+    backend_cls: "type[CompiledCPUBackend] | None" = None,
 ) -> None:
     global _WORKER_STATE
-    # workers run the parent's own class (cpu-compiled shards must use
-    # the compiled path), minus sharding — classes pickle by reference
-    cls = backend_cls if backend_cls is not None else FastCPUBackend
+    # workers run the parent's own class, minus sharding — classes
+    # pickle by reference
+    cls = backend_cls if backend_cls is not None else CompiledCPUBackend
     _WORKER_STATE = _WorkerState(
         cls(
             env_name,
@@ -541,7 +466,7 @@ def _fastcpu_worker_evaluate(
     """Evaluate one shard; returns (per-genome rows, shard telemetry).
 
     The telemetry payload carries the worker-side wall seconds, the
-    decode-cache activity since the worker's last report, and — when
+    compile-cache activity since the worker's last report, and — when
     the parent has a metrics registry installed — a fresh worker-side
     registry snapshot (episode-step and wave-size histograms), so
     sharded evaluation no longer discards worker-side telemetry.
@@ -567,36 +492,24 @@ def _fastcpu_worker_evaluate(
         if want_metrics:
             set_metrics(previous)
     seconds = time.perf_counter() - t0
-    info = backend.cache_info()
-    cache_delta = {
-        "hits": info["hits"] - state.reported_cache["hits"],
-        "misses": info["misses"] - state.reported_cache["misses"],
-    }
-    state.reported_cache["hits"] = info["hits"]
-    state.reported_cache["misses"] = info["misses"]
+    info = backend.compile_cache_info()
+    reported = state.reported_compile
     telemetry = {
         # the shard's unique site (gen=G|shard=I|attempt=A) rides along
         # so the parent can merge each payload exactly once even if a
         # supervisor retry path ever hands the same result back twice
         "site": fault_site,
         "phase_seconds": {"evaluate": seconds},
-        "cache_delta": cache_delta,
-        "cache_size": info["size"],
+        "compile_delta": {
+            "hits": info["hits"] - reported["hits"],
+            "misses": info["misses"] - reported["misses"],
+        },
+        "compile_size": info["size"],
         "genomes": len(genomes),
         "metrics": registry.snapshot() if registry is not None else None,
     }
-    compile_cache = getattr(backend, "_compile_cache", None)
-    if compile_cache is not None:
-        compile_info = compile_cache.info()
-        telemetry["compile_delta"] = {
-            "hits": compile_info["hits"] - state.reported_compile["hits"],
-            "misses": (
-                compile_info["misses"] - state.reported_compile["misses"]
-            ),
-        }
-        state.reported_compile["hits"] = compile_info["hits"]
-        state.reported_compile["misses"] = compile_info["misses"]
-        telemetry["compile_size"] = compile_info["size"]
+    reported["hits"] = info["hits"]
+    reported["misses"] = info["misses"]
     rows = [
         (genome.key, fitness, length)
         for genome, fitness, length in zip(genomes, fitnesses, lengths)
@@ -604,37 +517,39 @@ def _fastcpu_worker_evaluate(
     return rows, telemetry
 
 
-class FastCPUBackend(CPUBackend):
-    """Vectorized + sharded + cached software evaluation (``cpu-fast``).
+class CompiledCPUBackend(CPUBackend):
+    """Compiled + sharded software evaluation (``cpu-compiled``).
 
-    Three optimizations over :class:`CPUBackend`, none of which change a
-    single bit of any fitness value:
+    The production software path.  Three optimizations over
+    :class:`CPUBackend`, none of which change a single bit of any
+    fitness value:
 
-    1. **Vectorized inference** — each genome decodes once into a
-       :class:`VectorizedNetwork`; the whole population's episodes run
-       in lock-step through one :class:`PopulationEvaluator`, so a
-       generation's forward passes cost a handful of NumPy ops per
-       environment tick instead of a Python per-node loop per
+    1. **Structural batching** — genomes bucket by the weights-excluded
+       :meth:`Genome.shape_key`, and each shape compiles **once** into a
+       :class:`~repro.compile.CompiledStructure` held in a
+       cross-generation :class:`~repro.compile.CompileCache`, so the
+       weight-mutated bulk of a steady-state generation compiles
+       nothing.
+    2. **Lock-step inference** — a generation's members become stacked
+       weight/bias tensors over the shared plans
+       (:class:`~repro.compile.CompiledPopulationEvaluator`), and all
+       episodes advance together, so an env tick's forward passes cost
+       a handful of NumPy ops instead of a Python per-node loop per
        individual.
-    2. **Sharding** — with ``workers > 1`` the population splits across
-       a persistent ``multiprocessing`` pool.  Per-(genome, episode)
+    3. **Sharding** — with ``workers > 1`` the population splits across
+       a supervised ``multiprocessing`` pool.  Per-(genome, episode)
        seeding makes shard placement irrelevant to results.
-    3. **Decode caching** — an LRU keyed on
-       :meth:`Genome.structural_hash` carries elites' decoded networks
-       and compiled HW configs across generations.
 
-    Genomes whose plans cannot vectorize (exotic aggregations) fall back
-    to the interpreted :func:`run_episode` path, which produces the same
-    bits by construction.
+    The engine accumulates in the interpreted path's term order with
+    the same activation kernels, and the HW configs lower through the
+    shapes' fill recipes to exactly what :func:`compile_genome`
+    produces, so fitness trajectories and workload records are
+    bit-identical to ``cpu``.  Non-vectorizable shapes (exotic
+    aggregations) fall back to the interpreted :func:`run_episode`
+    path, which produces the same bits by construction.
     """
 
-    name = "cpu-fast"
-
-    #: below this many alive episodes, a lock-step tick dispatches to the
-    #: interpreted nets instead of the population evaluator — the flat
-    #: tensors' fixed per-tick cost only pays off on wide waves, and the
-    #: two paths produce identical bits, so the crossover is pure tuning
-    SMALL_WAVE = 12
+    name = "cpu-compiled"
 
     def __init__(
         self,
@@ -653,9 +568,9 @@ class FastCPUBackend(CPUBackend):
     ):
         """``workers`` > 1 shards evaluation across that many worker
         processes; 0 or 1 evaluates in-process.  ``cache_size`` bounds
-        the decoded-network LRU (structural hashes -> decoded nets).
-        ``supervisor`` tunes the shard watchdog/retry policy (a default
-        :class:`SupervisorConfig` is used when omitted)."""
+        the shape-keyed compile cache.  ``supervisor`` tunes the shard
+        watchdog/retry policy (a default :class:`SupervisorConfig` is
+        used when omitted)."""
         super().__init__(
             env_name,
             neat_config,
@@ -673,22 +588,14 @@ class FastCPUBackend(CPUBackend):
         self.supervisor_config = (
             supervisor if supervisor is not None else SupervisorConfig()
         )
-        self._cache = _DecodeCache(cache_size)
+        self._compile_cache = CompileCache(cache_size)
         self._supervisor: ShardSupervisor | None = None
-        #: worker-side phase seconds, merged back from every shard call
-        #: (parallel CPU-seconds, not wall time — the parent's own
-        #: "evaluate" wall span already covers the blocking map call)
-        self.shard_profiler = PhaseProfiler()
-        self._shard_cache = {"hits": 0, "misses": 0, "size": 0}
-        #: latest reported cache size per shard slot (``shard=N`` parsed
-        #: from the payload site); ``_shard_cache["size"]`` is their sum,
-        #: so the aggregate is deterministic regardless of the order
-        #: shard payloads arrive in
-        self._shard_sizes: dict[str, int] = {}
-        #: compile-cache deltas folded back from compiled shards (stays
-        #: zero for plain ``cpu-fast`` workers, which have no compile
-        #: cache)
+        #: compile-cache deltas folded back from worker shards
         self._shard_compile = {"hits": 0, "misses": 0}
+        #: latest reported compile-cache size per shard slot
+        #: (``shard=N`` parsed from the payload site); the aggregate is
+        #: their sum, so it is deterministic regardless of the order
+        #: shard payloads arrive in
         self._shard_compile_sizes: dict[str, int] = {}
 
     # --------------------------------------------------------- lifecycle
@@ -711,26 +618,20 @@ class FastCPUBackend(CPUBackend):
             pass
 
     def reset_run_state(self, base_seed: int | None = None) -> None:
-        """Reset run accumulators; keep decode cache + worker pool warm.
+        """Reset run accumulators; keep compile cache + worker pool warm.
 
-        Cache *entries* survive (structural, content-keyed, bit-safe)
-        but the hit/miss/warmed counters restart so the next run's
-        cache stats cover only its own activity.  Worker-side sizes are
-        still live (the pool persists), so the aggregate ``size`` stays
-        truthful; worker deltas keep flowing against the workers' own
-        cumulative reported counters, which the run boundary does not
-        disturb.
+        Compiled structures survive (structural, content-keyed,
+        bit-safe) but the hit/miss/warmed counters restart so the next
+        run's cache stats cover only its own activity.  Worker-side
+        sizes are still live (the pool persists), so the aggregate
+        ``size`` stays truthful; worker deltas keep flowing against the
+        workers' own cumulative reported counters, which the run
+        boundary does not disturb.
         """
         super().reset_run_state(base_seed=base_seed)
-        self._cache.hits = 0
-        self._cache.misses = 0
-        self._cache.warmed = 0
-        self.shard_profiler = PhaseProfiler()
-        self._shard_cache = {
-            "hits": 0,
-            "misses": 0,
-            "size": sum(self._shard_sizes.values()),
-        }
+        self._compile_cache.hits = 0
+        self._compile_cache.misses = 0
+        self._compile_cache.warmed = 0
         self._shard_compile = {"hits": 0, "misses": 0}
         if self._supervisor is not None:
             # per-run resilience accounting; the pool itself stays warm
@@ -738,8 +639,8 @@ class FastCPUBackend(CPUBackend):
             self._supervisor.degraded_shards = 0
             self._supervisor.events = []
 
-    def cache_info(self) -> dict[str, int]:
-        """Decode-cache statistics: hits, misses, current size.
+    def compile_cache_info(self) -> dict[str, int]:
+        """Compile-cache statistics: hits, misses, current size.
 
         With ``workers > 1`` the counts combine the parent cache with
         every worker shard's (workers report deltas back with each
@@ -749,17 +650,18 @@ class FastCPUBackend(CPUBackend):
         :meth:`warm_caches` (resume warm-start), which are deliberately
         excluded from hits/misses.
         """
+        info = self._compile_cache.info()
         return {
-            "hits": self._cache.hits + self._shard_cache["hits"],
-            "misses": self._cache.misses + self._shard_cache["misses"],
-            "size": len(self._cache) + self._shard_cache["size"],
-            "warmed": self._cache.warmed,
+            "hits": info["hits"] + self._shard_compile["hits"],
+            "misses": info["misses"] + self._shard_compile["misses"],
+            "size": info["size"] + sum(self._shard_compile_sizes.values()),
+            "warmed": info["warmed"],
         }
 
     def warm_caches(self, genomes: list[Genome]) -> int:
         built = 0
         for genome in genomes:
-            if self._cache.warm(genome, self.neat_config):
+            if self._compile_cache.warm(genome, self.neat_config):
                 built += 1
         return built
 
@@ -785,13 +687,20 @@ class FastCPUBackend(CPUBackend):
 
     # -------------------------------------------------------- evaluation
     def _evaluate(self, genomes: list[Genome]) -> None:
-        with _span("fastcpu.decode", genomes=len(genomes)):
-            decoded = [self._cache.get(g, self.neat_config) for g in genomes]
-        configs = [d.config for d in decoded]
+        with _span("compile.lookup", genomes=len(genomes)):
+            entries = [
+                self._compile_cache.get(g, self.neat_config) for g in genomes
+            ]
+        # workload records lower through the fill recipes — equal to
+        # compile_genome() field for field, without re-running CreateNet
+        configs = [
+            entry.hw_config(genome)
+            for entry, genome in zip(entries, genomes)
+        ]
         if self.workers > 1 and len(genomes) > 1:
             fitnesses, lengths = self._fitness_sharded(genomes)
         else:
-            fitnesses, lengths = self._fitness_for(genomes, decoded)
+            fitnesses, lengths = self._fitness_for(genomes, entries=entries)
         for genome, fitness in zip(genomes, fitnesses):
             genome.fitness = fitness
         self._publish_metrics()
@@ -801,30 +710,34 @@ class FastCPUBackend(CPUBackend):
         registry = get_metrics()
         if registry is None:
             return
-        info = self.cache_info()
-        registry.gauge("fastcpu.cache.hits").set(info["hits"])
-        registry.gauge("fastcpu.cache.misses").set(info["misses"])
-        registry.gauge("fastcpu.cache.size").set(info["size"])
+        info = self.compile_cache_info()
+        registry.gauge("compile.cache.hits").set(info["hits"])
+        registry.gauge("compile.cache.misses").set(info["misses"])
+        registry.gauge("compile.cache.size").set(info["size"])
 
     def _fitness_for(
-        self,
-        genomes: list[Genome],
-        decoded: list[_Decoded] | None = None,
+        self, genomes: list[Genome], entries=None
     ) -> tuple[list[float], list[int]]:
         """Evaluate ``genomes`` in-process; returns (fitnesses, lengths).
 
-        Reward/step accumulation mirrors :class:`CPUBackend` exactly:
-        per-episode totals in step order, summed in episode order, then
-        one division — so the resulting floats are bit-identical.
+        ``entries`` are the genomes' compiled structures when the caller
+        already looked them up.  Reward/step accumulation mirrors
+        :class:`CPUBackend` exactly: per-episode totals in step order,
+        summed in episode order, then one division — so the resulting
+        floats are bit-identical.
         """
-        if decoded is None:
-            decoded = [self._cache.get(g, self.neat_config) for g in genomes]
+        if entries is None:
+            entries = [
+                self._compile_cache.get(g, self.neat_config) for g in genomes
+            ]
         episodes = self.episodes_per_genome
 
-        vector_ids = [i for i, d in enumerate(decoded) if d.vnet is not None]
+        vector_ids = [
+            i for i, entry in enumerate(entries) if entry.plan is not None
+        ]
         records: dict[tuple[int, int], object] = {}
         if vector_ids:
-            slots: list[tuple[int, int]] = [
+            slots = [
                 (i, episode)
                 for i in vector_ids
                 for episode in range(episodes)
@@ -834,35 +747,36 @@ class FastCPUBackend(CPUBackend):
                 self._episode_seed(genomes[i], episode)
                 for i, episode in slots
             ]
-            evaluator = PopulationEvaluator(
-                [decoded[i].vnet for i, _ in slots]
-            )
-            interpreted = [decoded[i].net for i, _ in slots]
-
-            def infer(observations):
-                if len(observations) >= self.SMALL_WAVE:
-                    return evaluator.infer(observations)
-                return {
-                    m: interpreted[m].activate(obs)
-                    for m, obs in observations.items()
-                }
-
-            for slot, record in zip(
-                slots, run_lockstep(envs, infer, seeds=seeds)
+            buckets = len({id(entries[i]) for i, _ in slots})
+            with _span(
+                "compile.batch_step", slots=len(slots), buckets=buckets
             ):
-                records[slot] = record
+                evaluator = CompiledPopulationEvaluator(
+                    [(entries[i], genomes[i]) for i, _ in slots]
+                )
+                for slot, record in zip(
+                    slots, run_lockstep(envs, evaluator.infer, seeds=seeds)
+                ):
+                    records[slot] = record
 
         fitnesses: list[float] = []
         lengths: list[int] = []
+        interpreted: dict[int, FeedForwardNetwork] = {}
         for i, genome in enumerate(genomes):
             total_reward = 0.0
             total_steps = 0
             for episode in range(episodes):
                 record = records.get((i, episode))
-                if record is None:  # non-vectorizable genome: reference path
+                if record is None:  # non-vectorizable shape: reference path
+                    net = interpreted.get(i)
+                    if net is None:
+                        net = FeedForwardNetwork.create(
+                            genome, self.neat_config
+                        )
+                        interpreted[i] = net
                     record = run_episode(
                         self._make_env(),
-                        decoded[i].net,
+                        net,
                         seed=self._episode_seed(genome, episode),
                     )
                 total_reward += record.total_reward
@@ -886,7 +800,7 @@ class FastCPUBackend(CPUBackend):
                 self.episodes_per_genome,
                 self.base_seed,
                 self.env_kwargs,
-                self._cache.capacity,
+                self._compile_cache.capacity,
                 self.fault_plan,
                 type(self),
             ),
@@ -900,8 +814,8 @@ class FastCPUBackend(CPUBackend):
         The per-(genome, episode) seeding contract means this produces
         exactly the floats the dead shard would have — degradation is
         invisible in the fitness trajectory.  Cache activity lands on
-        the parent's own cache (counted by :meth:`cache_info` already),
-        so the telemetry payload carries zero deltas.
+        the parent's own cache (counted by :meth:`compile_cache_info`
+        already), so the telemetry payload carries zero deltas.
         """
         fitnesses, lengths = self._fitness_for(genomes)
         rows = [
@@ -911,8 +825,8 @@ class FastCPUBackend(CPUBackend):
         telemetry = {
             "site": site,
             "phase_seconds": {},
-            "cache_delta": {"hits": 0, "misses": 0},
-            "cache_size": 0,
+            "compile_delta": {"hits": 0, "misses": 0},
+            "compile_size": 0,
             "genomes": len(genomes),
             "metrics": None,
         }
@@ -977,12 +891,9 @@ class FastCPUBackend(CPUBackend):
     def _merge_shard_telemetry(self, payloads: list[dict]) -> None:
         """Fold worker-side telemetry into the parent's accumulators.
 
-        Phase seconds merge into :attr:`shard_profiler` (so
-        ``fractions()`` over worker CPU time is available next to the
-        population's wall-clock profile instead of being lost), cache
-        deltas into the combined :meth:`cache_info`, and — when a
-        metrics registry is installed — counters/histograms for the
-        shard workload.
+        Compile-cache deltas fold into the combined
+        :meth:`compile_cache_info`, and — when a metrics registry is
+        installed — counters/histograms for the shard workload.
 
         The merge is *idempotent per site*: each payload carries the
         unique ``gen|shard|attempt`` site it was produced under, and a
@@ -1008,21 +919,12 @@ class FastCPUBackend(CPUBackend):
                 if site in seen_sites:
                     continue
                 seen_sites.add(site)
-            shard = PhaseProfiler()
-            for phase, seconds in payload["phase_seconds"].items():
-                shard.record(phase, seconds)
-            self.shard_profiler.merge(shard)
-            self._shard_cache["hits"] += payload["cache_delta"]["hits"]
-            self._shard_cache["misses"] += payload["cache_delta"]["misses"]
-            compile_delta = payload.get("compile_delta")
-            if compile_delta is not None:
-                self._shard_compile["hits"] += compile_delta["hits"]
-                self._shard_compile["misses"] += compile_delta["misses"]
+            delta = payload["compile_delta"]
+            self._shard_compile["hits"] += delta["hits"]
+            self._shard_compile["misses"] += delta["misses"]
             if not site or "attempt=" in site.split("|")[-1]:
                 slot = _shard_slot(site)
-                self._shard_sizes[slot] = payload["cache_size"]
-                if "compile_size" in payload:
-                    self._shard_compile_sizes[slot] = payload["compile_size"]
+                self._shard_compile_sizes[slot] = payload["compile_size"]
             if registry is not None:
                 registry.counter("fastcpu.shard.evaluate_seconds").inc(
                     payload["phase_seconds"].get("evaluate", 0.0)
@@ -1032,204 +934,17 @@ class FastCPUBackend(CPUBackend):
                 )
                 if payload.get("metrics"):
                     registry.merge_snapshot(payload["metrics"])
-        self._shard_cache["size"] = sum(self._shard_sizes.values())
 
 
-class CompiledCPUBackend(FastCPUBackend):
-    """Structural-batching software evaluation (``cpu-compiled``).
+class FastCPUBackend(CompiledCPUBackend):
+    """``cpu-fast``: the compiled software path under its original name.
 
-    Where ``cpu-fast`` decodes every genome whose *weighted* structural
-    hash is new — i.e. the weight-mutated bulk of every generation —
-    this backend buckets genomes by the weights-excluded
-    :meth:`Genome.shape_key` and compiles each shape **once** into a
-    :class:`~repro.compile.CompiledStructure` held in a
-    cross-generation :class:`~repro.compile.CompileCache`.  A
-    generation's members then become stacked weight/bias tensors over
-    the shared plans (:class:`~repro.compile.CompiledPopulationEvaluator`),
-    so a bucket advances one lock-step env step in a single batched
-    matmul, and steady-state generations compile almost nothing.
-
-    The arithmetic is the same flattened engine ``cpu-fast`` uses —
-    identical term order, identical activation kernels — and the HW
-    configs lower through the shapes' fill recipes to exactly what
-    :func:`compile_genome` produces, so fitness trajectories and
-    workload records are bit-identical to ``cpu``/``cpu-fast``.
-    Non-vectorizable shapes (exotic aggregations) fall back to the
-    interpreted reference path, which produces the same bits by
-    construction.  Sharding, supervision, and fault semantics are
-    inherited unchanged; shards run the compiled path with their own
-    compile caches and report deltas like the decode cache does.
+    Kept so ``--backend cpu-fast``, ``--fallback cpu-fast``, serve job
+    specs and run manifests that name it keep working; evaluation,
+    caching and sharding are :class:`CompiledCPUBackend`'s.
     """
 
-    name = "cpu-compiled"
-
-    def __init__(
-        self,
-        env_name: str,
-        neat_config: NEATConfig,
-        episodes_per_genome: int = 1,
-        base_seed: int = 0,
-        inax_config: INAXConfig | None = None,
-        env_kwargs: dict | None = None,
-        workers: int = 0,
-        cache_size: int = 512,
-        fault_plan: FaultPlan | None = None,
-        quarantine_penalty: float = DEFAULT_PENALTY,
-        supervisor: SupervisorConfig | None = None,
-        pipeline: PipelineConfig | None = None,
-    ):
-        """``cache_size`` bounds the shape-keyed compile cache (shapes
-        are far fewer than weighted structural hashes, so the same
-        capacity goes much further than the decode LRU's)."""
-        super().__init__(
-            env_name,
-            neat_config,
-            episodes_per_genome=episodes_per_genome,
-            base_seed=base_seed,
-            inax_config=inax_config,
-            env_kwargs=env_kwargs,
-            workers=workers,
-            cache_size=cache_size,
-            fault_plan=fault_plan,
-            quarantine_penalty=quarantine_penalty,
-            supervisor=supervisor,
-            pipeline=pipeline,
-        )
-        self._compile_cache = CompileCache(cache_size)
-
-    def reset_run_state(self, base_seed: int | None = None) -> None:
-        super().reset_run_state(base_seed=base_seed)
-        # compiled structures survive across leased runs; counters don't
-        self._compile_cache.hits = 0
-        self._compile_cache.misses = 0
-        self._compile_cache.warmed = 0
-
-    # ------------------------------------------------------------- stats
-    def compile_cache_info(self) -> dict[str, int]:
-        """Compile-cache statistics, shaped like :meth:`cache_info`.
-
-        With ``workers > 1`` the counts combine the parent cache with
-        every compiled shard's (deltas per payload; ``size`` sums each
-        shard slot's most recent report, like the decode cache).
-        """
-        info = self._compile_cache.info()
-        return {
-            "hits": info["hits"] + self._shard_compile["hits"],
-            "misses": info["misses"] + self._shard_compile["misses"],
-            "size": info["size"] + sum(self._shard_compile_sizes.values()),
-            "warmed": info["warmed"],
-        }
-
-    def warm_caches(self, genomes: list[Genome]) -> int:
-        # the decode LRU is unused here; the compile cache is the
-        # structural cache that must survive a resume
-        built = 0
-        for genome in genomes:
-            if self._compile_cache.warm(genome, self.neat_config):
-                built += 1
-        return built
-
-    def _publish_metrics(self) -> None:
-        super()._publish_metrics()
-        registry = get_metrics()
-        if registry is None:
-            return
-        info = self.compile_cache_info()
-        registry.gauge("compile.cache.hits").set(info["hits"])
-        registry.gauge("compile.cache.misses").set(info["misses"])
-        registry.gauge("compile.cache.size").set(info["size"])
-
-    # -------------------------------------------------------- evaluation
-    def _evaluate(self, genomes: list[Genome]) -> None:
-        with _span("compile.lookup", genomes=len(genomes)):
-            entries = [
-                self._compile_cache.get(g, self.neat_config) for g in genomes
-            ]
-        # workload records lower through the fill recipes — equal to
-        # compile_genome() field for field, without re-running CreateNet
-        configs = [
-            entry.hw_config(genome)
-            for entry, genome in zip(entries, genomes)
-        ]
-        if self.workers > 1 and len(genomes) > 1:
-            fitnesses, lengths = self._fitness_sharded(genomes)
-        else:
-            fitnesses, lengths = self._fitness_for(genomes, entries=entries)
-        for genome, fitness in zip(genomes, fitnesses):
-            genome.fitness = fitness
-        self._publish_metrics()
-        self._record(configs, lengths, keys=[g.key for g in genomes])
-
-    def _fitness_for(
-        self,
-        genomes: list[Genome],
-        decoded: list[_Decoded] | None = None,
-        entries=None,
-    ) -> tuple[list[float], list[int]]:
-        """Compiled in-process evaluation; returns (fitnesses, lengths).
-
-        ``decoded`` is accepted (and ignored) for signature parity with
-        the sharded driver; the compiled path derives everything from
-        the compile cache.
-        """
-        if entries is None:
-            entries = [
-                self._compile_cache.get(g, self.neat_config) for g in genomes
-            ]
-        episodes = self.episodes_per_genome
-
-        vector_ids = [
-            i for i, entry in enumerate(entries) if entry.plan is not None
-        ]
-        records: dict[tuple[int, int], object] = {}
-        if vector_ids:
-            slots = [
-                (i, episode)
-                for i in vector_ids
-                for episode in range(episodes)
-            ]
-            envs = [self._make_env() for _ in slots]
-            seeds = [
-                self._episode_seed(genomes[i], episode)
-                for i, episode in slots
-            ]
-            buckets = len({id(entries[i]) for i, _ in slots})
-            with _span(
-                "compile.batch_step", slots=len(slots), buckets=buckets
-            ):
-                evaluator = CompiledPopulationEvaluator(
-                    [(entries[i], genomes[i]) for i, _ in slots]
-                )
-                for slot, record in zip(
-                    slots, run_lockstep(envs, evaluator.infer, seeds=seeds)
-                ):
-                    records[slot] = record
-
-        fitnesses: list[float] = []
-        lengths: list[int] = []
-        interpreted: dict[int, FeedForwardNetwork] = {}
-        for i, genome in enumerate(genomes):
-            total_reward = 0.0
-            total_steps = 0
-            for episode in range(episodes):
-                record = records.get((i, episode))
-                if record is None:  # non-vectorizable shape: reference path
-                    net = interpreted.get(i)
-                    if net is None:
-                        net = FeedForwardNetwork.create(
-                            genome, self.neat_config
-                        )
-                        interpreted[i] = net
-                    record = run_episode(
-                        self._make_env(),
-                        net,
-                        seed=self._episode_seed(genome, episode),
-                    )
-                total_reward += record.total_reward
-                total_steps += record.steps
-            fitnesses.append(total_reward / episodes)
-            lengths.append(total_steps)
-        return fitnesses, lengths
+    name = "cpu-fast"
 
 
 class INAXBackend(EvaluationBackend):
@@ -1476,26 +1191,24 @@ class INAXBackend(EvaluationBackend):
         Fresh envs + the same per-(genome, episode) seeds make this
         bit-identical to what the device would have produced (the
         backend-parity contract), no matter how far the faulted wave
-        got.  ``fallback="cpu-fast"`` uses the vectorized evaluator
-        when every genome vectorizes; otherwise — and for
-        ``fallback="cpu"`` — the interpreted per-node path runs.
+        got.  ``fallback="cpu-fast"`` uses the compiled evaluator when
+        every genome vectorizes; otherwise — and for ``fallback="cpu"``
+        — the interpreted per-node path runs.
         """
         envs = [self._make_env() for _ in genomes]
         seeds = [self._episode_seed(genome, episode) for genome in genomes]
+        if self.fallback == "cpu-fast":
+            cache = CompileCache(len(genomes))
+            entries = [cache.get(g, self.neat_config) for g in genomes]
+            if all(entry.plan is not None for entry in entries):
+                evaluator = CompiledPopulationEvaluator(
+                    list(zip(entries, genomes))
+                )
+                return run_lockstep(envs, evaluator.infer, seeds=seeds)
         nets = [
             FeedForwardNetwork.create(genome, self.neat_config)
             for genome in genomes
         ]
-        if self.fallback == "cpu-fast":
-            vnets = []
-            for net in nets:
-                try:
-                    vnets.append(VectorizedNetwork(net))
-                except ValueError:
-                    vnets.append(None)
-            if all(vnet is not None for vnet in vnets):
-                evaluator = PopulationEvaluator(vnets)
-                return run_lockstep(envs, evaluator.infer, seeds=seeds)
 
         def infer(observations):
             return {

@@ -13,8 +13,8 @@ from dataclasses import asdict, dataclass, field, replace
 
 from repro.core.backends import (
     BACKENDS,
+    CompiledCPUBackend,
     EvaluationBackend,
-    FastCPUBackend,
     GenerationRecord,
 )
 from repro.core.profiler import PhaseProfiler
@@ -114,8 +114,8 @@ class E3:
         model-tuning plant perturbation); ``seed_genome`` warm-starts
         the population from a deployed champion (§I's model-tuning
         use-case — see ``examples/model_tuning.py``); ``workers``
-        shards the ``cpu-fast`` backend's evaluation across that many
-        worker processes (ignored by the other backends); ``telemetry``
+        shards the ``cpu-compiled``/``cpu-fast`` evaluation across that
+        many worker processes (ignored by the other backends); ``telemetry``
         attaches a :class:`~repro.telemetry.TelemetrySession` — it is
         installed for the duration of :meth:`run`, phase timings tee
         into its metrics registry, and the backend's cache/shard
@@ -125,7 +125,7 @@ class E3:
         arms a seeded :class:`~repro.resilience.faults.FaultPlan` for
         chaos runs; ``fallback`` (``"cpu-fast"`` or ``"cpu"``) lets the
         ``inax`` backend degrade faulted waves to the software path;
-        ``supervisor`` tunes the ``cpu-fast`` shard watchdog *and* the
+        ``supervisor`` tunes the software shard watchdog *and* the
         fabric device supervisor — the shared
         :class:`~repro.resilience.supervisor.SupervisorConfig`.
 
@@ -194,7 +194,7 @@ class E3:
                 fault_plan=fault_plan,
                 pipeline=pipeline,
             )
-            if issubclass(backend_cls, FastCPUBackend):
+            if issubclass(backend_cls, CompiledCPUBackend):
                 kwargs["workers"] = workers
                 if supervisor is not None:
                     kwargs["supervisor"] = supervisor
@@ -307,11 +307,6 @@ class E3:
         """Publish end-of-run backend statistics into the session."""
         registry = session.metrics
         backend = self.backend
-        if hasattr(backend, "cache_info"):
-            info = backend.cache_info()
-            registry.gauge("fastcpu.cache.hits").set(info["hits"])
-            registry.gauge("fastcpu.cache.misses").set(info["misses"])
-            registry.gauge("fastcpu.cache.size").set(info["size"])
         if hasattr(backend, "compile_cache_info"):
             info = backend.compile_cache_info()
             registry.gauge("compile.cache.hits").set(info["hits"])

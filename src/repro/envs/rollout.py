@@ -191,7 +191,7 @@ def run_lockstep(
     steps each slot's environment.  Slots whose episodes terminate drop
     out of subsequent ticks — the software analogue of the paper's
     §V-B2 idle-PU effect — so the INAX backend's device waves and the
-    ``cpu-fast`` backend's population inference run through identical
+    ``cpu-compiled`` backend's population inference run through identical
     bookkeeping.
 
     When every env is an instance of one class with a structure-of-

@@ -126,8 +126,7 @@ class Genome:
         every connection's (endpoints, weight, enabled) — the full input
         of ``CreateNet`` — but **not** ``key``, ``fitness`` or innovation
         numbers, so an elite copied unchanged across generations hashes
-        identically.  Decoded-network caches (the ``cpu-fast`` backend's
-        LRU) key on this: equal hashes ⇒ bit-identical decoded networks
+        identically: equal hashes ⇒ bit-identical decoded networks
         under one config.  Floats hash by exact bit pattern
         (``float.hex``), matching the bit-for-bit evaluation guarantees.
         """
@@ -169,8 +168,8 @@ class Genome:
 
         Weight-only mutation (by far the most common NEAT mutation)
         preserves the shape key, which is why a shape-keyed compile
-        cache keeps hitting where the structural-hash decode cache
-        misses.
+        cache keeps hitting where a cache keyed on
+        :meth:`structural_hash` would miss.
         """
         nodes = self.nodes
         connections = self.connections

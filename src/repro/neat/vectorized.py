@@ -2,21 +2,23 @@
 
 The interpreted per-node forward pass (:class:`FeedForwardNetwork`) is
 the *reference* — INAX's PEs match it bit-for-bit.  For software-side
-throughput (the ``cpu-fast`` backend, batch inference, Monte-Carlo
+throughput (the ``cpu-compiled`` backend, batch inference, Monte-Carlo
 fitness over many rollouts), this module compiles the same layered plan
 into padded per-layer index/weight matrices and replays the reference
 computation with NumPy:
 
 * each layer becomes ``(fan_out, max_fan_in)`` source-slot and weight
   matrices over a flat value buffer (inputs first, then every node in
-  layer order — the value-buffer view, so skip connections cost nothing
-  extra);
+  layer order, then one always-zero padding slot — the value-buffer
+  view, so skip connections cost nothing extra);
 * pre-activations accumulate **term by term in ingress order** — the
   same left-to-right order the interpreted path and a hardware MAC
   accumulator use — rather than via a BLAS dot whose summation order is
   opaque, so results are bit-identical to the reference;
 * activation functions apply via NumPy's value-pure ufunc kernels, the
-  exact functions :mod:`repro.neat.activations` evaluates for scalars.
+  exact functions :mod:`repro.neat.activations` evaluates for scalars;
+  clamps are written ``np.fmax(lo, np.fmin(hi, x))`` because the scalar
+  ``max(lo, min(hi, x))`` maps NaN to ``hi`` (``np.clip`` keeps NaN).
 
 Two evaluators share that compiled plan:
 
@@ -24,17 +26,19 @@ Two evaluators share that compiled plan:
 * :class:`PopulationEvaluator` — many networks in lock-step, one
   observation each, flattened into a single value buffer so a whole
   population's forward pass costs a handful of NumPy ops per layer.
-  This is the inference engine behind ``FastCPUBackend``.
+  This is the inference engine behind ``cpu-compiled``
+  (:class:`repro.compile.CompiledPopulationEvaluator`).
 
 Only ``sum`` aggregation is supported (the default and the only one
 NEAT's evolved networks use here); anything else falls back to the
 reference implementation.
 
-Known (theoretical) bit-equality caveat: padded fan-in entries append
-``value * 0.0`` terms to a node's accumulation, which is an exact no-op
-for every sum except one that is exactly ``-0.0``; NEAT's continuous
-weights make that case unobservable in practice, and ``-0.0 == 0.0``
-anyway under IEEE comparison.
+Padded fan-in entries read an always-zero slot with weight ``0.0``, so
+each one adds ``+0.0`` to a node's accumulation.  That is an exact
+no-op: the accumulator starts at ``+0.0`` and a round-to-nearest sum
+never produces ``-0.0`` from it.  Because padding never reads a real
+value, a NaN/inf observation reaches only the nodes that are wired to
+it (``NaN * 0.0`` is NaN), exactly as in the interpreted pass.
 """
 
 from __future__ import annotations
@@ -46,16 +50,21 @@ from repro.neat.network import FeedForwardNetwork
 __all__ = ["VectorizedNetwork", "PopulationEvaluator", "vectorize"]
 
 
+def _clamp(x, lo, hi):
+    # the scalar max(lo, min(hi, x)), NaN -> hi included
+    return np.fmax(lo, np.fmin(hi, x))
+
+
 def _vec_sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.clip(4.9 * x, -60.0, 60.0)))
+    return 1.0 / (1.0 + np.exp(-_clamp(4.9 * x, -60.0, 60.0)))
 
 
 def _vec_tanh(x):
-    return np.tanh(np.clip(2.5 * x, -60.0, 60.0))
+    return np.tanh(_clamp(2.5 * x, -60.0, 60.0))
 
 
 def _vec_gauss(x):
-    z = np.clip(x, -3.4, 3.4)
+    z = _clamp(x, -3.4, 3.4)
     # ((-5.0 * z) * z), matching the scalar registry's evaluation order
     return np.exp(-5.0 * z * z)
 
@@ -71,9 +80,9 @@ _VECTOR_ACTIVATIONS = {
     "leaky_relu": lambda x: np.where(x > 0.0, x, 0.005 * x),
     "identity": lambda x: x,
     "mlp_tanh": np.tanh,
-    "clamped": lambda x: np.clip(x, -1.0, 1.0),
+    "clamped": lambda x: _clamp(x, -1.0, 1.0),
     "gauss": _vec_gauss,
-    "sin": lambda x: np.sin(np.clip(5.0 * x, -60.0, 60.0)),
+    "sin": lambda x: np.sin(_clamp(5.0 * x, -60.0, 60.0)),
     "abs": np.abs,
     "step": lambda x: (x > 0.0).astype(np.float64),
 }
@@ -83,8 +92,8 @@ class _LayerPlan:
     """One layer's padded execution plan over the flat value buffer.
 
     ``sources``/``weights`` are ``(rows, max_fan_in)``; rows with fewer
-    ingress terms are padded with ``(slot 0, weight 0.0)`` entries so a
-    layer evaluates with dense array ops.  ``act_groups`` maps each
+    ingress terms are padded with ``(zero slot, weight 0.0)`` entries so
+    a layer evaluates with dense array ops.  ``act_groups`` maps each
     distinct activation to the row indices using it.
     """
 
@@ -118,17 +127,19 @@ class _NetPlan:
         self.num_inputs = len(net.input_keys)
         self.num_outputs = len(net.output_keys)
 
-        # value-buffer slot index for every key, inputs first
+        # value-buffer slot index for every key, inputs first; the slot
+        # after the last node is never written, so it stays 0.0
         index: dict[int, int] = {
             key: i for i, key in enumerate(net.input_keys)
         }
+        zero_slot = self.num_inputs + sum(len(layer) for layer in net.layers)
         self.layers: list[_LayerPlan] = []
         for layer in net.layers:
             rows = len(layer)
             fan_in = max(
                 (net.node_evals[key].fan_in for key in layer), default=0
             )
-            sources = np.zeros((rows, fan_in), dtype=np.intp)
+            sources = np.full((rows, fan_in), zero_slot, dtype=np.intp)
             weights = np.zeros((rows, fan_in))
             biases = np.empty(rows)
             act_rows: dict[str, list[int]] = {}
@@ -150,7 +161,7 @@ class _NetPlan:
             self.layers.append(
                 _LayerPlan(sources, weights, biases, act_groups, slots)
             )
-        self.num_slots = len(index)
+        self.num_slots = zero_slot + 1
         self.output_slots = np.array(
             [index.get(k, -1) for k in net.output_keys], dtype=np.intp
         )
@@ -272,7 +283,8 @@ class PopulationEvaluator:
         for i, plan in enumerate(plans):
             offsets[i] = total
             total += plan.num_slots
-        zero_slot = total  # always-zero scratch, used for absent outputs
+        # always-zero scratch, read by absent outputs and level padding
+        zero_slot = total
 
         depth = max(len(plan.layers) for plan in plans)
         layers: list[_LayerPlan] = []
@@ -289,8 +301,9 @@ class PopulationEvaluator:
             # one preallocated tensor per level, filled by slice — not a
             # concatenate over hundreds of per-member scratch arrays,
             # which dominated build time for large populations.  Padding
-            # columns read slot 0 with weight 0, contributing exactly 0.
-            sources = np.zeros((total_rows, fan_in), dtype=np.intp)
+            # columns read the zero slot with weight 0, contributing
+            # exactly +0.0 whatever the members' observations hold.
+            sources = np.full((total_rows, fan_in), zero_slot, dtype=np.intp)
             weights = np.zeros((total_rows, fan_in))
             biases = np.empty(total_rows)
             slots = np.empty(total_rows, dtype=np.intp)

@@ -115,10 +115,7 @@ class GenerationSample:
     fallback_waves: float | None = None
     #: this generation's count-based wave occupancy (inax)
     pack_eff: float | None = None
-    #: cumulative decode-cache lookups (cpu-fast / cpu-compiled)
-    cache_hits: float | None = None
-    cache_misses: float | None = None
-    #: cumulative compile-cache lookups (cpu-compiled)
+    #: cumulative compile-cache lookups (cpu-compiled / cpu-fast)
     compile_hits: float | None = None
     compile_misses: float | None = None
     #: this generation's dispatch shape (inax cycle report)
@@ -382,69 +379,51 @@ class SpeciesCollapseDetector(Detector):
 # ------------------------------------------------------------- cache health
 @register_detector
 class CacheCollapseDetector(Detector):
-    """Decode/compile cache hit rate collapses after warm-up.
+    """Compile-cache hit rate collapses after warm-up.
 
     A structural cache that stops hitting means every generation pays
-    full decode/compile cost again — the PR 1/PR 6 speedups silently
-    evaporate.  Judged per generation on delta traffic, separately for
-    the decode and compile caches.
+    full compile cost again — the structural-batching speedup silently
+    evaporates.  Judged per generation on delta traffic.
     """
 
     name = "cache.hit_rate"
 
     def __init__(self, config: HealthConfig) -> None:
         super().__init__(config)
-        self._previous: dict[str, tuple[float, float]] = {}
-        self._alerted: dict[str, bool] = {}
+        self._previous = (0.0, 0.0)
+        self._alerted = False
 
-    def _check(
-        self,
-        cache: str,
-        hits: float | None,
-        misses: float | None,
-        sample: GenerationSample,
-    ) -> list[HealthEvent]:
+    def observe(self, sample: GenerationSample) -> list[HealthEvent]:
+        hits, misses = sample.compile_hits, sample.compile_misses
         if hits is None or misses is None:
             return []
-        prev_hits, prev_misses = self._previous.get(cache, (0.0, 0.0))
-        self._previous[cache] = (hits, misses)
+        prev_hits, prev_misses = self._previous
+        self._previous = (hits, misses)
         if sample.generation < self.config.cache_warmup_generations:
             return []
         delta_hits = hits - prev_hits
-        delta_misses = misses - prev_misses
-        lookups = delta_hits + delta_misses
+        lookups = delta_hits + misses - prev_misses
         if lookups < self.config.cache_min_lookups:
             return []
         rate = delta_hits / lookups
         floor = self.config.cache_hit_rate_floor
         if rate >= floor:
-            self._alerted[cache] = False
+            self._alerted = False
             return []
-        if self._alerted.get(cache, False):
+        if self._alerted:
             return []
-        self._alerted[cache] = True
+        self._alerted = True
         return [
             self._event(
                 "warning",
-                f"gen={sample.generation}|cache={cache}",
-                f"{cache} cache hit rate collapsed to {rate:.0%} "
+                f"gen={sample.generation}|cache=compile",
+                f"compile cache hit rate collapsed to {rate:.0%} "
                 f"(floor {floor:.0%})",
                 hit_rate=rate,
                 floor=floor,
                 lookups=lookups,
             )
         ]
-
-    def observe(self, sample: GenerationSample) -> list[HealthEvent]:
-        events = self._check(
-            "decode", sample.cache_hits, sample.cache_misses, sample
-        )
-        events.extend(
-            self._check(
-                "compile", sample.compile_hits, sample.compile_misses, sample
-            )
-        )
-        return events
 
 
 # -------------------------------------------------------- resilience health

@@ -47,7 +47,7 @@ class HealthEvent:
     detector: str
     #: ``info`` | ``warning`` | ``critical``
     severity: str
-    #: where it happened, e.g. ``gen=7`` or ``gen=7|cache=decode``
+    #: where it happened, e.g. ``gen=7`` or ``gen=7|cache=compile``
     site: str
     #: one human-readable sentence
     message: str

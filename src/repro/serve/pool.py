@@ -1,7 +1,7 @@
 """Backend pool: leases evaluation backends to service jobs.
 
 Building a backend is the expensive part of a small job — spawning a
-worker pool, cold decode caches, environment construction.  The pool
+worker pool, cold compile caches, environment construction.  The pool
 keeps finished jobs' backends warm and leases them to later jobs with
 the *same construction key* (environment, backend class, episode
 count, worker count, and the full NEAT config), after
@@ -22,7 +22,11 @@ import threading
 from dataclasses import asdict
 from typing import Any
 
-from repro.core.backends import BACKENDS, EvaluationBackend, FastCPUBackend
+from repro.core.backends import (
+    BACKENDS,
+    CompiledCPUBackend,
+    EvaluationBackend,
+)
 from repro.core.platform import default_inax_config
 from repro.envs.registry import make
 from repro.neat.config import NEATConfig
@@ -158,7 +162,7 @@ class BackendPool:
             episodes_per_genome=episodes_per_genome,
             base_seed=base_seed,
         )
-        if issubclass(backend_cls, FastCPUBackend):
+        if issubclass(backend_cls, CompiledCPUBackend):
             kwargs["workers"] = workers
         if backend_name in ("inax", "fabric"):
             # mirror E3's default device sizing so a pooled inax

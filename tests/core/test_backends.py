@@ -195,24 +195,6 @@ class TestFastCPUBackend:
             == sharded.records[0].episode_lengths
         )
 
-    def test_decode_cache_hits_across_generations(self, cartpole_cfg):
-        backend = FastCPUBackend("cartpole", cartpole_cfg, base_seed=1)
-        genomes = _genomes(cartpole_cfg)
-        backend.evaluate(genomes)
-        info = backend.cache_info()
-        assert info["hits"] == 0 and info["misses"] == len(genomes)
-        backend.evaluate(genomes)  # e.g. elites carried over unchanged
-        info = backend.cache_info()
-        assert info["hits"] == len(genomes)
-        assert info["misses"] == len(genomes)
-
-    def test_cache_capacity_bounded(self, cartpole_cfg):
-        backend = FastCPUBackend(
-            "cartpole", cartpole_cfg, base_seed=1, cache_size=2
-        )
-        backend.evaluate(_genomes(cartpole_cfg, n=5))
-        assert backend.cache_info()["size"] == 2
-
     def test_unvectorizable_genome_falls_back(self, cartpole_cfg):
         genomes_fast = _genomes(cartpole_cfg, n=4)
         genomes_cpu = _genomes(cartpole_cfg, n=4)

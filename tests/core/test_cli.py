@@ -23,6 +23,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--axis", "dsp"])
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--env", "cartpole"],
+            ["resume", "--checkpoint", "ckpt.json", "--env", "cartpole"],
+        ],
+        ids=["run", "resume"],
+    )
+    def test_negative_workers_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--workers", "-1"])
+        assert exit_info.value.code == 2
+        assert "--workers: must be >= 0, got -1" in capsys.readouterr().err
+
 
 class TestEnvsCommand:
     def test_lists_suite(self, capsys):
@@ -210,7 +224,7 @@ class TestTelemetryFlags:
             ]
         )
         assert code in (0, 2)
-        assert "decode cache:" in capsys.readouterr().out
+        assert "compile cache:" in capsys.readouterr().out
 
     def test_resume_appends_csv_and_traces(self, tmp_path, capsys):
         checkpoint = tmp_path / "ckpt.json"

@@ -1,11 +1,11 @@
 """Resume must not restart with cold structural caches.
 
 ``load_checkpoint`` restores the population but no cache state; before
-the fix, the first post-resume generation silently re-decoded (or
-re-compiled) every genome, so "resumed" benchmark numbers lied and the
-decode/compile phase paid a full-population cold start.  The resume
-path now warms the structural caches from the restored population, and
-this roundtrip pins the contract:
+the fix, the first post-resume generation silently re-compiled every
+genome, so "resumed" benchmark numbers lied and the compile phase paid
+a full-population cold start.  The resume path now warms the
+structural caches from the restored population, and this roundtrip
+pins the contract:
 
 * fitness stays bit-identical to the continuous run (warming is purely
   a cache effect);
@@ -16,9 +16,7 @@ this roundtrip pins the contract:
   hits/misses, so the rates compare honestly).
 """
 
-import numpy as np
-
-from repro.core.backends import CompiledCPUBackend, FastCPUBackend
+from repro.core.backends import CompiledCPUBackend
 from repro.neat.checkpoint import load_checkpoint, save_checkpoint
 from repro.neat.config import NEATConfig
 from repro.neat.population import Population
@@ -31,20 +29,12 @@ def _cfg():
     return NEATConfig(num_inputs=4, num_outputs=2, population_size=8)
 
 
-def _info(backend, kind):
-    return (
-        backend.compile_cache_info()
-        if kind == "compile"
-        else backend.cache_info()
-    )
-
-
 def _run(backend, population, generations):
     for _ in range(generations):
         population.advance(backend.evaluate)
 
 
-def _roundtrip(tmp_path, backend_cls, kind):
+def _roundtrip(tmp_path, backend_cls):
     path = str(tmp_path / "run.json")
 
     # continuous reference: SPLIT + TAIL generations on one backend
@@ -53,9 +43,9 @@ def _roundtrip(tmp_path, backend_cls, kind):
     try:
         _run(continuous, population, SPLIT)
         save_checkpoint(population, path)
-        before_tail = _info(continuous, kind)
+        before_tail = continuous.compile_cache_info()
         _run(continuous, population, TAIL)
-        continuous_tail = _info(continuous, kind)
+        continuous_tail = continuous.compile_cache_info()
     finally:
         continuous.close()
     continuous_history = [row.best_fitness for row in population.history]
@@ -68,20 +58,21 @@ def _roundtrip(tmp_path, backend_cls, kind):
     try:
         warmed = resumed.warm_caches(restored.population)
         assert warmed >= 1
-        assert _info(resumed, kind)["warmed"] == warmed
+        info = resumed.compile_cache_info()
+        assert info["warmed"] == warmed
         # warming is bookkept separately, not as lookup traffic
-        assert _info(resumed, kind)["hits"] == 0
-        assert _info(resumed, kind)["misses"] == 0
+        assert info["hits"] == 0
+        assert info["misses"] == 0
 
         restored.advance(resumed.evaluate)
-        first = _info(resumed, kind)
+        first = resumed.compile_cache_info()
         # the first post-resume generation is exactly the warm set:
         # nothing may rebuild
         assert first["misses"] == 0, (
-            "cold cache after resume: first generation re-decoded"
+            "cold cache after resume: first generation re-compiled"
         )
         _run(resumed, restored, TAIL - 1)
-        resumed_tail = _info(resumed, kind)
+        resumed_tail = resumed.compile_cache_info()
     finally:
         resumed.close()
 
@@ -101,17 +92,15 @@ def _roundtrip(tmp_path, backend_cls, kind):
 
 
 class TestResumeWarmStart:
-    def test_decode_cache_roundtrip(self, tmp_path):
-        _roundtrip(tmp_path, FastCPUBackend, "decode")
-
     def test_compile_cache_roundtrip(self, tmp_path):
-        _roundtrip(tmp_path, CompiledCPUBackend, "compile")
+        _roundtrip(tmp_path, CompiledCPUBackend)
 
     def test_cold_resume_shows_the_bug(self, tmp_path):
-        """Without warming, the first resumed generation re-decodes the
-        entire population — the regression this suite guards against."""
+        """Without warming, the first resumed generation re-compiles
+        every shape in the population — the regression this suite
+        guards against."""
         path = str(tmp_path / "run.json")
-        backend = FastCPUBackend("cartpole", _cfg(), base_seed=1)
+        backend = CompiledCPUBackend("cartpole", _cfg(), base_seed=1)
         population = Population(_cfg(), seed=7)
         try:
             _run(backend, population, SPLIT)
@@ -120,13 +109,14 @@ class TestResumeWarmStart:
             backend.close()
 
         restored = load_checkpoint(path)
-        cold = FastCPUBackend("cartpole", _cfg(), base_seed=1)
+        evaluated = list(restored.population)
+        cold = CompiledCPUBackend("cartpole", _cfg(), base_seed=1)
         try:
             restored.advance(cold.evaluate)
-            info = cold.cache_info()
+            info = cold.compile_cache_info()
         finally:
             cold.close()
-        distinct = len({g.structural_hash() for g in restored.population})
+        distinct = len({g.shape_key() for g in evaluated})
         assert info["misses"] == distinct, (
-            "cold resume should re-decode every distinct structure"
+            "cold resume should re-compile every distinct shape"
         )

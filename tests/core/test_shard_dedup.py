@@ -3,12 +3,12 @@
 A crashed-then-respawned worker re-runs its shard; each attempt's
 payload carries a unique ``gen|shard|attempt`` site, and the merge is
 idempotent per site — a duplicated delivery of the same payload must
-never double-count cache or metric deltas."""
+never double-count compile-cache or metric deltas."""
 
 import numpy as np
 import pytest
 
-from repro.core.backends import CompiledCPUBackend, FastCPUBackend
+from repro.core.backends import CompiledCPUBackend
 from repro.neat.config import NEATConfig
 from repro.neat.innovation import InnovationTracker
 from repro.resilience.faults import FaultPlan
@@ -34,8 +34,8 @@ def _payload(site, hits=3, misses=2, size=5):
     return {
         "site": site,
         "phase_seconds": {"evaluate": 0.25},
-        "cache_delta": {"hits": hits, "misses": misses},
-        "cache_size": size,
+        "compile_delta": {"hits": hits, "misses": misses},
+        "compile_size": size,
         "genomes": 3,
         "metrics": None,
     }
@@ -44,18 +44,18 @@ def _payload(site, hits=3, misses=2, size=5):
 class TestMergeIdempotency:
     def test_duplicate_site_folds_once(self):
         cfg = _cfg()
-        backend = FastCPUBackend("cartpole", cfg, base_seed=1, workers=0)
+        backend = CompiledCPUBackend("cartpole", cfg, base_seed=1, workers=0)
         try:
             payload = _payload("gen=0|shard=0|attempt=0")
             backend._merge_shard_telemetry([payload, dict(payload)])
-            assert backend._shard_cache["hits"] == 3
-            assert backend._shard_cache["misses"] == 2
+            assert backend.compile_cache_info()["hits"] == 3
+            assert backend.compile_cache_info()["misses"] == 2
         finally:
             backend.close()
 
     def test_distinct_attempts_both_fold(self):
         cfg = _cfg()
-        backend = FastCPUBackend("cartpole", cfg, base_seed=1, workers=0)
+        backend = CompiledCPUBackend("cartpole", cfg, base_seed=1, workers=0)
         try:
             backend._merge_shard_telemetry(
                 [
@@ -64,19 +64,19 @@ class TestMergeIdempotency:
                     _payload("gen=0|shard=1|attempt=0"),
                 ]
             )
-            assert backend._shard_cache["hits"] == 9
-            assert backend._shard_cache["misses"] == 6
+            assert backend.compile_cache_info()["hits"] == 9
+            assert backend.compile_cache_info()["misses"] == 6
         finally:
             backend.close()
 
     def test_siteless_legacy_payloads_still_merge(self):
         cfg = _cfg()
-        backend = FastCPUBackend("cartpole", cfg, base_seed=1, workers=0)
+        backend = CompiledCPUBackend("cartpole", cfg, base_seed=1, workers=0)
         try:
             legacy = _payload("")
             backend._merge_shard_telemetry([legacy, dict(legacy)])
             # no site -> no dedup key -> both fold (pre-site behavior)
-            assert backend._shard_cache["hits"] == 6
+            assert backend.compile_cache_info()["hits"] == 6
         finally:
             backend.close()
 
@@ -86,19 +86,21 @@ class TestCrashRetryAccounting:
     def test_respawned_shard_counts_once(self):
         """seed=3 crashes shard 0's first attempt; the respawned retry
         succeeds.  Fitness stays bit-identical and the surviving
-        attempt's telemetry is folded exactly once (cache hits+misses
-        equal one lookup per (genome, episode))."""
+        attempt's telemetry is folded exactly once (compile-cache
+        hits+misses equal a clean sharded run's)."""
         cfg = _cfg()
-        clean_backend = FastCPUBackend("cartpole", cfg, base_seed=1, workers=2)
+        clean_backend = CompiledCPUBackend(
+            "cartpole", cfg, base_seed=1, workers=2
+        )
         genomes = _genomes(cfg)
         try:
             clean_backend.evaluate(genomes)
-            clean_info = clean_backend.cache_info()
+            clean_info = clean_backend.compile_cache_info()
         finally:
             clean_backend.close()
         clean = {g.key: g.fitness for g in genomes}
 
-        backend = FastCPUBackend(
+        backend = CompiledCPUBackend(
             "cartpole",
             cfg,
             base_seed=1,
@@ -115,7 +117,7 @@ class TestCrashRetryAccounting:
         chaotic = _genomes(cfg)
         try:
             backend.evaluate(chaotic)
-            info = backend.cache_info()
+            info = backend.compile_cache_info()
         finally:
             backend.close()
         assert {g.key: g.fitness for g in chaotic} == clean
@@ -132,15 +134,17 @@ class TestShardSizeAccounting:
     """Cache *sizes* are absolute snapshots, not deltas.
 
     Before the fix, ``_merge_shard_telemetry`` folded each payload's
-    ``cache_size`` in arrival order, so the reported aggregate
+    cache size in arrival order, so the reported aggregate
     depended on which shard's payload happened to land last.  The
     contract is now: size = sum over shard slots of each slot's most
     recent report, which is order-independent and survives retries,
     fallbacks, and duplicate deliveries.
     """
 
-    def _backend(self, workers=0, cls=FastCPUBackend):
-        return cls("cartpole", _cfg(), base_seed=1, workers=workers)
+    def _backend(self, workers=0):
+        return CompiledCPUBackend(
+            "cartpole", _cfg(), base_seed=1, workers=workers
+        )
 
     def test_size_is_order_independent_sum_over_slots(self):
         payloads = [
@@ -152,7 +156,7 @@ class TestShardSizeAccounting:
             backend = self._backend()
             try:
                 backend._merge_shard_telemetry(list(ordering))
-                sizes.append(backend.cache_info()["size"])
+                sizes.append(backend.compile_cache_info()["size"])
             finally:
                 backend.close()
         assert sizes == [12, 12], "aggregate size must not depend on order"
@@ -162,7 +166,7 @@ class TestShardSizeAccounting:
         try:
             payload = _payload("gen=0|shard=0|attempt=0", size=5)
             backend._merge_shard_telemetry([payload, dict(payload)])
-            assert backend.cache_info()["size"] == 5
+            assert backend.compile_cache_info()["size"] == 5
         finally:
             backend.close()
 
@@ -178,7 +182,7 @@ class TestShardSizeAccounting:
                     _payload("gen=0|shard=0|attempt=1", size=9),
                 ]
             )
-            assert backend.cache_info()["size"] == 9 + 7
+            assert backend.compile_cache_info()["size"] == 9 + 7
         finally:
             backend.close()
 
@@ -191,7 +195,7 @@ class TestShardSizeAccounting:
             backend._merge_shard_telemetry(
                 [_payload("gen=1|shard=0|attempt=0", size=11)]
             )
-            assert backend.cache_info()["size"] == 11
+            assert backend.compile_cache_info()["size"] == 11
         finally:
             backend.close()
 
@@ -212,19 +216,15 @@ class TestShardSizeAccounting:
                     _payload("gen=1|shard=1|attempt=0", size=8),
                 ]
             )
-            assert backend.cache_info()["size"] == 5 + 8
+            assert backend.compile_cache_info()["size"] == 5 + 8
         finally:
             backend.close()
 
     def test_compile_sizes_follow_the_same_contract(self):
-        backend = self._backend(cls=CompiledCPUBackend)
+        backend = self._backend()
         try:
-            first = _payload("gen=0|shard=0|attempt=0", size=0)
-            first["compile_delta"] = {"hits": 2, "misses": 1}
-            first["compile_size"] = 4
-            second = _payload("gen=0|shard=1|attempt=0", size=0)
-            second["compile_delta"] = {"hits": 1, "misses": 2}
-            second["compile_size"] = 6
+            first = _payload("gen=0|shard=0|attempt=0", 2, 1, size=4)
+            second = _payload("gen=0|shard=1|attempt=0", 1, 2, size=6)
             backend._merge_shard_telemetry([second, first, dict(first)])
             info = backend.compile_cache_info()
             assert info["size"] == 10

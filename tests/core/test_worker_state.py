@@ -1,10 +1,10 @@
 """Regression: worker cache accounting must not leak between runs.
 
 ``_fastcpu_worker_evaluate`` used to diff the worker backend's
-cumulative cache counters against *module-level* reported dicts that
-survived pool re-initialization — so the second run in a process
-inherited the first run's cumulative counts and shipped garbage
-(negative) deltas to its parent.  The state now lives on the
+cumulative compile-cache counters against *module-level* reported
+dicts that survived pool re-initialization — so the second run in a
+process inherited the first run's cumulative counts and shipped
+garbage (negative) deltas to its parent.  The state now lives on the
 :class:`~repro.core.backends._WorkerState` object rebuilt by every
 ``_fastcpu_worker_init`` call.
 
@@ -53,14 +53,14 @@ class TestWorkerStateScoping:
     def test_deltas_reset_with_reinitialized_pool(self):
         genomes = sample_genomes()
         worker_init()
-        first = evaluate_once(genomes)["cache_delta"]
+        first = evaluate_once(genomes)["compile_delta"]
         assert first["misses"] > 0
 
         # a second run's pool re-runs the initializer in the same
         # process; its first report must be a fresh, self-contained
         # delta — not a diff against the previous run's totals
         worker_init()
-        second = evaluate_once(genomes)["cache_delta"]
+        second = evaluate_once(genomes)["compile_delta"]
         assert second == first
         assert second["hits"] >= 0
         assert second["misses"] >= 0
@@ -72,9 +72,9 @@ class TestWorkerStateScoping:
         again = evaluate_once(genomes)
         # same genomes, same worker: second call is pure cache hits,
         # and its delta reflects only the activity since the first
-        assert first["cache_delta"]["misses"] > 0
-        assert again["cache_delta"]["misses"] == 0
-        assert again["cache_delta"]["hits"] == len(genomes)
+        assert first["compile_delta"]["misses"] > 0
+        assert again["compile_delta"]["misses"] == 0
+        assert again["compile_delta"]["hits"] == len(genomes)
 
     def test_worker_state_object_is_rebuilt(self):
         worker_init()
@@ -82,7 +82,6 @@ class TestWorkerStateScoping:
         worker_init()
         state_b = backends._WORKER_STATE
         assert state_a is not state_b
-        assert state_b.reported_cache == {"hits": 0, "misses": 0}
         assert state_b.reported_compile == {"hits": 0, "misses": 0}
 
 
@@ -99,7 +98,7 @@ class TestBackToBackRuns:
                 seed=3,
             )
             result = e3.run(max_generations=2)
-            info = e3.backend.cache_info()
+            info = e3.backend.compile_cache_info()
             history = [s.best_fitness for s in result.history]
             return info, history
 
@@ -126,7 +125,7 @@ class TestBackToBackRuns:
                 workers=2,
             )
             result = e3.run(max_generations=2)
-            info = e3.backend.cache_info()
+            info = e3.backend.compile_cache_info()
             e3.backend.close()
             history = [s.best_fitness for s in result.history]
             return info, history

@@ -76,11 +76,13 @@ class TestEquivalence:
 class TestBitwiseParity:
     """The fast path's headline guarantee: not close — *equal*.
 
-    ``cpu-fast``'s claim of a bit-identical fitness trajectory rests on
-    the vectorized forward pass producing the same 64-bit floats as the
-    interpreted one, for every supported activation.
+    ``cpu-compiled``'s claim of a bit-identical fitness trajectory rests
+    on the vectorized forward pass producing the same 64-bit floats as
+    the interpreted one, for every supported activation — NaN/±inf
+    sensor readings included.
     """
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
@@ -90,6 +92,9 @@ class TestBitwiseParity:
         net, rng = _reference(seed=seed, activation=activation)
         fast = vectorize(net)
         batch = rng.standard_normal((8, 4)) * 3.0
+        # sensor faults: a few NaN/±inf readings among the clean rows
+        cells = rng.integers(8, size=3), rng.integers(4, size=3)
+        batch[cells] = rng.choice([np.nan, np.inf, -np.inf], 3)
         out = fast.activate_batch(batch)
         expected = np.stack([net.activate(batch[i]) for i in range(8)])
         assert out.tobytes() == expected.tobytes()
@@ -121,6 +126,8 @@ class TestBitwiseParity:
         alive = list(range(12))
         while alive:
             obs = {m: rng.standard_normal(4) for m in alive}
+            # member 0's NaN sensor reading must stay member 0's
+            obs[0][0] = np.nan
             outputs = evaluator.infer(obs)
             assert sorted(outputs) == alive
             for m in alive:

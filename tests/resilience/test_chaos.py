@@ -242,10 +242,14 @@ class TestQuarantineEndToEnd:
         kinds = [e.kind for e in backend.resilience_events]
         assert kinds.count("quarantine.nonfinite") == 6
 
-    def test_env_faults_fire_identically_across_backends(self):
-        """The env fault stream keys on episode seeds, not the backend."""
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("fault", ["obs_nan", "obs_inf"])
+    def test_env_faults_fire_identically_across_backends(self, fault):
+        """The env fault stream keys on episode seeds, not the backend,
+        and a corrupted sensor reading changes the same bits on every
+        backend — also when 40 genomes share one lock-step population."""
         cfg = _cfg()
-        plan_text = "seed=9,env.obs_nan@0.05"
+        plan_text = f"seed=9,env.{fault}@0.05"
         cpu = _fitness(
             CPUBackend(
                 "cartpole",
@@ -254,6 +258,7 @@ class TestQuarantineEndToEnd:
                 fault_plan=FaultPlan.parse(plan_text),
             ),
             cfg,
+            n=40,
         )
         fast = _fitness(
             FastCPUBackend(
@@ -264,6 +269,7 @@ class TestQuarantineEndToEnd:
                 fault_plan=FaultPlan.parse(plan_text),
             ),
             cfg,
+            n=40,
         )
         assert fast == cpu
 

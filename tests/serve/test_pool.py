@@ -77,17 +77,17 @@ class TestResetRunState:
         lease = pool.lease("cartpole", "cpu-fast", config, base_seed=0)
         run_fitness_history(lease.backend, seed=0)
         assert lease.backend.records  # first run accumulated state
-        assert lease.backend.cache_info()["hits"] > 0
+        assert lease.backend.compile_cache_info()["hits"] > 0
         lease.release()
         again = pool.lease("cartpole", "cpu-fast", config, base_seed=1)
         backend = again.backend
         assert backend.records == []
         assert backend._generation == 0
-        assert backend.cache_info()["hits"] == 0
-        assert backend.cache_info()["misses"] == 0
+        assert backend.compile_cache_info()["hits"] == 0
+        assert backend.compile_cache_info()["misses"] == 0
         assert backend.base_seed == 1
         # structural cache entries deliberately survive the reset
-        assert backend.cache_info()["size"] > 0
+        assert backend.compile_cache_info()["size"] > 0
 
     def test_reused_backend_is_bit_identical_to_fresh(self):
         # the acceptance contract: a leased backend that already ran a

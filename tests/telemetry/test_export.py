@@ -43,7 +43,7 @@ def _loaded_tracer() -> Tracer:
 def _registry() -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.counter("episode.count").inc(4)
-    registry.gauge("fastcpu.cache.size").set(12)
+    registry.gauge("compile.cache.size").set(12)
     registry.histogram("episode.steps").observe(100)
     return registry
 

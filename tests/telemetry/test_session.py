@@ -184,7 +184,7 @@ class TestPlatformIntegration:
         snapshot = session.metrics.snapshot()
         assert snapshot["episode.steps"]["count"] > 0
         assert snapshot["rollout.wave_size"]["count"] > 0
-        assert "fastcpu.cache.hits" in snapshot
+        assert "compile.cache.hits" in snapshot
         assert snapshot["neat.generations"]["value"] == 3
 
     def test_worker_shards_ship_telemetry(self):
