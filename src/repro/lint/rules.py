@@ -189,6 +189,18 @@ class WallClockRule(Rule):
                 )
 
 
+def _is_dict_view(node: ast.expr) -> bool:
+    """A ``.keys()``/``.items()`` call: set-like, so ``|``, ``&``, ``^``
+    and ``-`` on it build a set."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("keys", "items")
+        and not node.args
+        and not node.keywords
+    )
+
+
 def _is_set_expr(node: ast.expr) -> bool:
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
@@ -197,7 +209,10 @@ def _is_set_expr(node: ast.expr) -> bool:
     if isinstance(node, ast.BinOp) and isinstance(
         node.op, (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)
     ):
-        return _is_set_expr(node.left) or _is_set_expr(node.right)
+        return any(
+            _is_set_expr(side) or _is_dict_view(side)
+            for side in (node.left, node.right)
+        )
     return False
 
 

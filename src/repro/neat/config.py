@@ -109,10 +109,20 @@ class NEATConfig:
             raise ValueError("survival_threshold must be in (0, 1]")
         if self.elitism < 0:
             raise ValueError("elitism must be >= 0")
-        if self.weight_min >= self.weight_max:
+        # written so NaN fails too: mutation clamps and scales draws
+        # with these (repro.neat.genes)
+        if not self.weight_min < self.weight_max:
             raise ValueError("weight_min must be < weight_max")
-        if self.bias_min >= self.bias_max:
+        if not self.bias_min < self.bias_max:
             raise ValueError("bias_min must be < bias_max")
+        for scale_name in (
+            "weight_mutate_power",
+            "weight_init_stdev",
+            "bias_mutate_power",
+            "bias_init_stdev",
+        ):
+            if not getattr(self, scale_name) >= 0.0:
+                raise ValueError(f"{scale_name} must be >= 0")
         for rate_name in (
             "crossover_rate",
             "interspecies_crossover_rate",

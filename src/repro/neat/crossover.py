@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.neat.config import NEATConfig
-from repro.neat.genome import Genome
+from repro.neat.genome import Genome, creates_cycle
 
 __all__ = ["crossover"]
 
@@ -63,8 +63,6 @@ def crossover(
         # with equal parents, the weaker side's disjoint/excess genes are
         # inherited too (NEAT-paper behaviour), provided they do not
         # conflict with an already-chosen key or close a cycle.
-        from repro.neat.genome import creates_cycle
-
         for innovation, gene_b in b_by_innovation.items():
             if innovation in a_by_innovation or gene_b.key in child.connections:
                 continue
@@ -89,13 +87,5 @@ def crossover(
             child.nodes[key] = gene_b.copy()
         else:  # pragma: no cover - defensive; outputs always exist in parents
             raise RuntimeError(f"node {key} missing from both parents")
-
-    # prune connections that reference nodes neither parent could supply
-    for conn_key in [k for k in child.connections]:
-        in_node, out_node = conn_key
-        if in_node >= 0 and in_node not in child.nodes:
-            del child.connections[conn_key]
-        elif out_node not in child.nodes:
-            del child.connections[conn_key]
 
     return child

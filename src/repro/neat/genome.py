@@ -16,10 +16,19 @@ from typing import Iterable
 import numpy as np
 
 from repro.neat.config import NEATConfig
-from repro.neat.genes import ConnectionGene, NodeGene
+from repro.neat.genes import (
+    ConnectionGene,
+    NodeGene,
+    node_mutation,
+    weight_mutation,
+)
 from repro.neat.innovation import InnovationTracker
 
 __all__ = ["Genome", "creates_cycle"]
+
+#: A genome's connection genes keyed by innovation number, plus the
+#: largest number (-1 without connections).
+InnovationIndex = tuple[dict[int, ConnectionGene], int]
 
 
 def creates_cycle(
@@ -194,19 +203,23 @@ class Genome:
         rng: np.random.Generator,
     ) -> None:
         """Apply structural then parametric mutation in place."""
-        if rng.random() < config.node_add_rate:
+        random = rng.random
+        if random() < config.node_add_rate:
             self.mutate_add_node(config, tracker, rng)
-        if rng.random() < config.node_delete_rate:
+        if random() < config.node_delete_rate:
             self.mutate_delete_node(config, rng)
-        if rng.random() < config.conn_add_rate:
+        if random() < config.conn_add_rate:
             self.mutate_add_connection(config, tracker, rng)
-        if rng.random() < config.conn_delete_rate:
+        if random() < config.conn_delete_rate:
             self.mutate_delete_connection(rng)
+        mutate_node = node_mutation(config, rng)
         for node in self.nodes.values():
-            node.mutate(config, rng)
+            mutate_node(node)
+        mutate_weight = weight_mutation(config, rng)
+        enable_rate = config.enable_mutate_rate
         for conn in self.connections.values():
-            conn.mutate(config, rng)
-            if not conn.enabled and rng.random() < config.enable_mutate_rate:
+            conn.weight = mutate_weight(conn.weight)
+            if not conn.enabled and random() < enable_rate:
                 conn.enabled = True
 
     def mutate_add_connection(
@@ -305,55 +318,15 @@ class Genome:
         innovation number and W the mean attribute distance of matching
         genes (connections and nodes).
         """
-        conn_term = self._connection_distance(other, config)
-        node_term = self._node_distance(other, config)
-        return conn_term + node_term
-
-    def _connection_distance(self, other: "Genome", config: NEATConfig) -> float:
-        mine = {c.innovation: c for c in self.connections.values()}
-        theirs = {c.innovation: c for c in other.connections.values()}
-        if not mine and not theirs:
-            return 0.0
-        max_mine = max(mine, default=-1)
-        max_theirs = max(theirs, default=-1)
-        boundary = min(max_mine, max_theirs)
-        matching, weight_diff = 0, 0.0
-        disjoint, excess = 0, 0
-        for innovation in mine.keys() | theirs.keys():
-            a, b = mine.get(innovation), theirs.get(innovation)
-            if a is not None and b is not None:
-                matching += 1
-                weight_diff += a.distance(b)
-            elif innovation <= boundary:
-                disjoint += 1
-            else:
-                excess += 1
-        n = max(len(mine), len(theirs), 1)
-        dist = (
-            config.excess_coefficient * excess / n
-            + config.disjoint_coefficient * disjoint / n
+        return compatibility(
+            self, self.innovation_index(), other, other.innovation_index(), config
         )
-        if matching:
-            dist += config.weight_coefficient * weight_diff / matching
-        return dist
 
-    def _node_distance(self, other: "Genome", config: NEATConfig) -> float:
-        if not self.nodes and not other.nodes:
-            return 0.0
-        matching, attr_diff = 0, 0.0
-        disjoint = 0
-        for key in self.nodes.keys() | other.nodes.keys():
-            a, b = self.nodes.get(key), other.nodes.get(key)
-            if a is not None and b is not None:
-                matching += 1
-                attr_diff += a.distance(b)
-            else:
-                disjoint += 1
-        n = max(len(self.nodes), len(other.nodes), 1)
-        dist = config.disjoint_coefficient * disjoint / n
-        if matching:
-            dist += config.weight_coefficient * attr_diff / matching
-        return dist
+    def innovation_index(self) -> InnovationIndex:
+        """This genome's connections by innovation number (see
+        :func:`compatibility`)."""
+        by_innovation = {c.innovation: c for c in self.connections.values()}
+        return by_innovation, max(by_innovation, default=-1)
 
     # ------------------------------------------------------ serialization
     def to_dict(self) -> dict:
@@ -410,3 +383,78 @@ class Genome:
             f"Genome(key={self.key}, nodes={len(self.nodes)}, "
             f"connections={len(self.connections)}, fitness={self.fitness})"
         )
+
+
+def compatibility(
+    a: Genome,
+    a_index: InnovationIndex,
+    b: Genome,
+    b_index: InnovationIndex,
+    config: NEATConfig,
+) -> float:
+    """``a.distance(b, config)`` given both genomes' innovation indexes.
+
+    :class:`~repro.neat.species.SpeciesSet` builds each genome's index
+    once per speciation pass and calls this directly; the argument order
+    is part of the result, as in ``a.distance(b)``.
+    """
+    return _connection_distance(a_index, b_index, config) + _node_distance(
+        a.nodes, b.nodes, config
+    )
+
+
+def _connection_distance(
+    a_index: InnovationIndex, b_index: InnovationIndex, config: NEATConfig
+) -> float:
+    mine, max_mine = a_index
+    theirs, max_theirs = b_index
+    if not mine and not theirs:
+        return 0.0
+    boundary = min(max_mine, max_theirs)
+    mine_get, theirs_get = mine.get, theirs.get
+    matching, weight_diff = 0, 0.0
+    disjoint, excess = 0, 0
+    # DET004 reviewed: the union's order is a fixed function of both
+    # dicts' insertion order and sets the order the weight differences
+    # are summed in; sorting it could change the distance's bits and so
+    # species assignments (pinned by tests/neat/test_evolve_golden.py)
+    for innovation in mine.keys() | theirs.keys():  # repro: noqa[DET004]
+        a, b = mine_get(innovation), theirs_get(innovation)
+        if a is not None and b is not None:
+            matching += 1
+            weight_diff += a.distance(b)
+        elif innovation <= boundary:
+            disjoint += 1
+        else:
+            excess += 1
+    n = max(len(mine), len(theirs), 1)
+    dist = (
+        config.excess_coefficient * excess / n
+        + config.disjoint_coefficient * disjoint / n
+    )
+    if matching:
+        dist += config.weight_coefficient * weight_diff / matching
+    return dist
+
+
+def _node_distance(
+    mine: dict[int, NodeGene], theirs: dict[int, NodeGene], config: NEATConfig
+) -> float:
+    if not mine and not theirs:
+        return 0.0
+    mine_get, theirs_get = mine.get, theirs.get
+    matching, attr_diff = 0, 0.0
+    disjoint = 0
+    # DET004 reviewed: same order argument as in _connection_distance
+    for key in mine.keys() | theirs.keys():  # repro: noqa[DET004]
+        a, b = mine_get(key), theirs_get(key)
+        if a is not None and b is not None:
+            matching += 1
+            attr_diff += a.distance(b)
+        else:
+            disjoint += 1
+    n = max(len(mine), len(theirs), 1)
+    dist = config.disjoint_coefficient * disjoint / n
+    if matching:
+        dist += config.weight_coefficient * attr_diff / matching
+    return dist

@@ -9,6 +9,8 @@ by crossover (probability ``crossover_rate``) or mutation-only cloning.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.neat.config import NEATConfig
@@ -129,6 +131,7 @@ class Reproduction:
 
         # survivors per species, plus the cross-species parent pool for
         # interspecies mating (the classic NEAT 0.1% event)
+        ranked_members: list[list[Genome]] = []
         survivor_pools: list[list[Genome]] = []
         for species in species_list:
             ranked = sorted(
@@ -136,53 +139,58 @@ class Reproduction:
                 key=lambda g: g.fitness if g.fitness is not None else float("-inf"),
                 reverse=True,
             )
-            cutoff = max(1, int(np.ceil(config.survival_threshold * len(ranked))))
+            cutoff = max(1, math.ceil(config.survival_threshold * len(ranked)))
+            ranked_members.append(ranked)
             survivor_pools.append(ranked[:cutoff])
         all_survivors = [g for pool in survivor_pools for g in pool]
 
         next_population: list[Genome] = []
-        for species, quota, parents in zip(
-            species_list, sizes, survivor_pools
-        ):
-            ranked = sorted(
-                species.members,
-                key=lambda g: g.fitness if g.fitness is not None else float("-inf"),
-                reverse=True,
-            )
+        offset = 0
+        for ranked, quota, parents in zip(ranked_members, sizes, survivor_pools):
             # elites survive unchanged
             for elite in ranked[: min(config.elitism, quota)]:
                 next_population.append(elite.copy(new_key=self.fresh_key()))
             remaining = quota - min(config.elitism, quota)
-            if remaining <= 0:
-                continue
             for _ in range(remaining):
                 next_population.append(
-                    self._make_child(parents, all_survivors, rng)
+                    self._make_child(parents, offset, all_survivors, rng)
                 )
+            offset += len(parents)
         return next_population
 
     def _make_child(
         self,
         parents: list[Genome],
+        offset: int,
         all_survivors: list[Genome],
         rng: np.random.Generator,
     ) -> Genome:
+        """One offspring of ``parents``, which is
+        ``all_survivors[offset : offset + len(parents)]``.
+
+        The second parent is drawn from the pool without the first one;
+        the pool is never built: entry ``j`` of a pool that leaves out
+        position ``i`` is entry ``j + (j >= i)`` of the full list (every
+        genome appears once, as speciation assigns each exactly once).
+        """
         config = self._config
         can_cross = len(parents) >= 2 or (
             len(parents) >= 1 and len(all_survivors) >= 2
         )
         if can_cross and rng.random() < config.crossover_rate:
-            first = parents[int(rng.integers(len(parents)))]
+            first_at = int(rng.integers(len(parents)))
+            first = parents[first_at]
             if (
                 len(all_survivors) > len(parents)
                 and rng.random() < config.interspecies_crossover_rate
             ):
                 # interspecies mating: second parent from anywhere
-                pool = [g for g in all_survivors if g is not first]
+                pool, skip = all_survivors, offset + first_at
             else:
-                pool = [g for g in parents if g is not first]
-            if pool:
-                second = pool[int(rng.integers(len(pool)))]
+                pool, skip = parents, first_at
+            if len(pool) > 1:
+                at = int(rng.integers(len(pool) - 1))
+                second = pool[at + (at >= skip)]
                 child = crossover(
                     first, second, self.fresh_key(), config, rng
                 )

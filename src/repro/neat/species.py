@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.neat.config import NEATConfig
-from repro.neat.genome import Genome
+from repro.neat.genome import Genome, compatibility
 
 __all__ = ["Species", "SpeciesSet"]
 
@@ -86,29 +86,41 @@ class SpeciesSet:
         threshold, or found a new one.
         """
         config = self._config
+        threshold = config.compatibility_threshold
         unassigned = list(population)
+        # each genome's innovation index, built once and shared by every
+        # distance this pass measures to or from it
+        indexes = {id(g): g.innovation_index() for g in unassigned}
 
         for species in self._species.values():
             species.members = []
+            rep = species.representative
+            if id(rep) not in indexes:
+                indexes[id(rep)] = rep.innovation_index()
 
         # re-anchor each surviving species on its closest new member
         for species in self._species.values():
             if not unassigned:
                 break
+            rep = species.representative
+            rep_index = indexes[id(rep)]
             distances = [
-                species.representative.distance(g, config) for g in unassigned
+                compatibility(rep, rep_index, g, indexes[id(g)], config)
+                for g in unassigned
             ]
             idx = int(np.argmin(distances))
-            if distances[idx] <= config.compatibility_threshold:
+            if distances[idx] <= threshold:
                 species.representative = unassigned[idx]
                 species.members.append(unassigned.pop(idx))
 
         for genome in unassigned:
+            index = indexes[id(genome)]
             placed = False
             for species in self._species.values():
+                rep = species.representative
                 if (
-                    genome.distance(species.representative, config)
-                    <= config.compatibility_threshold
+                    compatibility(genome, index, rep, indexes[id(rep)], config)
+                    <= threshold
                 ):
                     species.members.append(genome)
                     placed = True

@@ -37,6 +37,12 @@ def test_for_env_sizes_interface():
         {"elitism": -1},
         {"weight_min": 5.0, "weight_max": -5.0},
         {"bias_min": 1.0, "bias_max": 1.0},
+        {"weight_min": float("nan")},
+        {"bias_max": float("nan")},
+        {"weight_mutate_power": -0.5},
+        {"weight_init_stdev": -1.0},
+        {"bias_mutate_power": float("nan")},
+        {"bias_init_stdev": -1.0},
         {"crossover_rate": 1.2},
         {"conn_add_rate": -0.1},
         {"compatibility_threshold": 0.0},

@@ -123,3 +123,56 @@ def test_stagnation_counter_resets_on_improvement(small_config, tracker, rng):
         g.fitness = 2.0
     ss.update_fitnesses(3)
     assert species.last_improved_generation == 3
+
+
+def _asymmetric_pair():
+    """Two genomes whose distance depends on the operand order.
+
+    Innovations 1, 9 and 17 share a hash slot in a small set, so the
+    union of the two innovation maps iterates them in each dict's own
+    insertion order, and the matching weight differences (1.0, 2**-53,
+    2**-53) sum to different floats in the two orders.
+    """
+    from repro.neat.genes import ConnectionGene, NodeGene
+
+    def genome(key, order, weights):
+        g = Genome(key=key)
+        g.nodes[0] = NodeGene(0, 0.0, "tanh", "sum")
+        for innovation in order:
+            conn = (-innovation, 0)
+            g.connections[conn] = ConnectionGene(
+                conn, weights[innovation], True, innovation
+            )
+        return g
+
+    a = genome(1, [1, 9, 17], {1: 0.0, 9: 0.0, 17: 0.0})
+    b = genome(2, [9, 17, 1], {1: 1.0, 9: 2.0**-53, 17: 2.0**-53})
+    return a, b
+
+
+def test_speciate_keeps_each_distance_operand_order(rng):
+    """Re-anchoring measures ``representative.distance(genome)``; placing
+    measures ``genome.distance(representative)``.  With a threshold
+    between the two orders' results, each order picks a different
+    outcome, so swapping either call's operands changes species."""
+    a, b = _asymmetric_pair()
+    cfg = NEATConfig(num_inputs=17, num_outputs=1)
+    assert a.distance(b, cfg) != b.distance(a, cfg)
+    threshold = min(a.distance(b, cfg), b.distance(a, cfg))
+    cfg = NEATConfig(
+        num_inputs=17, num_outputs=1, compatibility_threshold=threshold
+    )
+    for rep, genome in [(a, b), (b, a)]:
+        ss = SpeciesSet(cfg)
+        ss.speciate([rep], generation=0, rng=rng)
+        ss.speciate([genome], generation=1, rng=rng)
+        if rep.distance(genome, cfg) <= threshold:
+            # re-anchored on the newcomer
+            assert list(ss.species) == [0]
+            assert ss.species[0].representative is genome
+        else:
+            # joined the old representative's species
+            assert genome.distance(rep, cfg) <= threshold
+            assert list(ss.species) == [0]
+            assert ss.species[0].representative is rep
+            assert ss.species[0].members == [genome]
