@@ -84,19 +84,18 @@ def _weight_mutated_offspring(parents):
     return offspring
 
 
-def _observations(config, slots, tick):
+def _observations(config, count, tick):
     rng = np.random.default_rng(1000 + tick)
-    return {
-        slot: rng.normal(size=config.num_inputs) for slot in slots
-    }
+    return rng.normal(size=(count, config.num_inputs))
 
 
 def _run_ticks(config, plans, count):
     """The shared phase: flat engine assembly + lock-step ticks."""
     start = time.perf_counter()
     evaluator = PopulationEvaluator.from_plans(plans)
+    slots = list(range(len(plans)))
     outputs = [
-        evaluator.infer(_observations(config, range(len(plans)), tick))
+        evaluator.infer(slots, _observations(config, len(plans), tick))
         for tick in range(TICKS)
     ]
     return time.perf_counter() - start, outputs
@@ -190,8 +189,8 @@ def test_compile_speedup():
 
     # the speedup is exact-result: identical bits on every tick
     for fast_tick, comp_tick in zip(fast_out, comp_out):
-        for slot in fast_tick:
-            assert np.array_equal(fast_tick[slot], comp_tick[slot])
+        for fast_row, comp_row in zip(fast_tick, comp_tick):
+            assert np.array_equal(fast_row, comp_row)
 
     prep_speedup = fast_prep / comp_prep
     total_speedup = (fast_prep + fast_shared) / (comp_prep + comp_shared)

@@ -156,8 +156,6 @@ class CompiledPopulationEvaluator:
     def rebuilds(self) -> int:
         return self._flat.rebuilds
 
-    def infer(
-        self, observations: dict[int, np.ndarray]
-    ) -> dict[int, np.ndarray]:
-        """One lock-step tick: ``{slot: obs}`` -> ``{slot: raw output}``."""
-        return self._flat.infer(observations)
+    def infer(self, slots: list[int], obs: np.ndarray) -> np.ndarray:
+        """One lock-step tick (an :data:`repro.envs.rollout.InferFn`)."""
+        return self._flat.infer(slots, obs)

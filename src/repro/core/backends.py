@@ -39,10 +39,18 @@ import multiprocessing
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.compile import CompileCache, CompiledPopulationEvaluator
 from repro.envs.base import Environment
 from repro.envs.registry import make
-from repro.envs.rollout import run_episode, run_lockstep
+from repro.envs.rollout import (
+    InferFn,
+    check_observations,
+    check_slots,
+    run_episode,
+    run_lockstep,
+)
 from repro.hw.workload import GenerationWorkload, IndividualWork
 from repro.inax.accelerator import INAX, INAXConfig, schedule_generation
 from repro.inax.compiler import HWNetConfig, compile_genome
@@ -1209,14 +1217,7 @@ class INAXBackend(EvaluationBackend):
             FeedForwardNetwork.create(genome, self.neat_config)
             for genome in genomes
         ]
-
-        def infer(observations):
-            return {
-                slot: nets[slot].activate(obs)
-                for slot, obs in observations.items()
-            }
-
-        return run_lockstep(envs, infer, seeds=seeds)
+        return run_lockstep(envs, _interpreted_infer(nets), seeds=seeds)
 
     def _device_wave_episode(
         self,
@@ -1272,6 +1273,20 @@ class INAXBackend(EvaluationBackend):
         for slot, record in enumerate(episode_records):
             rewards[indices[slot]] += record.total_reward
             lengths[indices[slot]] += record.steps
+
+
+def _interpreted_infer(nets: list[FeedForwardNetwork]) -> InferFn:
+    """The interpreted per-node networks as one lock-step InferFn."""
+    num_inputs = len(nets[0].input_keys)
+
+    def infer(slots: list[int], obs: np.ndarray) -> np.ndarray:
+        check_slots(slots, len(nets))
+        obs = check_observations(obs, len(slots), num_inputs)
+        return np.array(
+            [nets[slot].activate(row) for slot, row in zip(slots, obs)]
+        )
+
+    return infer
 
 
 #: CLI/platform name -> backend class, for everything that selects a

@@ -23,6 +23,8 @@ __all__ = [
     "PolicyFn",
     "InferFn",
     "EpisodeRecord",
+    "check_observations",
+    "check_slots",
     "decode_action",
     "decode_action_batch",
     "run_episode",
@@ -31,11 +33,16 @@ __all__ = [
 ]
 
 PolicyFn = Callable[[np.ndarray], np.ndarray]
-#: Lock-step inference: ``{slot: observation} -> {slot: raw output}``
-#: for every still-alive slot.  Both the INAX device's scatter/infer/
-#: gather step and :class:`repro.neat.vectorized.PopulationEvaluator`
-#: satisfy this signature.
-InferFn = Callable[[dict[int, np.ndarray]], dict[int, np.ndarray]]
+#: Lock-step inference: ``infer(slots, obs) -> outputs``.  ``slots`` is
+#: the ascending list of still-alive slots, ``obs`` a float64
+#: ``(len(slots), num_inputs)`` block, and row ``i`` of the returned
+#: ``(len(slots), num_outputs)`` block is ``slots[i]``'s raw output.
+#: The INAX device's scatter/infer/gather step,
+#: :class:`repro.neat.vectorized.PopulationEvaluator` and the
+#: interpreted fallback all satisfy it, and all of them reject the
+#: slots and blocks :func:`check_slots` and :func:`check_observations`
+#: refuse.
+InferFn = Callable[[list[int], np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -173,6 +180,43 @@ def run_episode(
 #: so :func:`run_lockstep` hands the survivors back to their instances;
 #: the crossover is pure tuning (both paths produce identical bits).
 BATCH_MIN_WIDTH = 8
+#: Fewest live slots worth one flattened INAX device step.  A narrower
+#: step runs slot by slot on the per-PU reference path, where a few PU
+#: passes cost less than one flattened pass; like
+#: :data:`BATCH_MIN_WIDTH` the crossover is pure tuning.
+INFER_MIN_WIDTH = 4
+
+
+def check_slots(slots: list[int], num_slots: int) -> None:
+    """Raise unless ``slots`` is a non-empty ascending run of distinct
+    slots in ``range(num_slots)`` — the :data:`InferFn` slot contract."""
+    if not slots:
+        raise ValueError("inference needs at least one live slot")
+    if any(a >= b for a, b in zip(slots, slots[1:])):
+        raise ValueError(
+            f"live slots must be strictly ascending, got {list(slots)}"
+        )
+    if slots[0] < 0 or slots[-1] >= num_slots:
+        raise IndexError(
+            f"live slots {list(slots)} fall outside range({num_slots})"
+        )
+
+
+def check_observations(
+    obs: np.ndarray, rows: int, num_inputs: int
+) -> np.ndarray:
+    """``obs`` as float64, raising unless it is ``(rows, num_inputs)``.
+
+    The :data:`InferFn` block contract: a short observation must fail,
+    never broadcast across a network's inputs.
+    """
+    block = np.asarray(obs, dtype=np.float64)
+    if block.shape != (rows, num_inputs):
+        raise ValueError(
+            f"expected a ({rows}, {num_inputs}) observation block, "
+            f"got shape {block.shape}"
+        )
+    return block
 
 
 def run_lockstep(
@@ -186,13 +230,13 @@ def run_lockstep(
 
     This is the shared multi-episode driver behind every batched
     evaluation path: each synchronized tick infers every still-alive
-    slot at once (``infer`` maps ``{slot: obs}`` to ``{slot: raw
-    output}``), decodes the whole wave's actions in one batch, then
-    steps each slot's environment.  Slots whose episodes terminate drop
-    out of subsequent ticks — the software analogue of the paper's
-    §V-B2 idle-PU effect — so the INAX backend's device waves and the
-    ``cpu-compiled`` backend's population inference run through identical
-    bookkeeping.
+    slot at once (``infer(alive, obs)`` with one observation row per
+    live slot, see :data:`InferFn`), decodes the whole wave's actions
+    in one batch, then steps each slot's environment.  Slots whose
+    episodes terminate drop out of subsequent ticks — the software
+    analogue of the paper's §V-B2 idle-PU effect — so the INAX
+    backend's device waves and the ``cpu-compiled`` backend's
+    population inference run through identical bookkeeping.
 
     When every env is an instance of one class with a structure-of-
     arrays kernel and equal :meth:`~repro.envs.base.Environment.batch_key`
@@ -241,10 +285,10 @@ def run_lockstep(
         while alive:
             ticks += 1
             inferences += len(alive)
-            outputs = infer({slot: observations[slot] for slot in alive})
-            actions = decode_action_batch(
-                envs[alive[0]], _stacked(outputs, alive)
+            obs = np.array(
+                [observations[slot] for slot in alive], dtype=np.float64
             )
+            actions = decode_action_batch(envs[alive[0]], infer(alive, obs))
             survivors = []
             for action, slot in zip(actions, alive):
                 obs, reward, done, info = envs[slot].step(action)
@@ -281,15 +325,6 @@ def run_lockstep(
     ]
 
 
-def _stacked(outputs: dict[int, np.ndarray], alive: list[int]) -> np.ndarray:
-    """The live slots' raw outputs as one ``(len(alive), outputs)`` block.
-
-    ``np.array`` over the rows: the values ``np.stack`` would give, at a
-    fraction of its per-row cost.
-    """
-    return np.array([outputs[slot] for slot in alive], dtype=np.float64)
-
-
 def _batchable(envs: Sequence[Environment]) -> bool:
     """Whether one kernel can step all of ``envs`` bit-identically."""
     if len(envs) < BATCH_MIN_WIDTH or not isinstance(envs[0], Environment):
@@ -324,12 +359,11 @@ def _run_batched(
     state = type(head)._gather_batch(list(envs))
     alive = list(range(len(envs)))
     totals_alive = np.zeros(len(envs))
-    inputs = dict(zip(alive, observations))
+    obs = np.array(observations, dtype=np.float64)
     tick = inferences = 0
     while True:
         inferences += len(alive)
-        outputs = infer(inputs)
-        actions = _decode_rows(head, _stacked(outputs, alive))
+        actions = _decode_rows(head, infer(alive, obs))
         state, obs, reward, done, cut = head.step_batch(state, actions, tick)
         tick += 1
         totals_alive += reward
@@ -359,7 +393,6 @@ def _run_batched(
                 observations[slot] = obs[row]
                 envs[slot].leave_batch(state[row], tick, False)
             return alive, tick, inferences
-        inputs = dict(zip(alive, obs))
 
 
 def evaluate_policy(

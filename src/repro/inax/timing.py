@@ -14,7 +14,7 @@ The paper's HW metrics (§V, §VI-B) all derive from three buckets:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["CycleReport", "utilization"]
 
@@ -62,8 +62,6 @@ class CycleReport:
     live_slot_steps: int = 0
     #: slot-steps provisioned (``num_pus`` per synchronized step)
     slot_steps_provisioned: int = 0
-    #: iteration counts per layer-execution (diagnostics)
-    layer_iterations: list[int] = field(default_factory=list)
 
     # ------------------------------------------------------------ totals
     @property
@@ -128,4 +126,3 @@ class CycleReport:
         self.prefetch_hidden_cycles += other.prefetch_hidden_cycles
         self.live_slot_steps += other.live_slot_steps
         self.slot_steps_provisioned += other.slot_steps_provisioned
-        self.layer_iterations.extend(other.layer_iterations)

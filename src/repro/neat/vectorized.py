@@ -27,7 +27,8 @@ Two evaluators share that compiled plan:
   observation each, flattened into a single value buffer so a whole
   population's forward pass costs a handful of NumPy ops per layer.
   This is the inference engine behind ``cpu-compiled``
-  (:class:`repro.compile.CompiledPopulationEvaluator`).
+  (:class:`repro.compile.CompiledPopulationEvaluator`) and the INAX
+  device's flattened step (:meth:`repro.inax.accelerator.INAX.step`).
 
 Only ``sum`` aggregation is supported (the default and the only one
 NEAT's evolved networks use here); anything else falls back to the
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.envs.rollout import check_observations, check_slots
 from repro.neat.network import FeedForwardNetwork
 
 __all__ = ["VectorizedNetwork", "PopulationEvaluator", "vectorize"]
@@ -230,11 +232,14 @@ class PopulationEvaluator:
     individual.
 
     The interface mirrors the INAX device's scatter/infer/gather step:
-    :meth:`infer` takes ``{slot: observation}`` for the still-alive
-    subset and returns ``{slot: raw_output}``.  When episodes terminate
-    and the alive set shrinks past a threshold, the flat tensors are
-    rebuilt for the survivors so dead individuals stop costing inference
-    work (the software analogue of the paper's idle-PU effect).
+    :meth:`infer` is an :data:`repro.envs.rollout.InferFn`, taking the
+    ascending still-alive slots and their ``(len(slots), num_inputs)``
+    observation block and returning one output row per slot.  When
+    episodes terminate and the alive set shrinks past a threshold, the
+    flat tensors are rebuilt for the survivors so dead individuals stop
+    costing inference work (the software analogue of the paper's
+    idle-PU effect).  A member left out of a rebuild may come back
+    later; that rebuilds again.
     """
 
     #: rebuild the flattened tensors once the alive set falls below this
@@ -330,11 +335,8 @@ class PopulationEvaluator:
 
         self._built = list(members)
         self._position = {m: i for i, m in enumerate(members)}
-        self._total = total
         self._layers = layers
-        self._input_index = (
-            offsets[:, None] + np.arange(self.num_inputs)
-        ).ravel()
+        self._member_inputs = offsets[:, None] + np.arange(self.num_inputs)
         out_index = np.empty((len(plans), self.num_outputs), dtype=np.intp)
         for i, plan in enumerate(plans):
             out_index[i] = np.where(
@@ -342,32 +344,41 @@ class PopulationEvaluator:
                 plan.output_slots + offsets[i],
                 zero_slot,
             )
-        self._output_index = out_index
-        self._obs = np.zeros((len(plans), self.num_inputs))
+        self._member_outputs = out_index
         self._values = np.zeros(total + 1)
+        self._live: list[int] | None = None
         self.rebuilds += 1
 
-    # ------------------------------------------------------------- infer
-    def infer(
-        self, observations: dict[int, np.ndarray]
-    ) -> dict[int, np.ndarray]:
-        """One lock-step tick: ``{slot: obs}`` -> ``{slot: raw output}``."""
-        alive = sorted(observations)
-        if alive != self._built:
-            if not all(m in self._position for m in alive):
-                raise KeyError(
-                    "infer() saw a slot outside the built population"
-                )
-            if len(alive) < self.REBUILD_FRACTION * len(self._built):
-                self._build(alive)
+    def _select(self, slots: list[int]) -> None:
+        """Point the per-tick index arrays at a new live set.
+
+        Rebuilds for the live set when it shrank below
+        :attr:`REBUILD_FRACTION` of the built set or holds a member
+        the last rebuild left out (a revived slot).
+        """
+        check_slots(slots, len(self._plans))
         position = self._position
-        obs = self._obs
-        for member, observation in observations.items():
-            obs[position[member]] = observation
+        if len(slots) < self.REBUILD_FRACTION * len(self._built) or any(
+            slot not in position for slot in slots
+        ):
+            self._build(list(slots))
+            position = self._position
+        rows = [position[slot] for slot in slots]
+        self._live = list(slots)
+        self._input_index = self._member_inputs[rows].ravel()
+        self._output_index = self._member_outputs[rows]
+
+    # ------------------------------------------------------------- infer
+    def infer(self, slots: list[int], obs: np.ndarray) -> np.ndarray:
+        """One lock-step tick: ``(slots, obs)`` -> one output row per slot."""
+        if slots != self._live:
+            self._select(slots)
+        obs = check_observations(obs, len(slots), self.num_inputs)
         # _values persists across ticks: stale non-input slots are always
         # rewritten before being read (every built member's every node
-        # recomputes each tick), and the trailing zero_slot is never
-        # written, so it stays 0.0 for absent outputs.
+        # recomputes each tick, built-but-idle members on their last
+        # inputs), and the trailing zero_slot is never written, so it
+        # stays 0.0 for absent outputs.
         values = self._values
         values[self._input_index] = obs.ravel()
         for layer in self._layers:
@@ -380,8 +391,7 @@ class PopulationEvaluator:
                 acc += products[:, term]
             pre = acc + layer.biases
             values[layer.slots] = _apply_activations(layer, pre)
-        out = values[self._output_index]
-        return {m: out[position[m]] for m in alive}
+        return values[self._output_index]
 
 
 def vectorize(net: FeedForwardNetwork) -> VectorizedNetwork:

@@ -74,11 +74,8 @@ def test_weight_mutated_clone_shares_bucket_with_independent_outputs(
     )
     assert evaluator.num_buckets == 1
     rng = np.random.default_rng(0)
-    observations = {
-        0: rng.normal(size=config.num_inputs),
-        1: rng.normal(size=config.num_inputs),
-    }
-    results = evaluator.infer(observations)
+    observations = rng.normal(size=(2, config.num_inputs))
+    results = evaluator.infer([0, 1], observations)
     for slot, member in ((0, genome), (1, clone)):
         own = VectorizedNetwork(FeedForwardNetwork.create(member, config))
         assert np.array_equal(

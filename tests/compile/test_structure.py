@@ -163,10 +163,9 @@ class TestFusedEvaluation:
             {g.shape_key() for g in genomes}
         )
         rng = np.random.default_rng(11)
-        observations = {
-            slot: rng.normal(size=4) for slot in range(len(members))
-        }
-        results = evaluator.infer(observations)
+        slots = list(range(len(members)))
+        observations = rng.normal(size=(len(members), 4))
+        results = evaluator.infer(slots, observations)
         for slot, (_, genome) in enumerate(members):
             reference = VectorizedNetwork(
                 FeedForwardNetwork.create(genome, cfg)
@@ -187,13 +186,13 @@ class TestFusedEvaluation:
         rebuilds = evaluator.rebuilds
         rng = np.random.default_rng(13)
         alive = [0, 3]  # well under REBUILD_FRACTION of 6
-        observations = {slot: rng.normal(size=4) for slot in alive}
-        results = evaluator.infer(observations)
+        observations = rng.normal(size=(len(alive), 4))
+        results = evaluator.infer(alive, observations)
         assert evaluator.rebuilds == rebuilds + 1
-        for slot in alive:
+        for row, slot in enumerate(alive):
             reference = VectorizedNetwork(
                 FeedForwardNetwork.create(genomes[slot], cfg)
             )
             assert np.array_equal(
-                results[slot], reference.activate(observations[slot])
+                results[row], reference.activate(observations[row])
             )

@@ -299,10 +299,10 @@ def _assert_lockstep_matches_alone(
     # driver handed out would show up as a mismatch below
     seen = [[] for _ in range(width)]
 
-    def infer(observations):
-        for slot, obs in observations.items():
-            seen[slot].append(obs)
-        return {slot: policies[slot](obs) for slot, obs in observations.items()}
+    def infer(slots, obs):
+        for slot, row in zip(slots, obs):
+            seen[slot].append(row)
+        return np.array([policies[slot](row) for slot, row in zip(slots, obs)])
 
     envs = [make(slot) for slot in range(width)]
     together = run_lockstep(
@@ -364,8 +364,8 @@ class TestLockstepParity:
 def _batched_ticks(envs):
     policies = _policies(0, len(envs), envs[0].num_inputs, envs[0].num_outputs)
 
-    def infer(observations):
-        return {slot: policies[slot](obs) for slot, obs in observations.items()}
+    def infer(slots, obs):
+        return np.array([policies[slot](row) for slot, row in zip(slots, obs)])
 
     with TelemetrySession() as session:
         run_lockstep(envs, infer, seeds=list(range(len(envs))))

@@ -1,5 +1,7 @@
 """Unit and property tests for the INAX device and analytic scheduler."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,7 @@ from repro.inax.accelerator import (
     waves_required,
 )
 from repro.inax.synthetic import synthetic_population
+from repro.inax.timing import CycleReport
 
 
 def _drive_device(config, pop, lengths):
@@ -24,14 +27,10 @@ def _drive_device(config, pop, lengths):
         device.begin_wave(wave)
         t = 0
         while True:
-            live = {
-                i: np.zeros(wave[i].num_inputs)
-                for i in range(len(wave))
-                if wave_lengths[i] > t
-            }
+            live = [i for i in range(len(wave)) if wave_lengths[i] > t]
             if not live:
                 break
-            device.step(live)
+            device.step(live, np.zeros((len(live), wave[0].num_inputs)))
             t += 1
         device.end_wave()
     return device.report
@@ -66,22 +65,22 @@ class TestDevice:
     def test_step_without_wave_rejected(self):
         device = INAX(num_pus=2, num_pes_per_pu=1)
         with pytest.raises(RuntimeError):
-            device.step({0: np.zeros(8)})
+            device.step([0], np.zeros((1, 8)))
 
     def test_step_bad_slot_rejected(self):
         pop = synthetic_population(num_individuals=1, seed=0)
         device = INAX(num_pus=2, num_pes_per_pu=1)
         device.begin_wave(pop)
         with pytest.raises(IndexError):
-            device.step({1: np.zeros(8)})
+            device.step([1], np.zeros((1, 8)))
 
     def test_outputs_per_slot(self):
         pop = synthetic_population(num_individuals=3, seed=1)
         device = INAX(num_pus=4, num_pes_per_pu=2)
         device.begin_wave(pop)
-        outs = device.step({i: np.zeros(8) for i in range(3)})
-        assert set(outs) == {0, 1, 2}
-        for out in outs.values():
+        outs = device.step([0, 1, 2], np.zeros((3, 8)))
+        assert outs.shape == (3, 4)
+        for out in outs:
             assert out.shape == (4,)
 
 
@@ -103,11 +102,12 @@ class TestAnalyticAgreement:
         analytic = schedule_generation(config, pop, lengths)
         measured = _drive_device(config, pop, lengths)
         assert analytic.total_cycles == measured.total_cycles
-        assert analytic.setup_cycles == measured.setup_cycles
-        assert analytic.pe_active_cycles == measured.pe_active_cycles
-        assert analytic.pe_provisioned_cycles == measured.pe_provisioned_cycles
-        assert analytic.pu_active_cycles == measured.pu_active_cycles
-        assert analytic.steps == measured.steps
+        fields = dataclasses.fields(CycleReport)
+        assert len(fields) == 13
+        for field in fields:
+            assert getattr(analytic, field.name) == getattr(
+                measured, field.name
+            ), field.name
 
     def test_length_mismatch_rejected(self):
         pop = synthetic_population(num_individuals=3, seed=0)
@@ -223,7 +223,7 @@ class TestControllerProtocol:
         device = INAX(num_pus=2, num_pes_per_pu=1)
         for _ in range(3):  # repeated waves are fine when paired
             device.begin_wave(pop)
-            device.step({0: np.zeros(8), 1: np.zeros(8)})
+            device.step([0, 1], np.zeros((2, 8)))
             device.end_wave()
         assert device.report.individuals == 6
 
@@ -257,8 +257,8 @@ class TestIOOverlap:
         b = INAX(INAXConfig(num_pus=2, num_pes_per_pu=2, overlap_io=True))
         for device in (a, b):
             device.begin_wave(pop)
-        x = {0: np.ones(8), 1: np.zeros(8)}
-        out_a = a.step(x)
-        out_b = b.step(x)
-        for slot in out_a:
+        x = np.array([np.ones(8), np.zeros(8)])
+        out_a = a.step([0, 1], x)
+        out_b = b.step([0, 1], x)
+        for slot in range(2):
             assert np.array_equal(out_a[slot], out_b[slot])

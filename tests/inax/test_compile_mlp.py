@@ -73,7 +73,7 @@ class TestRegularWorkloadOnDevice:
         device = INAX(INAXConfig(num_pus=4, num_pes_per_pu=2))
         device.begin_wave(configs)
         x = np.ones(3)
-        outputs = device.step({i: x for i in range(4)})
+        outputs = device.step([0, 1, 2, 3], np.tile(x, (4, 1)))
         device.end_wave()
         for i, mlp in enumerate(candidates):
             assert np.allclose(

@@ -4,7 +4,15 @@ Drives the functional device through random begin_wave / step /
 end_wave sequences and checks the §IV-B2 handshake invariants hold in
 every reachable state: illegal transitions always raise, legal ones
 always succeed, and the cycle report only ever grows.
+
+Waves are wide enough for the flattened step and live sets are random,
+so steps fall on both sides of the per-PU handoff and slots left out of
+one step come back in a later one.  Every output must equal the slot's
+own :meth:`ProcessingUnit.infer` bit for bit, and every report field a
+twin device's that a disarmed fault injector keeps on the per-PU path.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import settings
@@ -16,48 +24,84 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
+from repro.envs.rollout import INFER_MIN_WIDTH
 from repro.inax.accelerator import INAX, INAXConfig
+from repro.inax.pu import ProcessingUnit
 from repro.inax.synthetic import synthetic_population
+from repro.resilience.faults import FaultPlan
+from repro.resilience.injectors import DeviceFaultInjector
+from repro.telemetry import TelemetrySession
 
-_POP = synthetic_population(num_individuals=4, num_hidden=6, seed=99)
-_NUM_PUS = 3
+_NUM_PUS = 3 * INFER_MIN_WIDTH
+_NUM_PES = 2
+_POP = synthetic_population(num_individuals=_NUM_PUS, num_hidden=6, seed=99)
+
+
+def _reference_pu(config):
+    pu = ProcessingUnit(_NUM_PES)
+    pu.load(config)
+    return pu
 
 
 class DeviceProtocol(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.device = INAX(INAXConfig(num_pus=_NUM_PUS, num_pes_per_pu=2))
+        config = INAXConfig(num_pus=_NUM_PUS, num_pes_per_pu=_NUM_PES)
+        self.device = INAX(config)
+        self.per_pu = INAX(
+            config, fault_injector=DeviceFaultInjector(FaultPlan(seed=0))
+        )
+        self.reference: list[ProcessingUnit] = []
         self.wave_size = 0  # 0 = no wave in progress
         self.total_cycles_seen = 0.0
+
+    def _step(self, live, seed):
+        obs = np.random.default_rng(seed).standard_normal((len(live), 8))
+        outputs = self.device.step(live, obs)
+        twin = self.per_pu.step(live, obs)
+        assert outputs.shape == (len(live), 4)
+        for row, slot in enumerate(live):
+            expected, _ = self.reference[slot].infer(obs[row])
+            assert outputs[row].tobytes() == expected.tobytes()
+            assert twin[row].tobytes() == expected.tobytes()
+            assert np.isfinite(outputs[row]).all()
 
     # ------------------------------------------------------------- rules
     @precondition(lambda self: self.wave_size == 0)
     @rule(size=st.integers(1, _NUM_PUS))
     def begin_wave(self, size):
         self.device.begin_wave(_POP[:size])
+        self.per_pu.begin_wave(_POP[:size])
+        self.reference = [_reference_pu(config) for config in _POP[:size]]
         self.wave_size = size
 
     @precondition(lambda self: self.wave_size > 0)
     @rule(data=st.data())
     def step_some_slots(self, data):
-        live = data.draw(
-            st.sets(
-                st.integers(0, self.wave_size - 1), min_size=1
+        # one coin per slot: wide and narrow live sets alike, so the
+        # flattened engine shrinks and later sees slots come back
+        mask = data.draw(
+            st.lists(
+                st.booleans(),
+                min_size=self.wave_size,
+                max_size=self.wave_size,
             ),
-            label="live slots",
+            label="live mask",
         )
-        outputs = self.device.step(
-            {slot: np.zeros(8) for slot in live}
-        )
-        assert set(outputs) == live
-        for out in outputs.values():
-            assert out.shape == (4,)
-            assert np.isfinite(out).all()
+        live = [slot for slot, alive in enumerate(mask) if alive] or [0]
+        seed = data.draw(st.integers(0, 2**32 - 1), label="obs seed")
+        self._step(live, seed)
+
+    @precondition(lambda self: self.wave_size > 0)
+    @rule(seed=st.integers(0, 2**32 - 1))
+    def step_every_slot(self, seed):
+        self._step(list(range(self.wave_size)), seed)
 
     @precondition(lambda self: self.wave_size > 0)
     @rule()
     def end_wave(self):
         self.device.end_wave()
+        self.per_pu.end_wave()
         self.wave_size = 0
 
     # ------------------------------------------------- illegal transitions
@@ -75,7 +119,7 @@ class DeviceProtocol(RuleBasedStateMachine):
     @rule()
     def step_without_wave_rejected(self):
         try:
-            self.device.step({0: np.zeros(8)})
+            self.device.step([0], np.zeros((1, 8)))
         except RuntimeError:
             pass
         else:  # pragma: no cover
@@ -103,8 +147,49 @@ class DeviceProtocol(RuleBasedStateMachine):
         assert 0.0 <= self.device.report.u_pe <= 1.0
         assert 0.0 <= self.device.report.u_pu <= 1.0
 
+    @invariant()
+    def report_matches_per_pu_path(self):
+        assert dataclasses.asdict(self.device.report) == dataclasses.asdict(
+            self.per_pu.report
+        )
+
 
 DeviceProtocol.TestCase.settings = settings(
     max_examples=20, stateful_step_count=20, deadline=None
 )
 TestDeviceProtocol = DeviceProtocol.TestCase
+
+
+def test_revived_slots_match_per_pu_path():
+    """A fixed walk through every hand-over: full wave (flattened),
+    shrink (flattened, the engine rebuilds for the survivors), narrow
+    (per PU), then slots the rebuild left out come back (flattened).
+    The traced per-PU timelines match too."""
+    machine = DeviceProtocol()
+    machine.per_pu.track_prefix = "ref."
+    walk = [
+        list(range(_NUM_PUS)),
+        list(range(INFER_MIN_WIDTH)),
+        [1],
+        list(range(1, _NUM_PUS, 2)),
+        list(range(_NUM_PUS)),
+    ]
+    with TelemetrySession() as session:
+        machine.begin_wave(_NUM_PUS)
+        for seed, live in enumerate(walk):
+            machine._step(live, seed)
+            machine.report_matches_per_pu_path()
+        machine.end_wave()
+
+    def device_spans(reference):
+        return [
+            (span.name, span.track.removeprefix("ref."), span.start,
+             span.duration, span.attrs)
+            for span in session.tracer.spans
+            if span.track != "host"
+            and span.track.startswith("ref.") == reference
+        ]
+
+    flattened = device_spans(reference=False)
+    assert any(name == "pu.compute" for name, *_ in flattened)
+    assert flattened == device_spans(reference=True)

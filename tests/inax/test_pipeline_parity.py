@@ -81,14 +81,10 @@ def _drive_pipelined(config, pop, lengths, pipeline, costs=None):
         )
         t = 0
         while True:
-            live = {
-                i: np.zeros(wave[i].num_inputs)
-                for i in range(len(wave))
-                if wave_lengths[i] > t
-            }
+            live = [i for i in range(len(wave)) if wave_lengths[i] > t]
             if not live:
                 break
-            device.step(live)
+            device.step(live, np.zeros((len(live), wave[0].num_inputs)))
             t += 1
         device.end_wave()
     return device.report
@@ -200,7 +196,8 @@ class TestAbortedWaveParity:
         aborted.begin_wave(pop)
         for _ in range(k):
             aborted.step(
-                {i: np.zeros(pop[i].num_inputs) for i in range(len(pop))}
+                list(range(len(pop))),
+                np.zeros((len(pop), pop[0].num_inputs)),
             )
         aborted.abort_wave()
 
@@ -219,7 +216,8 @@ class TestAbortedWaveParity:
         device.begin_wave(first)
         for _ in range(k):
             device.step(
-                {i: np.zeros(first[i].num_inputs) for i in range(len(first))}
+                list(range(len(first))),
+                np.zeros((len(first), first[0].num_inputs)),
             )
         device.abort_wave()
         # double-abort during error handling must not zero the window

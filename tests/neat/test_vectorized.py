@@ -125,18 +125,35 @@ class TestBitwiseParity:
         rng = np.random.default_rng(0)
         alive = list(range(12))
         while alive:
-            obs = {m: rng.standard_normal(4) for m in alive}
+            obs = rng.standard_normal((len(alive), 4))
             # member 0's NaN sensor reading must stay member 0's
             obs[0][0] = np.nan
-            outputs = evaluator.infer(obs)
-            assert sorted(outputs) == alive
-            for m in alive:
-                expected = nets[m].activate(obs[m])
-                assert outputs[m].tobytes() == expected.tobytes()
+            outputs = evaluator.infer(alive, obs)
+            assert outputs.shape == (len(alive), 3)
+            for row, m in enumerate(alive):
+                expected = nets[m].activate(obs[row])
+                assert outputs[row].tobytes() == expected.tobytes()
             # shrink the alive set so the evaluator's lazy rebuild and
             # post-rebuild indexing are both exercised
             alive = alive[: len(alive) - 3]
         assert evaluator.rebuilds >= 1
+
+    def test_population_evaluator_revives_left_out_members(self):
+        """A member a rebuild left out may come back: the evaluator
+        rebuilds for it.  Slots outside the population still raise."""
+        nets = [_reference(seed=s, mutations=10)[0] for s in range(12)]
+        evaluator = PopulationEvaluator([vectorize(n) for n in nets])
+        rng = np.random.default_rng(1)
+        built = evaluator.rebuilds
+        for alive in ([0, 1], [0, 1, 7, 11], list(range(12))):
+            obs = rng.standard_normal((len(alive), 4))
+            outputs = evaluator.infer(alive, obs)
+            for row, m in enumerate(alive):
+                expected = nets[m].activate(obs[row])
+                assert outputs[row].tobytes() == expected.tobytes()
+        assert evaluator.rebuilds == built + 3
+        with pytest.raises(IndexError):
+            evaluator.infer([0, 12], np.zeros((2, 4)))
 
 
 class TestValidation:

@@ -247,7 +247,9 @@ class TestQuarantineEndToEnd:
     def test_env_faults_fire_identically_across_backends(self, fault):
         """The env fault stream keys on episode seeds, not the backend,
         and a corrupted sensor reading changes the same bits on every
-        backend — also when 40 genomes share one lock-step population."""
+        backend — also when 40 genomes share one lock-step population,
+        or one wave of the device's flattened step (env-only faults
+        attach no device injector)."""
         cfg = _cfg()
         plan_text = f"seed=9,env.{fault}@0.05"
         cpu = _fitness(
@@ -271,7 +273,19 @@ class TestQuarantineEndToEnd:
             cfg,
             n=40,
         )
+        inax = _fitness(
+            INAXBackend(
+                "cartpole",
+                cfg,
+                inax_config=INAXConfig(),
+                base_seed=1,
+                fault_plan=FaultPlan.parse(plan_text),
+            ),
+            cfg,
+            n=40,
+        )
         assert fast == cpu
+        assert inax == cpu
 
 
 class TestReporterColumns:

@@ -1,8 +1,11 @@
 """Device-level fault injection against the functional INAX model."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.envs.rollout import INFER_MIN_WIDTH
 from repro.inax.accelerator import INAX, INAXConfig
 from repro.inax.synthetic import synthetic_population
 from repro.resilience.faults import DeviceFault, FaultPlan
@@ -20,10 +23,9 @@ def _population(n=3, seed=0):
 
 
 def _inputs(num_inputs, num_slots, step, base_seed=0):
+    """``(slots, obs)`` for one device step with every slot live."""
     rng = np.random.default_rng(base_seed * 1000 + step)
-    return {
-        slot: rng.standard_normal(num_inputs) for slot in range(num_slots)
-    }
+    return list(range(num_slots)), rng.standard_normal((num_slots, num_inputs))
 
 
 def _run_wave(device, configs, steps=STEPS):
@@ -32,17 +34,17 @@ def _run_wave(device, configs, steps=STEPS):
     trace = []
     for step in range(steps):
         outputs = device.step(
-            _inputs(configs[0].num_inputs, len(configs), step)
+            *_inputs(configs[0].num_inputs, len(configs), step)
         )
-        trace.append({k: v.tobytes() for k, v in sorted(outputs.items())})
+        trace.append([row.tobytes() for row in outputs])
     device.end_wave()
     return trace, device.report
 
 
-def _device(plan=None):
+def _device(plan=None, num_pus=NUM_PUS):
     injector = DeviceFaultInjector(plan) if plan is not None else None
     return INAX(
-        INAXConfig(num_pus=NUM_PUS, num_pes_per_pu=2),
+        INAXConfig(num_pus=num_pus, num_pes_per_pu=2),
         fault_injector=injector,
     )
 
@@ -59,7 +61,7 @@ class TestWeightBitflip:
             assert device.pus[slot]._config is not pop[slot]
         # ...and the shared compiled objects are untouched
         assert [cfg.layers for cfg in pop] == baseline
-        device.step(_inputs(pop[0].num_inputs, len(pop), 0))
+        device.step(*_inputs(pop[0].num_inputs, len(pop), 0))
         device.end_wave()
         kinds = [e.kind for e in plan.events]
         assert kinds.count("inax.weight_bitflip") == len(pop)
@@ -82,7 +84,7 @@ class TestWedge:
         device = _device(plan)
         device.begin_wave(pop)
         with pytest.raises(DeviceFault, match="inax.wedge"):
-            device.step(_inputs(pop[0].num_inputs, len(pop), 0))
+            device.step(*_inputs(pop[0].num_inputs, len(pop), 0))
         # the wedged wave is discarded; the device accepts a fresh wave
         device.abort_wave()
         device.abort_wave()  # double abort is a no-op
@@ -98,7 +100,7 @@ class TestWedge:
         device = _device(plan)
         device.begin_wave(pop)
         with pytest.raises(DeviceFault):
-            device.step(_inputs(pop[0].num_inputs, len(pop), 0))
+            device.step(*_inputs(pop[0].num_inputs, len(pop), 0))
         assert plan.events[0].site == "wave=0|step=0"
 
 
@@ -168,16 +170,31 @@ class TestDeterminism:
         device = _device(plan)
         for _ in range(2):
             device.begin_wave(pop)
-            device.step(_inputs(pop[0].num_inputs, len(pop), 0))
+            device.step(*_inputs(pop[0].num_inputs, len(pop), 0))
             device.end_wave()
         waves = {e.site.split("|")[0] for e in plan.events}
         assert waves == {"wave=0", "wave=1"}
 
     def test_no_injector_path_matches_disarmed_plan(self):
-        pop = _population()
-        clean_trace, clean_report = _run_wave(_device(), pop)
+        """An attached injector keeps every step on the per-PU reference
+        path; without one a wave this wide takes the flattened step.
+        Both must agree on every output bit and every report field."""
+        width = 2 * INFER_MIN_WIDTH
+        pop = _population(n=width)
+        clean = _device(num_pus=width)
+        clean_trace, clean_report = _run_wave(clean, pop)
         plan = FaultPlan(seed=1)  # armed with nothing
-        noop_trace, noop_report = _run_wave(_device(plan), pop)
+        noop = _device(plan, num_pus=width)
+        noop_trace, noop_report = _run_wave(noop, pop)
+        # the PEs count the nodes they compute: only the reference ran
+        # node by node
+        assert _nodes_computed(clean) == 0
+        assert _nodes_computed(noop) > 0
         assert noop_trace == clean_trace
-        assert noop_report.compute_cycles == clean_report.compute_cycles
-        assert noop_report.io_cycles == clean_report.io_cycles
+        assert dataclasses.asdict(noop_report) == dataclasses.asdict(
+            clean_report
+        )
+
+
+def _nodes_computed(device):
+    return sum(pe.nodes_computed for pu in device.pus for pe in pu.pes)

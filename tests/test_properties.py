@@ -60,7 +60,9 @@ def test_device_wave_matches_software(setup, num_pes):
     device.begin_wave(hw_configs)
     for _ in range(3):
         x = rng.standard_normal(config.num_inputs)
-        outputs = device.step({i: x for i in range(len(genomes))})
+        outputs = device.step(
+            list(range(len(genomes))), np.tile(x, (len(genomes), 1))
+        )
         for i, net in enumerate(nets):
             assert np.array_equal(outputs[i], net.activate(x))
     device.end_wave()
