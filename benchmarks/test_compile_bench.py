@@ -10,16 +10,17 @@ generation — see Fig 1(b)'s decode share), so each one re-decodes from
 scratch — the hash, two interpreted network builds (``CreateNet`` and
 the HW config) plus a fresh vectorized plan.  The ``cpu-compiled``
 backend keys on the weights-excluded shape key, hits for every
-offspring whose parent was ever compiled, and only refills parameter
-tensors into the cached structure's stacked buckets.
+offspring whose parent was ever compiled, and only fills each shape's
+parameter blocks from the cached structure's recipes.
 
 The bench prepares an identical mid-run CartPole population of
 weight-mutated offspring on both paths:
 
 * **prep** (gated): per-genome decode misses vs. compile-cache hits +
-  bucket parameter fill + per-member plan views — everything up to the
-  point where both paths hold identical per-member execution plans;
-* **assemble + ticks** (reported): the shared flattened-engine build
+  per-shape parameter fill — everything up to the point where every
+  member's parameters are in plan layout on both paths;
+* **assemble + ticks** (reported): the flattened engine's build (from
+  the per-member plans on one side, the per-shape blocks on the other)
   plus a fixed number of lock-step inference ticks, asserted
   bit-identical between the paths.
 
@@ -40,7 +41,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import OUTPUT_DIR, write_output
-from repro.compile import CompileCache, CompiledBucket
+from repro.compile import CompileCache
 from repro.core.backends import CompiledCPUBackend
 from repro.core.results import format_table
 from repro.inax.compiler import compile_genome
@@ -89,13 +90,13 @@ def _observations(config, count, tick):
     return rng.normal(size=(count, config.num_inputs))
 
 
-def _run_ticks(config, plans, count):
+def _run_ticks(config, assemble, count):
     """The shared phase: flat engine assembly + lock-step ticks."""
     start = time.perf_counter()
-    evaluator = PopulationEvaluator.from_plans(plans)
-    slots = list(range(len(plans)))
+    evaluator = assemble()
+    slots = list(range(count))
     outputs = [
-        evaluator.infer(slots, _observations(config, len(plans), tick))
+        evaluator.infer(slots, _observations(config, count, tick))
         for tick in range(TICKS)
     ]
     return time.perf_counter() - start, outputs
@@ -120,7 +121,7 @@ def _decode_prep(config, offspring):
 
 
 def _compiled_prep(config, cache, offspring):
-    """cpu-compiled: shape-key hits + bucket fill + plan views."""
+    """cpu-compiled: shape-key hits + one parameter fill per shape."""
     start = time.perf_counter()
     entries = [cache.get(genome, config) for genome in offspring]
     grouped: dict[int, tuple[object, list[int]]] = {}
@@ -130,16 +131,13 @@ def _compiled_prep(config, cache, offspring):
             grouped[id(entry)] = (entry, [slot])
         else:
             bucket[1].append(slot)
-    plans = [None] * len(offspring)
-    buckets = 0
+    groups = []
     for structure, slots in grouped.values():
-        buckets += 1
-        bucket = CompiledBucket(
-            structure, [offspring[slot] for slot in slots]
+        weights, biases = structure.parameter_blocks(
+            [offspring[slot] for slot in slots]
         )
-        for plan, slot in zip(bucket.member_plans(), slots):
-            plans[slot] = plan
-    return time.perf_counter() - start, plans, buckets
+        groups.append((structure.plan, slots, weights, biases))
+    return time.perf_counter() - start, groups, len(groups)
 
 
 def test_compile_speedup():
@@ -167,14 +165,22 @@ def test_compile_speedup():
     fast_shared = comp_shared = float("inf")
     for _ in range(REPEATS):
         prep, fast_plans, keys = _decode_prep(config, offspring)
-        shared, fast_out = _run_ticks(config, fast_plans, TICKS)
+        shared, fast_out = _run_ticks(
+            config,
+            lambda: PopulationEvaluator.from_plans(fast_plans),
+            len(offspring),
+        )
         fast_prep = min(fast_prep, prep)
         fast_shared = min(fast_shared, shared)
 
-        prep, comp_plans, buckets = _compiled_prep(
+        prep, comp_groups, buckets = _compiled_prep(
             config, compile_cache, offspring
         )
-        shared, comp_out = _run_ticks(config, comp_plans, TICKS)
+        shared, comp_out = _run_ticks(
+            config,
+            lambda: PopulationEvaluator.from_groups(comp_groups),
+            len(offspring),
+        )
         comp_prep = min(comp_prep, prep)
         comp_shared = min(comp_shared, shared)
 

@@ -12,11 +12,11 @@ This package exploits that: genomes bucket by
 :meth:`~repro.neat.genome.Genome.shape_key` (the weights-excluded
 topology signature), each shape compiles **once** into a
 :class:`CompiledStructure` (the shared execution plan plus parameter
-fill recipes), and a generation's members become stacked weight/bias
-tensors over that shared plan — so an entire bucket advances one
-lock-step env step in a single batched matmul instead of per-genome
-graph walks, and the cross-generation :class:`CompileCache` keeps
-hitting for weight-mutated offspring.
+fill recipes), and a generation's members fill once per shape into
+stacked weight/bias blocks over that shared plan — so an entire bucket
+advances one lock-step env step in a few batched ops instead of
+per-genome graph walks, and the cross-generation :class:`CompileCache`
+keeps hitting for weight-mutated offspring.
 
 Pieces:
 
@@ -25,24 +25,22 @@ Pieces:
   that fill any same-shape genome's weights/biases into plan layout;
 * :class:`CompileCache` — cross-generation LRU keyed by shape key,
   warmable from a restored checkpoint population;
-* :class:`CompiledBucket` — stacked ``(B, rows, fan_in)`` parameter
-  tensors for one bucket, with a fused batched forward;
 * :class:`CompiledPopulationEvaluator` — lock-step inference over a
-  mixed-shape generation, delegating the per-tick work to the shared
-  :class:`~repro.neat.vectorized.PopulationEvaluator` engine via
-  per-member parameter views (bit-identical to ``cpu``).
+  mixed-shape generation: each shape's members fill into
+  ``(B, rows, fan_in)`` parameter blocks, which the shared
+  :class:`~repro.neat.vectorized.PopulationEvaluator` engine lays out
+  per shape (bit-identical to ``cpu``).
 
 The ``cpu-compiled`` backend in :mod:`repro.core.backends` wires this
 into the evaluation loop.
 """
 
 from repro.compile.cache import CompileCache
-from repro.compile.evaluator import CompiledBucket, CompiledPopulationEvaluator
+from repro.compile.evaluator import CompiledPopulationEvaluator
 from repro.compile.structure import CompiledStructure
 
 __all__ = [
     "CompiledStructure",
     "CompileCache",
-    "CompiledBucket",
     "CompiledPopulationEvaluator",
 ]

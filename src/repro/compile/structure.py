@@ -1,14 +1,14 @@
-"""One topology signature, compiled once; parameters filled per genome.
+"""One topology signature, compiled once; parameters filled per shape.
 
 A :class:`CompiledStructure` is everything about a decoded network that
 the shape key determines: the pruned/layered topology, the padded
 ``_NetPlan`` index matrices, activation grouping, and the *recipes*
 (node keys and ingress connection keys in plan order) needed to fill
-any same-shape genome's weights and biases into that layout without
-re-running ``CreateNet``.  The contract is pinned by
-:meth:`repro.neat.genome.Genome.shape_key`: two genomes with equal
-shape keys decode to identical structure, so they may share one
-compiled plan and differ only in the parameter tensors.
+same-shape genomes' weights and biases into that layout, stacked one
+block per plan layer, without re-running ``CreateNet``.  The contract
+is pinned by :meth:`repro.neat.genome.Genome.shape_key`: two genomes
+with equal shape keys decode to identical structure, so they may share
+one compiled plan and differ only in the parameter tensors.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.neat.network import FeedForwardNetwork, NodeEval
 
 # the compiled plan reuses the vectorized engine's private lowering: one
 # arithmetic implementation means one bit-identity proof obligation
-from repro.neat.vectorized import _LayerPlan, _NetPlan
+from repro.neat.vectorized import _NetPlan
 
 __all__ = ["CompiledStructure"]
 
@@ -106,115 +106,87 @@ class CompiledStructure:
         )
 
     # -------------------------------------------------------- parameters
-    def fill_parameters(
-        self, genome: Genome
-    ) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer ``(weights, biases)`` in plan layout for ``genome``.
+    def parameter_blocks(
+        self, genomes: list[Genome]
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Same-shape ``genomes``' parameters, stacked in plan layout.
 
-        Shapes match the plan's padded matrices exactly — padded terms
-        stay ``(zero slot, weight 0.0)`` just like ``_NetPlan`` builds them,
-        so the batched forward is bit-identical to decoding the genome
-        itself.
+        Returns one ``(B, rows, terms)`` weight block and one
+        ``(B, rows)`` bias block per plan layer, row ``b`` holding
+        ``genomes[b]``.  Padded terms stay weight ``0.0``, just like
+        ``_NetPlan`` builds them, so evaluating a row is bit-identical
+        to decoding its genome.  The recipes are walked once per
+        distinct genome; a genome listed several times (one per episode
+        slot) has its rows copied.
         """
         plan = self.plan
         if plan is None:
-            raise ValueError(
-                f"shape {self.shape_key[:12]} is not vectorizable"
-            )
-        params = [
-            (np.zeros_like(base.weights), np.empty_like(base.biases))
-            for base in plan.layers
-        ]
-        self.fill_parameters_into(genome, params)
-        return params
-
-    def fill_parameters_into(
-        self,
-        genome: Genome,
-        params: list[tuple[np.ndarray, np.ndarray]],
-    ) -> None:
-        """Fill ``genome``'s weights/biases into preallocated layers.
-
-        ``params`` aligns with ``plan.layers``; weight arrays must
-        arrive zeroed (padded terms stay ``(zero slot, weight 0.0)``).
-        The fill runs off a precomputed per-layer index plan — one
-        fancy-indexed assignment per layer instead of a Python loop
-        per matrix element — because this is the entire per-genome
-        cost of the compiled path and shows up directly in the
-        decode-vs-compile speedup.
-        """
-        if self.plan is None:
             raise ValueError(
                 f"shape {self.shape_key[:12]} is not vectorizable"
             )
         if self._fill_plan is None:
-            fill_plan = []
-            for layer_rows in self.rows:
-                bias_keys = tuple(recipe.key for recipe in layer_rows)
-                conn_keys = tuple(
-                    (src, recipe.key)
-                    for recipe in layer_rows
-                    for src in recipe.sources
+            self._fill_plan = self._make_fill_plan()
+        bias_keys, conn_keys, layers = self._fill_plan
+        distinct: dict[int, int] = {}
+        bias_rows: list[list[float]] = []
+        weight_rows: list[list[float]] = []
+        member_rows: list[int] = []
+        for genome in genomes:
+            row = distinct.get(id(genome))
+            if row is None:
+                row = distinct[id(genome)] = len(bias_rows)
+                nodes = genome.nodes
+                connections = genome.connections
+                bias_rows.append([nodes[key].bias for key in bias_keys])
+                weight_rows.append(
+                    [connections[key].weight for key in conn_keys]
                 )
-                row_index = np.array(
-                    [
-                        row
-                        for row, recipe in enumerate(layer_rows)
-                        for _ in recipe.sources
-                    ],
-                    dtype=np.intp,
-                )
-                term_index = np.array(
-                    [
-                        term
-                        for recipe in layer_rows
-                        for term in range(len(recipe.sources))
-                    ],
-                    dtype=np.intp,
-                )
-                fill_plan.append(
-                    (bias_keys, conn_keys, row_index, term_index)
-                )
-            self._fill_plan = fill_plan
-        nodes = genome.nodes
-        connections = genome.connections
-        for (bias_keys, conn_keys, row_index, term_index), (
-            weights,
-            biases,
-        ) in zip(self._fill_plan, params):
-            biases[:] = [nodes[key].bias for key in bias_keys]
-            if conn_keys:
-                weights[row_index, term_index] = [
-                    connections[key].weight for key in conn_keys
-                ]
+            member_rows.append(row)
+        bias_values = np.array(bias_rows, dtype=np.float64)
+        weight_values = np.array(weight_rows, dtype=np.float64)
+        if len(bias_rows) < len(genomes):
+            bias_values = bias_values[member_rows]
+            weight_values = weight_values[member_rows]
+        weights: list[np.ndarray] = []
+        biases: list[np.ndarray] = []
+        for base, (bias_span, conn_span, row_index, term_index) in zip(
+            plan.layers, layers
+        ):
+            block = np.zeros((len(genomes),) + base.weights.shape)
+            block[:, row_index, term_index] = weight_values[:, conn_span]
+            weights.append(block)
+            biases.append(bias_values[:, bias_span])
+        return weights, biases
 
-    def member_plan(
-        self, params: list[tuple[np.ndarray, np.ndarray]]
-    ) -> _NetPlan:
-        """A per-member plan: shared structure arrays, private params.
+    def _make_fill_plan(self):
+        """Recipe keys in plan order, with each layer's index plan.
 
-        The returned plan aliases the structure's ``sources`` /
-        ``act_groups`` / ``slots`` arrays (the lock-step engine only
-        reads them) and carries the member's own weight/bias arrays —
-        typically views into a bucket's stacked tensors.
+        Bias and connection keys run over every layer in one list each,
+        so a genome's parameters read out in two comprehensions; per
+        layer, the spans into those lists and the ``(row, term)`` plan
+        position of each connection.
         """
-        plan = self.plan
-        if plan is None:
-            raise ValueError(
-                f"shape {self.shape_key[:12]} is not vectorizable"
+        bias_keys: list[int] = []
+        conn_keys: list[tuple[int, int]] = []
+        layers = []
+        for layer_rows in self.rows:
+            bias_start, conn_start = len(bias_keys), len(conn_keys)
+            rows, terms = [], []
+            for row, recipe in enumerate(layer_rows):
+                bias_keys.append(recipe.key)
+                for term, src in enumerate(recipe.sources):
+                    conn_keys.append((src, recipe.key))
+                    rows.append(row)
+                    terms.append(term)
+            layers.append(
+                (
+                    slice(bias_start, len(bias_keys)),
+                    slice(conn_start, len(conn_keys)),
+                    np.array(rows, dtype=np.intp),
+                    np.array(terms, dtype=np.intp),
+                )
             )
-        member = object.__new__(_NetPlan)
-        member.num_inputs = plan.num_inputs
-        member.num_outputs = plan.num_outputs
-        member.num_slots = plan.num_slots
-        member.output_slots = plan.output_slots
-        member.layers = [
-            _LayerPlan(
-                base.sources, weights, biases, base.act_groups, base.slots
-            )
-            for base, (weights, biases) in zip(plan.layers, params)
-        ]
-        return member
+        return tuple(bias_keys), tuple(conn_keys), layers
 
     # --------------------------------------------------------- HW config
     def hw_config(self, genome: Genome) -> HWNetConfig:

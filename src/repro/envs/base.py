@@ -57,15 +57,26 @@ class Environment:
     reward_threshold: float = 0.0
 
     def __init__(self, seed: int | None = None):
-        self._rng = np.random.default_rng(seed)
+        # no generator until one is needed: reset(seed) installs its
+        # own, so one built here (from OS entropy when seed is None)
+        # would be thrown away
+        self._seed = seed
+        self._rng: np.random.Generator | None = None
         self._elapsed_steps = 0
         self._needs_reset = True
 
     # ------------------------------------------------------------------ API
     def reset(self, seed: int | None = None) -> np.ndarray:
-        """Start a new episode and return the initial observation."""
+        """Start a new episode and return the initial observation.
+
+        A ``seed`` starts a fresh generator; without one the episode
+        draws from the current generator, built from the constructor's
+        seed on first use.
+        """
         if seed is not None:
             self._rng = np.random.default_rng(seed)
+        elif self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
         self._elapsed_steps = 0
         self._needs_reset = False
         obs = self._reset()
@@ -169,6 +180,8 @@ class Environment:
 
     @property
     def rng(self) -> np.random.Generator:
+        if self._rng is None:
+            self._rng = np.random.default_rng(self._seed)
         return self._rng
 
     # ------------------------------------------------- subclass extension

@@ -31,7 +31,9 @@ across PUs that the paper's wave step exploits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -633,44 +635,53 @@ def _schedule_wave(
     report.waves += 1
 
     # --- compute phase: group steps by the set of live individuals ---
-    per_step_cycles = [step_cycles_fn(c) for c in wave]
-    per_step_active = [pe_active_fn(c) for c in wave]
-    compute_wall = 0.0
-
+    # Sorted by episode length, the individuals live through horizon
+    # ``lengths[order[p]]`` are the suffix ``order[p:]``, so suffix
+    # maxima/sums over that order price every horizon in one sweep.
+    # All terms are ints, so the sums equal re-summing each live set.
     order = sorted(range(len(wave)), key=lambda i: lengths[i])
-    live = list(order)  # indices still alive, shortest-lived first
+    ranked = [wave[i] for i in order]
+    cycles = [step_cycles_fn(c) for c in ranked]
+    slowest = _suffix(cycles, max)
+    pu_active = _suffix(cycles)
+    pe_active = _suffix([pe_active_fn(c) for c in ranked])
+    in_words = _suffix([c.num_inputs for c in ranked])
+    out_words = _suffix([c.num_outputs for c in ranked])
+    compute_wall = 0.0
     t = 0
-    while live:
-        horizon = lengths[live[0]]  # all of `live` survive through horizon
+    for p, i in enumerate(order):
+        horizon = lengths[i]  # order[p:] all survive through horizon
+        if horizon == t:  # a length tie: this horizon is priced already
+            continue
         n_steps = horizon - t
-        slowest = max(per_step_cycles[i] for i in live)
-        in_words = sum(wave[i].num_inputs for i in live)
-        out_words = sum(wave[i].num_outputs for i in live)
-        io = dma.transfer_cycles(in_words) + dma.transfer_cycles(out_words)
+        live = len(order) - p
+        io = dma.transfer_cycles(in_words[p]) + dma.transfer_cycles(
+            out_words[p]
+        )
         if config.overlap_io:
-            step_wall = max(slowest, io) + config.step_sync_cycles
+            step_wall = max(slowest[p], io) + config.step_sync_cycles
         else:
-            step_wall = slowest + io + config.step_sync_cycles
+            step_wall = slowest[p] + io + config.step_sync_cycles
 
         report.compute_cycles += n_steps * step_wall
         compute_wall += n_steps * step_wall
         report.io_cycles += n_steps * io
-        report.pe_active_cycles += n_steps * sum(
-            per_step_active[i] for i in live
-        )
+        report.pe_active_cycles += n_steps * pe_active[p]
         report.pe_provisioned_cycles += (
             n_steps * config.num_pus * config.num_pes_per_pu * step_wall
         )
-        report.pu_active_cycles += n_steps * sum(
-            per_step_cycles[i] for i in live
-        )
+        report.pu_active_cycles += n_steps * pu_active[p]
         report.pu_provisioned_cycles += n_steps * config.num_pus * step_wall
         report.steps += n_steps
-        report.live_slot_steps += n_steps * len(live)
+        report.live_slot_steps += n_steps * live
         report.slot_steps_provisioned += n_steps * config.num_pus
         t = horizon
-        live = [i for i in live if lengths[i] > t]
     return compute_wall
+
+
+def _suffix(values: list[int], combine=operator.add) -> list[int]:
+    """``combine`` folded over every suffix: entry ``p`` covers ``values[p:]``."""
+    return list(accumulate(reversed(values), combine))[::-1]
 
 
 def _static_pe_active(net: HWNetConfig, pe_costs: PECosts) -> int:

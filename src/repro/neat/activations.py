@@ -25,7 +25,7 @@ reference, the INAX PE simulator, and the vectorized batch evaluator
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -147,12 +147,21 @@ activations = ActivationRegistry(
     },
 )
 
-def _sum(values: Iterable[float]) -> float:
+def _sum(values: Sequence[float]) -> float:
     # Left-to-right accumulation, matching both a hardware MAC
     # accumulator and the batched evaluator's term-by-term replay.
     total = 0.0
     for v in values:
         total = total + v
+    if total != total:
+        # Python does not pin which NaN ``a + b`` returns when both are
+        # NaN (CPython 3.11's generic and specialized float adds keep
+        # different operands), so keep the first NaN the sum produced
+        total = 0.0
+        for v in values:
+            total = total + v
+            if total != total:
+                break
     return total
 
 

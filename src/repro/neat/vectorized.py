@@ -44,9 +44,12 @@ it (``NaN * 0.0`` is NaN), exactly as in the interpreted pass.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.envs.rollout import check_observations, check_slots
+from repro.neat.activations import aggregations
 from repro.neat.network import FeedForwardNetwork
 
 __all__ = ["VectorizedNetwork", "PopulationEvaluator", "vectorize"]
@@ -90,22 +93,48 @@ _VECTOR_ACTIVATIONS = {
 }
 
 
+_ACTIVATION_FNS = tuple(_VECTOR_ACTIVATIONS.values())
+#: activation name -> per-row code, an index into ``_ACTIVATION_FNS``
+_ACTIVATION_CODES = {name: code for code, name in enumerate(_VECTOR_ACTIVATIONS)}
+
+
+def _act_groups(codes: np.ndarray) -> list:
+    """``(fn, rows)`` for each activation present in per-row ``codes``.
+
+    ``rows`` is ``None`` when a single activation covers every row.
+    Counting codes with ``np.bincount`` (rather than ``np.unique``,
+    which imports ``numpy.ma`` on first use) keeps this cheap.
+    """
+    present = np.flatnonzero(
+        np.bincount(codes, minlength=len(_ACTIVATION_FNS))
+    )
+    if len(present) == 1:
+        return [(_ACTIVATION_FNS[present[0]], None)]
+    return [
+        (_ACTIVATION_FNS[code], np.flatnonzero(codes == code))
+        for code in present
+    ]
+
+
 class _LayerPlan:
     """One layer's padded execution plan over the flat value buffer.
 
     ``sources``/``weights`` are ``(rows, max_fan_in)``; rows with fewer
     ingress terms are padded with ``(zero slot, weight 0.0)`` entries so
-    a layer evaluates with dense array ops.  ``act_groups`` maps each
-    distinct activation to the row indices using it.
+    a layer evaluates with dense array ops.  ``codes`` holds each row's
+    activation code and ``act_groups`` maps each distinct activation to
+    the row indices using it.
     """
 
-    __slots__ = ("sources", "weights", "biases", "act_groups", "slots")
+    __slots__ = ("sources", "weights", "biases", "codes", "act_groups",
+                 "slots")
 
-    def __init__(self, sources, weights, biases, act_groups, slots):
+    def __init__(self, sources, weights, biases, codes, slots):
         self.sources = sources
         self.weights = weights
         self.biases = biases
-        self.act_groups = act_groups
+        self.codes = codes
+        self.act_groups = _act_groups(codes)
         self.slots = slots
 
 
@@ -144,11 +173,11 @@ class _NetPlan:
             sources = np.full((rows, fan_in), zero_slot, dtype=np.intp)
             weights = np.zeros((rows, fan_in))
             biases = np.empty(rows)
-            act_rows: dict[str, list[int]] = {}
+            codes = np.empty(rows, dtype=np.intp)
             for row, key in enumerate(layer):
                 plan = net.node_evals[key]
                 biases[row] = plan.bias
-                act_rows.setdefault(plan.activation, []).append(row)
+                codes[row] = _ACTIVATION_CODES[plan.activation]
                 for term, (src, w) in enumerate(plan.ingress):
                     sources[row, term] = index[src]
                     weights[row, term] = w
@@ -156,17 +185,35 @@ class _NetPlan:
             for row, key in enumerate(layer):
                 index[key] = len(index)
                 slots[row] = index[key]
-            act_groups = [
-                (_VECTOR_ACTIVATIONS[name], np.array(r, dtype=np.intp))
-                for name, r in act_rows.items()
-            ]
             self.layers.append(
-                _LayerPlan(sources, weights, biases, act_groups, slots)
+                _LayerPlan(sources, weights, biases, codes, slots)
             )
         self.num_slots = zero_slot + 1
         self.output_slots = np.array(
             [index.get(k, -1) for k in net.output_keys], dtype=np.intp
         )
+
+
+def _accumulate(products: np.ndarray) -> np.ndarray:
+    """Sum ``products`` over its last axis, term by term in ingress order.
+
+    One in-place column add per term: the interpreted ``sum``'s order,
+    so the same bits.  The one thing NumPy does differently is which
+    NaN survives when two NaNs meet: the interpreted ``sum`` keeps the
+    first NaN it produces, NumPy's add may keep either operand's, and
+    the two can differ in sign.  So a NaN row (a sensor fault reached
+    it) is summed again with the interpreted aggregation itself.
+    """
+    acc = np.zeros(products.shape[:-1])
+    for term in range(products.shape[-1]):
+        acc += products[..., term]
+    flat = acc.reshape(-1)
+    if math.isnan(flat @ flat):  # cheaper than isnan().any(); inf**2 is inf
+        rows = products.reshape(len(flat), -1)
+        interpreted_sum = aggregations.get("sum")
+        for row in np.flatnonzero(np.isnan(flat)):
+            flat[row] = interpreted_sum(rows[row].tolist())
+    return acc
 
 
 def _apply_activations(layer: _LayerPlan, pre: np.ndarray) -> np.ndarray:
@@ -202,11 +249,7 @@ class VectorizedNetwork:
         values[:, : plan.num_inputs] = x
         for layer in plan.layers:
             gathered = values[:, layer.sources]  # (batch, rows, fan_in)
-            products = gathered * layer.weights
-            acc = np.zeros((batch, layer.sources.shape[0]))
-            for term in range(products.shape[2]):
-                acc += products[:, :, term]
-            pre = acc + layer.biases
+            pre = _accumulate(gathered * layer.weights) + layer.biases
             values[:, layer.slots] = _apply_activations(layer, pre)
         out = np.zeros((batch, plan.num_outputs))
         visible = plan.output_slots >= 0
@@ -221,6 +264,55 @@ class VectorizedNetwork:
         return self.activate(inputs)
 
 
+class _LevelTable:
+    """Every member's rows at one depth, with member-relative slots.
+
+    ``sources`` and ``slots`` index a member's own value buffer (its
+    plan's slots), so any subset of members lays out by adding its
+    offsets; level padding beyond a shape's own fan-in reads the
+    member's own zero slot with weight ``0.0``.  ``member`` and
+    ``terms`` give each row's member and its shape's fan-in width.
+    """
+
+    __slots__ = ("sources", "weights", "biases", "codes", "slots",
+                 "member", "terms")
+
+    def __init__(self, groups: list, level: int):
+        present = [group for group in groups if len(group[0].layers) > level]
+        total = sum(
+            len(members) * plan.layers[level].sources.shape[0]
+            for plan, members, _, _ in present
+        )
+        width = max(plan.layers[level].sources.shape[1] for plan, *_ in present)
+        self.sources = np.empty((total, width), dtype=np.intp)
+        self.weights = np.zeros((total, width))
+        self.biases = np.empty(total)
+        self.codes = np.empty(total, dtype=np.intp)
+        self.slots = np.empty(total, dtype=np.intp)
+        self.member = np.empty(total, dtype=np.intp)
+        self.terms = np.empty(total, dtype=np.intp)
+        row = 0
+        for plan, members, weights, biases in present:
+            layer = plan.layers[level]
+            rows, terms = layer.sources.shape
+            count = len(members)
+            block = slice(row, row + count * rows)
+            # one broadcast per shape: its shared structure rows repeat
+            # for every member, its parameter blocks copy in as they are
+            sources = self.sources[block].reshape(count, rows, width)
+            sources[:, :, :terms] = layer.sources
+            sources[:, :, terms:] = plan.num_slots - 1
+            self.weights[block].reshape(count, rows, width)[
+                :, :, :terms
+            ] = weights[level]
+            self.biases[block] = biases[level].reshape(-1)
+            self.codes[block].reshape(count, rows)[:] = layer.codes
+            self.slots[block].reshape(count, rows)[:] = layer.slots
+            self.member[block] = np.repeat(members, rows)
+            self.terms[block] = terms
+            row = block.stop
+
+
 class PopulationEvaluator:
     """Lock-step inference over many compiled networks at once.
 
@@ -231,15 +323,22 @@ class PopulationEvaluator:
     the per-step cost is a few microseconds per *population*, not per
     individual.
 
+    Members arrive in *groups* that share one plan's structure (see
+    :meth:`from_groups`), and the evaluator keeps every member's rows in
+    per-depth tables built once, one broadcast per group and depth.
+    The flat tensors a tick runs on are laid out from those tables for
+    the current live set.
+
     The interface mirrors the INAX device's scatter/infer/gather step:
     :meth:`infer` is an :data:`repro.envs.rollout.InferFn`, taking the
     ascending still-alive slots and their ``(len(slots), num_inputs)``
     observation block and returning one output row per slot.  When
     episodes terminate and the alive set shrinks past a threshold, the
-    flat tensors are rebuilt for the survivors so dead individuals stop
+    flat tensors are laid out again for the survivors alone, by
+    gathering their rows from the tables, so dead individuals stop
     costing inference work (the software analogue of the paper's
     idle-PU effect).  A member left out of a rebuild may come back
-    later; that rebuilds again.
+    later; that rebuilds again the same way.
     """
 
     #: rebuild the flattened tensors once the alive set falls below this
@@ -247,27 +346,35 @@ class PopulationEvaluator:
     REBUILD_FRACTION = 0.6
 
     def __init__(self, nets: list[VectorizedNetwork]):
-        self._init_from_plans([net.plan for net in nets])
+        self._init_groups(_single_groups([net.plan for net in nets]))
 
     @classmethod
     def from_plans(cls, plans: "list[_NetPlan]") -> "PopulationEvaluator":
-        """Build directly from compiled plans (no network wrappers).
-
-        The structural-batching compiler (:mod:`repro.compile`) produces
-        per-member plans that *share* structure arrays and carry only
-        per-member weight/bias views; this constructor lets it reuse the
-        flattened lock-step engine without fabricating
-        :class:`VectorizedNetwork` objects.
-        """
+        """Build directly from compiled plans, each its own group."""
         evaluator = cls.__new__(cls)
-        evaluator._init_from_plans(list(plans))
+        evaluator._init_groups(_single_groups(list(plans)))
         return evaluator
 
-    def _init_from_plans(self, plans: "list[_NetPlan]") -> None:
-        if not plans:
+    @classmethod
+    def from_groups(cls, groups: list) -> "PopulationEvaluator":
+        """Build from per-shape parameter blocks.
+
+        Each group is ``(plan, members, weights, biases)``: a plan whose
+        structure (``sources``, ``slots``, activation codes) all of the
+        group's members share, the ascending member indices, and one
+        ``(B, rows, terms)`` weight block and ``(B, rows)`` bias block
+        per plan layer, row ``b`` holding ``members[b]``'s parameters.
+        Together the groups' members must be exactly ``0..N-1``.
+        """
+        evaluator = cls.__new__(cls)
+        evaluator._init_groups(list(groups))
+        return evaluator
+
+    def _init_groups(self, groups: list) -> None:
+        if not groups:
             raise ValueError("PopulationEvaluator needs at least one network")
-        num_inputs = {p.num_inputs for p in plans}
-        num_outputs = {p.num_outputs for p in plans}
+        num_inputs = {plan.num_inputs for plan, *_ in groups}
+        num_outputs = {plan.num_outputs for plan, *_ in groups}
         if len(num_inputs) != 1 or len(num_outputs) != 1:
             raise ValueError(
                 "all member networks must share input/output arity; got "
@@ -275,77 +382,60 @@ class PopulationEvaluator:
             )
         self.num_inputs = num_inputs.pop()
         self.num_outputs = num_outputs.pop()
-        self._plans = plans
+        count = sum(len(members) for _, members, _, _ in groups)
+        self._sizes = np.empty(count, dtype=np.intp)
+        self._outputs = np.empty((count, self.num_outputs), dtype=np.intp)
+        for plan, members, _, _ in groups:
+            self._sizes[members] = plan.num_slots
+            self._outputs[members] = plan.output_slots
+        depth = max(len(plan.layers) for plan, *_ in groups)
+        self._tables = [_LevelTable(groups, level) for level in range(depth)]
         self.rebuilds = 0
-        self._build(list(range(len(plans))))
+        self._layout(list(range(count)))
 
-    # ------------------------------------------------------------- build
-    def _build(self, members: list[int]) -> None:
-        """Flatten ``members``' plans into shared per-depth tensors."""
-        plans = [self._plans[m] for m in members]
-        offsets = np.zeros(len(plans), dtype=np.intp)
-        total = 0
-        for i, plan in enumerate(plans):
-            offsets[i] = total
-            total += plan.num_slots
-        # always-zero scratch, read by absent outputs and level padding
-        zero_slot = total
+    # ------------------------------------------------------------ layout
+    def _layout(self, members: list[int]) -> None:
+        """Lay the flat tensors out for ``members`` (ascending).
 
-        depth = max(len(plan.layers) for plan in plans)
+        Gathers the members' rows from the level tables and re-bases
+        their slots onto a value buffer holding only these members.
+        Columns that are padding for every gathered row are trimmed;
+        each adds an exact ``+0.0``, so the bits do not move.
+        """
+        live = np.asarray(members, dtype=np.intp)
+        sizes = self._sizes[live]
+        starts = np.cumsum(sizes) - sizes
+        # always-zero scratch after the last member, read by absent outputs
+        zero_slot = int(starts[-1] + sizes[-1])
+        offsets = np.zeros(len(self._sizes), dtype=np.intp)
+        offsets[live] = starts
+        keep = np.zeros(len(self._sizes), dtype=bool)
+        keep[live] = True
         layers: list[_LayerPlan] = []
-        for level in range(depth):
-            live = [
-                (i, plan.layers[level])
-                for i, plan in enumerate(plans)
-                if len(plan.layers) > level
-            ]
-            fan_in = max(
-                (layer.sources.shape[1] for _, layer in live), default=0
-            )
-            total_rows = sum(layer.sources.shape[0] for _, layer in live)
-            # one preallocated tensor per level, filled by slice — not a
-            # concatenate over hundreds of per-member scratch arrays,
-            # which dominated build time for large populations.  Padding
-            # columns read the zero slot with weight 0, contributing
-            # exactly +0.0 whatever the members' observations hold.
-            sources = np.full((total_rows, fan_in), zero_slot, dtype=np.intp)
-            weights = np.zeros((total_rows, fan_in))
-            biases = np.empty(total_rows)
-            slots = np.empty(total_rows, dtype=np.intp)
-            act_rows: dict[int, tuple] = {}
-            row = 0
-            for i, layer in live:
-                rows, terms = layer.sources.shape
-                block = slice(row, row + rows)
-                sources[block, :terms] = layer.sources + offsets[i]
-                weights[block, :terms] = layer.weights
-                biases[block] = layer.biases
-                slots[block] = layer.slots + offsets[i]
-                for fn, local_rows in layer.act_groups:
-                    bucket = act_rows.setdefault(id(fn), (fn, []))
-                    bucket[1].extend(local_rows + row)
-                row += rows
-            act_groups = [
-                (fn, np.array(r, dtype=np.intp))
-                for fn, r in act_rows.values()
-            ]
+        for table in self._tables:
+            rows = np.flatnonzero(keep[table.member])
+            if not len(rows):
+                continue
+            base = offsets[table.member[rows]]
+            width = int(table.terms[rows].max())
             layers.append(
-                _LayerPlan(sources, weights, biases, act_groups, slots)
+                _LayerPlan(
+                    table.sources[rows, :width] + base[:, None],
+                    table.weights[rows, :width],
+                    table.biases[rows],
+                    table.codes[rows],
+                    table.slots[rows] + base,
+                )
             )
-
+        local = self._outputs[live]
         self._built = list(members)
         self._position = {m: i for i, m in enumerate(members)}
         self._layers = layers
-        self._member_inputs = offsets[:, None] + np.arange(self.num_inputs)
-        out_index = np.empty((len(plans), self.num_outputs), dtype=np.intp)
-        for i, plan in enumerate(plans):
-            out_index[i] = np.where(
-                plan.output_slots >= 0,
-                plan.output_slots + offsets[i],
-                zero_slot,
-            )
-        self._member_outputs = out_index
-        self._values = np.zeros(total + 1)
+        self._member_inputs = starts[:, None] + np.arange(self.num_inputs)
+        self._member_outputs = np.where(
+            local >= 0, local + starts[:, None], zero_slot
+        )
+        self._values = np.zeros(zero_slot + 1)
         self._live: list[int] | None = None
         self.rebuilds += 1
 
@@ -356,12 +446,12 @@ class PopulationEvaluator:
         :attr:`REBUILD_FRACTION` of the built set or holds a member
         the last rebuild left out (a revived slot).
         """
-        check_slots(slots, len(self._plans))
+        check_slots(slots, len(self._sizes))
         position = self._position
         if len(slots) < self.REBUILD_FRACTION * len(self._built) or any(
             slot not in position for slot in slots
         ):
-            self._build(list(slots))
+            self._layout(list(slots))
             position = self._position
         rows = [position[slot] for slot in slots]
         self._live = list(slots)
@@ -377,21 +467,28 @@ class PopulationEvaluator:
         # _values persists across ticks: stale non-input slots are always
         # rewritten before being read (every built member's every node
         # recomputes each tick, built-but-idle members on their last
-        # inputs), and the trailing zero_slot is never written, so it
-        # stays 0.0 for absent outputs.
+        # inputs), and zero slots are never written, so they stay 0.0
+        # for padding terms and absent outputs.
         values = self._values
         values[self._input_index] = obs.ravel()
         for layer in self._layers:
             gathered = values[layer.sources]  # (rows, fan_in)
-            # one elementwise product, then in-place column accumulation:
-            # identical term order (and bits) to the scalar sum loop
-            products = gathered * layer.weights
-            acc = np.zeros(products.shape[0])
-            for term in range(products.shape[1]):
-                acc += products[:, term]
-            pre = acc + layer.biases
+            pre = _accumulate(gathered * layer.weights) + layer.biases
             values[layer.slots] = _apply_activations(layer, pre)
         return values[self._output_index]
+
+
+def _single_groups(plans: "list[_NetPlan]") -> list:
+    """One group per plan: its own parameters as one-member blocks."""
+    return [
+        (
+            plan,
+            [member],
+            [layer.weights[None] for layer in plan.layers],
+            [layer.biases[None] for layer in plan.layers],
+        )
+        for member, plan in enumerate(plans)
+    ]
 
 
 def vectorize(net: FeedForwardNetwork) -> VectorizedNetwork:

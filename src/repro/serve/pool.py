@@ -13,7 +13,10 @@ it just skips the cold start.
 
 ``max_leases`` bounds how many backends exist at once (idle + active):
 the admission-controlled queue decides *how many jobs* may run, the
-pool decides *how much backend state* the process may hold.
+pool decides *how much backend state* the process may hold.  Idle
+backends of any key share that bound; when a lease needs a fresh build
+and the pool is full, the least recently released idle backend is
+closed to make room.
 """
 
 from __future__ import annotations
@@ -69,17 +72,17 @@ class BackendLease:
 class BackendPool:
     """Bounded pool of reusable evaluation backends.
 
-    Thread-safe (a lock around the idle map) so leases may be taken
+    Thread-safe (a lock around the idle list) so leases may be taken
     and released from worker threads as well as the event loop, though
     the service only does the latter.
     """
 
-    def __init__(self, max_leases: int = 8, max_idle_per_key: int = 2) -> None:
+    def __init__(self, max_leases: int = 8) -> None:
         if max_leases < 1:
             raise ValueError("max_leases must be >= 1")
         self.max_leases = max_leases
-        self.max_idle_per_key = max_idle_per_key
-        self._idle: dict[tuple[Any, ...], list[EvaluationBackend]] = {}
+        #: ``(key, backend)`` in release order, least recent first
+        self._idle: list[tuple[tuple[Any, ...], EvaluationBackend]] = []
         self._active = 0
         self._lock = threading.Lock()
         self.created = 0
@@ -112,20 +115,32 @@ class BackendPool:
         workers: int = 0,
         base_seed: int = 0,
     ) -> BackendLease:
-        """Lease a backend, reusing an idle one when the key matches."""
+        """Lease a backend, reusing an idle one when the key matches.
+
+        Raises :class:`PoolExhausted` only when every lease is active;
+        a build that would overfill the pool first closes the least
+        recently released idle backend.
+        """
         key = self.lease_key(
             env_name, backend_name, neat_config, episodes_per_genome, workers
         )
+        backend = evicted = None
         with self._lock:
             if self._active >= self.max_leases:
                 raise PoolExhausted(
                     f"all {self.max_leases} backend leases are taken"
                 )
             self._active += 1
-            idle = self._idle.get(key)
-            backend = idle.pop() if idle else None
-            if idle is not None and not idle:
-                del self._idle[key]
+            for index in range(len(self._idle) - 1, -1, -1):
+                if self._idle[index][0] == key:
+                    backend = self._idle.pop(index)[1]
+                    break
+            else:
+                if self._active + len(self._idle) > self.max_leases:
+                    evicted = self._idle.pop(0)[1]
+                    self.discarded += 1
+        if evicted is not None:
+            evicted.close()
         if backend is not None:
             backend.reset_run_state(base_seed=base_seed)
             with self._lock:
@@ -175,23 +190,18 @@ class BackendPool:
     def _release(self, lease: BackendLease, discard: bool) -> None:
         with self._lock:
             self._active -= 1
-            if discard:
-                self.discarded += 1
-            else:
-                idle = self._idle.setdefault(lease.key, [])
-                if len(idle) < self.max_idle_per_key:
-                    idle.append(lease.backend)
-                    return
-                self.discarded += 1
+            if not discard:
+                self._idle.append((lease.key, lease.backend))
+                return
+            self.discarded += 1
         lease.backend.close()
 
     # ------------------------------------------------------------- admin
     def stats(self) -> dict[str, int]:
         with self._lock:
-            idle = sum(len(v) for v in self._idle.values())
             return {
                 "active": self._active,
-                "idle": idle,
+                "idle": len(self._idle),
                 "created": self.created,
                 "reused": self.reused,
                 "discarded": self.discarded,
@@ -201,8 +211,6 @@ class BackendPool:
     def close(self) -> None:
         """Close every idle backend (worker pools, devices)."""
         with self._lock:
-            idle_lists = list(self._idle.values())
-            self._idle = {}
-        for backends in idle_lists:
-            for backend in backends:
-                backend.close()
+            idle, self._idle = self._idle, []
+        for _, backend in idle:
+            backend.close()

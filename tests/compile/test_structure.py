@@ -2,9 +2,8 @@
 
 Everything here pins the bit-identity chain the ``cpu-compiled``
 backend rests on: recipe-lowered HW configs equal ``compile_genome``,
-filled parameter tensors equal a fresh decode's plan, and the fused
-bucket/population evaluators reproduce the per-genome vectorized
-forward pass exactly.
+filled parameter blocks equal a fresh decode's plan, and the population
+evaluator reproduces the per-genome vectorized forward pass exactly.
 """
 
 import numpy as np
@@ -12,7 +11,6 @@ import pytest
 
 from repro.compile import (
     CompileCache,
-    CompiledBucket,
     CompiledPopulationEvaluator,
     CompiledStructure,
 )
@@ -66,18 +64,21 @@ class TestCompiledStructure:
             assert clone.shape_key() == genome.shape_key()
             assert structure.hw_config(clone) == compile_genome(clone, cfg)
 
-    def test_fill_parameters_matches_fresh_decode(self):
-        """Filled tensors equal a from-scratch ``_NetPlan`` bit for bit."""
+    def test_parameter_blocks_match_fresh_decode(self):
+        """Filled blocks equal a from-scratch ``_NetPlan`` bit for bit,
+        row by row, also for a genome listed in several slots."""
         cfg = _cfg()
         for genome in _genomes(cfg):
             structure = CompiledStructure.from_genome(genome, cfg)
             clone = _perturbed(genome, 100 + genome.key)
-            fresh = _NetPlan(FeedForwardNetwork.create(clone, cfg))
-            params = structure.fill_parameters(clone)
-            assert len(params) == len(fresh.layers)
-            for (weights, biases), layer in zip(params, fresh.layers):
-                assert np.array_equal(weights, layer.weights)
-                assert np.array_equal(biases, layer.biases)
+            members = [clone, genome, clone]
+            weights, biases = structure.parameter_blocks(members)
+            for row, member in enumerate(members):
+                fresh = _NetPlan(FeedForwardNetwork.create(member, cfg))
+                assert len(weights) == len(biases) == len(fresh.layers)
+                for level, layer in enumerate(fresh.layers):
+                    assert np.array_equal(weights[level][row], layer.weights)
+                    assert np.array_equal(biases[level][row], layer.biases)
 
     def test_unvectorizable_shape_still_lowers(self):
         cfg = _cfg()
@@ -89,9 +90,9 @@ class TestCompiledStructure:
         assert structure.plan is None
         assert structure.hw_config(genome) == compile_genome(genome, cfg)
         with pytest.raises(ValueError):
-            structure.fill_parameters(genome)
+            structure.parameter_blocks([genome])
         with pytest.raises(ValueError):
-            CompiledBucket(structure, [genome])
+            CompiledPopulationEvaluator([(structure, genome)])
 
 
 class TestCompileCache:
@@ -133,8 +134,8 @@ class TestCompileCache:
 
 
 class TestFusedEvaluation:
-    def test_bucket_activate_matches_vectorized(self):
-        """One fused batched step == each member's own forward pass."""
+    def test_one_bucket_matches_vectorized(self):
+        """One shape's batched step == each member's own forward pass."""
         cfg = _cfg()
         genome = _genomes(cfg, count=1)[0]
         members = [genome] + [
@@ -142,9 +143,12 @@ class TestFusedEvaluation:
             for i in range(5)
         ]
         structure = CompiledStructure.from_genome(genome, cfg)
-        bucket = CompiledBucket(structure, members)
+        evaluator = CompiledPopulationEvaluator(
+            [(structure, member) for member in members]
+        )
+        assert evaluator.num_buckets == 1
         obs = np.random.default_rng(7).normal(size=(len(members), 4))
-        out = bucket.activate(obs)
+        out = evaluator.infer(list(range(len(members))), obs)
         for row, member in enumerate(members):
             reference = VectorizedNetwork(
                 FeedForwardNetwork.create(member, cfg)
@@ -176,8 +180,8 @@ class TestFusedEvaluation:
 
     def test_rebuild_on_shrink_keeps_bits(self):
         """Dropping to a small alive set (episode terminations) rebuilds
-        the flat tensors from the shared member plans without changing
-        any output bit."""
+        the flat tensors from the evaluator's own tables without
+        changing any output bit."""
         cfg = _cfg()
         genomes = _genomes(cfg)
         cache = CompileCache(32)

@@ -71,6 +71,21 @@ class TestSeeding:
         b = env.rng.random()
         assert a != b
 
+    def test_generator_is_built_on_first_use(self):
+        # a seeded reset replaces the generator, so none is built before
+        env = _Counter(seed=1)
+        assert env._rng is None
+        env.reset(seed=5)
+        assert env.rng.random() == np.random.default_rng(5).random()
+
+    def test_constructor_seed_drives_unseeded_episodes(self):
+        expected = np.random.default_rng(3).random()
+        via_reset = _Counter(seed=3)
+        via_reset.reset()
+        assert via_reset.rng.random() == expected
+        # reading the generator before any reset builds the same one
+        assert _Counter(seed=3).rng.random() == expected
+
 
 class TestInterfaceSizing:
     def test_discrete_outputs_is_action_count(self):

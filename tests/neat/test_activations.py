@@ -1,6 +1,7 @@
 """Unit tests for the activation/aggregation registries."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -64,6 +65,19 @@ class TestAggregations:
     def test_sum(self):
         assert aggregations.get("sum")([1.0, 2.0, 3.0]) == 6.0
         assert aggregations.get("sum")([]) == 0.0
+
+    def test_sum_keeps_the_first_nan(self):
+        # inf - inf makes the platform's default NaN, which may differ
+        # from a sensor's nan in sign; the sum must keep the first one
+        # every time, before and after the interpreter specializes the
+        # add inside it
+        first = float("inf") + float("-inf")
+        total = aggregations.get("sum")
+        for _ in range(20):
+            out = total([float("inf"), float("-inf"), float("nan")])
+            assert struct.pack("<d", out) == struct.pack("<d", first)
+            out = total([first, float("nan"), 1.0])
+            assert struct.pack("<d", out) == struct.pack("<d", first)
 
     def test_mean(self):
         assert aggregations.get("mean")([2.0, 4.0]) == 3.0

@@ -118,6 +118,27 @@ class TestBitwiseParity:
                 x = rng.standard_normal(4) * 2.0
                 assert fast.activate(x).tobytes() == net.activate(x).tobytes()
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_colliding_nans_keep_the_first(self):
+        """``inf - inf`` makes the default NaN (negative on x86); a
+        sensor NaN after it is positive.  The interpreted sum keeps the
+        first NaN, so every vectorized path must too, although a NumPy
+        add may return either operand's."""
+        cfg = NEATConfig(num_inputs=3, num_outputs=1)
+        # ingress runs in source-key order: -3 (inf), -2 (-inf), -1 (nan)
+        edges = [(-1, 0, 1.0), (-2, 0, 1.0), (-3, 0, 1.0)]
+        net = FeedForwardNetwork.create(_genome_from_edges(cfg, edges), cfg)
+        obs = np.array([[np.nan, -np.inf, np.inf]])
+        expected = net.activate(obs[0])
+        default_nan = np.array([float("inf") + float("-inf")])
+        assert expected.tobytes() == default_nan.tobytes()
+        fast = vectorize(net)
+        assert fast.activate_batch(obs)[0].tobytes() == expected.tobytes()
+        evaluator = PopulationEvaluator([fast, fast])
+        outputs = evaluator.infer([0, 1], np.repeat(obs, 2, axis=0))
+        for row in outputs:
+            assert row.tobytes() == expected.tobytes()
+
     def test_population_evaluator_bit_for_bit(self):
         nets = [_reference(seed=s, mutations=10)[0] for s in range(12)]
         fast = [vectorize(n) for n in nets]

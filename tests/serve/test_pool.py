@@ -70,6 +70,63 @@ class TestLeasing:
         assert pool.stats()["idle"] == 1
 
 
+class TestCapacity:
+    def test_same_key_burst_reuses_every_backend(self):
+        # four same-key jobs released together: the next burst of four
+        # reuses all of them instead of closing and rebuilding extras
+        pool = BackendPool(max_leases=8)
+        config = effective_neat_config("cartpole", CONFIG)
+        first = [pool.lease("cartpole", "cpu", config) for _ in range(4)]
+        for lease in first:
+            lease.release()
+        second = [pool.lease("cartpole", "cpu", config) for _ in range(4)]
+        stats = pool.stats()
+        assert stats["created"] == 4
+        assert stats["reused"] == 4
+        assert stats["discarded"] == 0
+        assert {id(lease.backend) for lease in second} == {
+            id(lease.backend) for lease in first
+        }
+
+    def test_idle_backends_count_against_max_leases(self):
+        pool = BackendPool(max_leases=2)
+        configs = [
+            effective_neat_config("cartpole", NEATConfig(population_size=n))
+            for n in (8, 12, 16)
+        ]
+        closed = []
+        oldest = pool.lease("cartpole", "cpu", configs[0])
+        oldest.backend.close = lambda: closed.append("oldest")
+        oldest.release()
+        pool.lease("cartpole", "cpu", configs[1]).release()
+        # a third key needs a build while two backends sit idle: the
+        # least recently released one is closed to make room
+        third = pool.lease("cartpole", "cpu", configs[2])
+        assert closed == ["oldest"]
+        stats = pool.stats()
+        assert stats["active"] + stats["idle"] == 2
+        assert stats["discarded"] == 1
+        third.release()
+        assert pool.stats()["idle"] == 2
+        again = pool.lease("cartpole", "cpu", configs[0])
+        assert again.backend is not oldest.backend
+        assert pool.stats()["created"] == 4
+
+    def test_exhausted_only_when_every_lease_is_active(self):
+        pool = BackendPool(max_leases=2)
+        config = effective_neat_config("cartpole", CONFIG)
+        other = effective_neat_config(
+            "cartpole", NEATConfig(population_size=12)
+        )
+        held = pool.lease("cartpole", "cpu", config)
+        pool.lease("cartpole", "cpu", other).release()
+        # one active + one idle of another key: the idle one makes room
+        pool.lease("cartpole", "cpu", config)
+        with pytest.raises(PoolExhausted):
+            pool.lease("cartpole", "cpu", other)
+        held.release()
+
+
 class TestResetRunState:
     def test_reused_backend_starts_clean(self):
         pool = BackendPool(max_leases=2)
