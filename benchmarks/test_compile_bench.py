@@ -48,7 +48,7 @@ from repro.inax.compiler import compile_genome
 from repro.neat.config import NEATConfig
 from repro.neat.network import FeedForwardNetwork
 from repro.neat.population import Population
-from repro.neat.vectorized import PopulationEvaluator, VectorizedNetwork
+from repro.neat.vectorized import PopulationEvaluator, _NetPlan
 
 NUM_GENOMES = 200
 BOOT_GENERATIONS = 6
@@ -112,11 +112,11 @@ def _decode_prep(config, offspring):
     plans = []
     for genome in offspring:
         net = FeedForwardNetwork.create(genome, config)
-        vnet = VectorizedNetwork(net)
+        plan = _NetPlan(net)
         decoded[genome.structural_hash()] = (
-            net, vnet, compile_genome(genome, config)
+            net, plan, compile_genome(genome, config)
         )
-        plans.append(vnet.plan)
+        plans.append(plan)
     return time.perf_counter() - start, plans, set(decoded)
 
 

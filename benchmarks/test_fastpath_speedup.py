@@ -22,7 +22,7 @@ from __future__ import annotations
 import time
 
 from benchmarks.conftest import write_output
-from repro.core.backends import CPUBackend, FastCPUBackend
+from repro.core.backends import CompiledCPUBackend, CPUBackend
 from repro.core.results import format_table
 from repro.neat.config import NEATConfig
 from repro.neat.population import Population
@@ -35,7 +35,7 @@ BASE_SEED = 11
 
 def _midrun_population(config: NEATConfig):
     """Evolve CartPole briefly and return the live population."""
-    boot = FastCPUBackend(
+    boot = CompiledCPUBackend(
         "cartpole", config, episodes_per_genome=1, base_seed=3
     )
     population = Population(config, seed=3)
@@ -66,7 +66,7 @@ def test_fastpath_speedup():
     cpu = CPUBackend(
         "cartpole", config, episodes_per_genome=EPISODES, base_seed=BASE_SEED
     )
-    fast = FastCPUBackend(
+    fast = CompiledCPUBackend(
         "cartpole", config, episodes_per_genome=EPISODES, base_seed=BASE_SEED
     )
     slow_pop = [g.copy() for g in genomes]

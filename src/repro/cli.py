@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     resume.add_argument(
         "--devices", type=int, default=1,
-        help="fabric backend: number of simulated INAX farm devices",
+        help="fabric backend: number of simulated INAX farm devices "
+        "(>1 auto-upgrades --backend inax to fabric, as in run)",
     )
     resume.add_argument(
         "--workers", type=_non_negative_int, default=0,
@@ -520,6 +521,24 @@ def _print_cache_summary(backend) -> None:
     )
 
 
+def _check_devices(args) -> bool:
+    """Apply ``--devices`` to ``args.backend``; False (after printing
+    why) when the backend cannot take it.
+
+    More than one device upgrades ``inax`` to ``fabric`` — a farm of
+    one kind of device is still the inax path, just the distributed
+    flavour of it — and is an error for every other backend.
+    """
+    if args.devices > 1 and args.backend == "inax":
+        args.backend = "fabric"
+    if args.devices > 1 and args.backend != "fabric":
+        print(
+            f"error: --devices needs the fabric backend, not {args.backend!r}"
+        )
+        return False
+    return True
+
+
 # ---------------------------------------------------------------- commands
 def _cmd_envs(_args) -> int:
     from repro.envs.registry import ENV_SUITE, registered_names, spec
@@ -555,13 +574,7 @@ def _cmd_run(args) -> int:
     from repro.neat.config import NEATConfig
     from repro.neat.reporters import ConsoleReporter, CSVReporter
 
-    backend = args.backend
-    if args.devices > 1 and backend == "inax":
-        # a farm of one kind of device is still the inax path — just
-        # the distributed flavour of it
-        backend = args.backend = "fabric"
-    if args.devices > 1 and backend != "fabric":
-        print(f"error: --devices needs the fabric backend, not {backend!r}")
+    if not _check_devices(args):
         return 2
     if args.islands > 1:
         return _cmd_run_islands(args)
@@ -569,7 +582,7 @@ def _cmd_run(args) -> int:
     monitor = _health_monitor(args)
     platform = E3(
         args.env,
-        backend=backend,
+        backend=args.backend,
         neat_config=NEATConfig(population_size=args.population),
         seed=args.seed,
         workers=args.workers,
@@ -683,16 +696,13 @@ def _cmd_run_islands(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    from repro.core.backends import BACKENDS, CompiledCPUBackend
+    from repro.core.platform import E3
     from repro.envs.registry import spec
     from repro.neat.checkpoint import load_checkpoint, save_checkpoint
     from repro.neat.reporters import ConsoleReporter, CSVReporter
 
-    if args.devices > 1 and args.backend == "inax":
-        args.backend = "fabric"
-    if args.backend == "fabric":
-        import repro.fabric.backend  # noqa: F401  (registers the backend)
-
+    if not _check_devices(args):
+        return 2
     population = load_checkpoint(args.checkpoint)
     env_spec = spec(args.env)
     env = env_spec.make()
@@ -708,32 +718,29 @@ def _cmd_resume(args) -> int:
             file=sys.stderr,
         )
         return 2
-    backend_cls = BACKENDS[args.backend]
-    kwargs = {"base_seed": args.seed}
-    kwargs.update(_pipeline_kwargs(args))
-    resilience = _resilience_kwargs(args)
-    if "fault_plan" in resilience:
-        kwargs["fault_plan"] = resilience["fault_plan"]
-    if issubclass(backend_cls, CompiledCPUBackend):
-        kwargs["workers"] = args.workers
-        if "supervisor" in resilience:
-            kwargs["supervisor"] = resilience["supervisor"]
-    if args.backend in ("inax", "fabric") and "fallback" in resilience:
-        kwargs["fallback"] = resilience["fallback"]
-    if args.backend == "fabric":
-        kwargs["devices"] = args.devices
-        if "supervisor" in resilience:
-            kwargs["supervisor"] = resilience["supervisor"]
-    backend = backend_cls(args.env, population.config, **kwargs)
+    session = _telemetry_session(args, "resume")
+    if session is not None:
+        session.manifest.extra["checkpoint"] = args.checkpoint
+    monitor = _health_monitor(args)
+    platform = E3(
+        args.env,
+        backend=args.backend,
+        population=population,
+        seed=args.seed,
+        workers=args.workers,
+        devices=args.devices,
+        telemetry=session,
+        health=monitor,
+        **_pipeline_kwargs(args),
+        **_resilience_kwargs(args),
+    )
     # the checkpoint restores genomes but no cache state; warming the
     # structural caches from the restored population keeps post-resume
     # hit rates (and benchmarks) honest instead of silently re-compiling
     # the whole first generation
-    warmed = backend.warm_caches(population.population)
+    warmed = platform.backend.warm_caches(population.population)
     if warmed and not args.quiet:
         print(f"warmed structural caches from checkpoint: {warmed} entries")
-    if hasattr(backend, "reporter_columns"):
-        population.stat_sources.append(backend.reporter_columns)
     if not args.quiet:
         population.reporters.add(ConsoleReporter())
     csv_reporter = None
@@ -742,43 +749,24 @@ def _cmd_resume(args) -> int:
         # of truncating it
         csv_reporter = CSVReporter(args.csv, append=True)
         population.reporters.add(csv_reporter)
-    session = _telemetry_session(args, "resume")
-    if session is not None:
-        session.manifest.extra["checkpoint"] = args.checkpoint
-        # the restored population has a null recorder; route its phase
-        # timings into the session's registry
-        population.profiler = session.phase_timer
-        session.install()
-    monitor = _health_monitor(args)
-    if monitor is not None:
-        monitor.attach(population, backend)
 
     start_generation = population.generation
-    drain = backend.drain if backend.pipeline.overlap else None
-    try:
-        result = population.run(
-            backend.evaluate,
-            max_generations=args.generations,
-            fitness_threshold=env_spec.required_fitness,
-            drain=drain,
-        )
-    finally:
-        if monitor is not None:
-            monitor.finalize()
-        if session is not None:
-            session.uninstall()
-    backend.close()
+    result = platform.run(
+        max_generations=args.generations,
+        fitness_threshold=env_spec.required_fitness,
+    )
+    platform.backend.close()
     if csv_reporter is not None:
         csv_reporter.close()
     save_checkpoint(population, args.checkpoint, keep=args.checkpoint_keep)
     print(
         f"\nresumed {args.env} from generation {start_generation}: "
         f"now at {population.generation}, best "
-        f"{result.best_genome.fitness:.1f} "
+        f"{result.best_fitness:.1f} "
         f"(required {env_spec.required_fitness}); checkpoint updated"
     )
-    _print_cache_summary(backend)
-    _print_resilience_summary(backend)
+    _print_cache_summary(platform.backend)
+    _print_resilience_summary(platform.backend)
     _write_health(monitor, args, "resume")
     _export_telemetry(session, args)
     return 0 if result.solved else 2

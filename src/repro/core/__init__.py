@@ -7,13 +7,14 @@ E3-INAX platform models, producing the Fig 9/10 comparisons.
 """
 
 from repro.core.backends import (
+    ALIASES,
     BACKENDS,
     CPUBackend,
+    CompiledCPUBackend,
     EvaluationBackend,
-    FastCPUBackend,
-    GPUBackend,
     GenerationRecord,
     INAXBackend,
+    create_backend,
 )
 from repro.core.energy import (
     EnergyReport,
@@ -44,16 +45,16 @@ from repro.core.results import (
 )
 
 __all__ = [
+    "ALIASES",
     "BACKENDS",
     "BENCH_SETTINGS",
     "CPUBackend",
+    "CompiledCPUBackend",
     "E3",
     "E3RunResult",
     "EnergyReport",
     "EvaluationBackend",
     "ExperimentResult",
-    "FastCPUBackend",
-    "GPUBackend",
     "GenerationRecord",
     "INAXBackend",
     "PLATFORM_POWER",
@@ -62,6 +63,7 @@ __all__ = [
     "PhaseProfiler",
     "PlatformResult",
     "cpu_model_for",
+    "create_backend",
     "default_inax_config",
     "energy_report",
     "format_breakdown",

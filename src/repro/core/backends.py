@@ -7,7 +7,7 @@ run "evaluate":
   genome and run its episodes with the interpreted per-node forward
   pass;
 * :class:`CompiledCPUBackend` — the production software path
-  (``cpu-compiled``, also registered as ``cpu-fast``): compile each
+  (``cpu-compiled``, also reachable as the alias ``cpu-fast``): compile each
   topology **once** into a cross-generation shape-keyed cache, run the
   whole population's episodes in lock-step through one
   :class:`~repro.compile.CompiledPopulationEvaluator`, and optionally
@@ -17,6 +17,10 @@ run "evaluate":
   genome to a HW configuration, dispatch the population in waves to the
   functional INAX device, and drive the closed CPU<->FPGA loop until
   every individual's episode terminates.
+
+:func:`create_backend` is the one way to build a backend by name: it
+resolves :data:`ALIASES`, hands each class only the shared options its
+constructor declares, and fills in the env's default INAX config.
 
 All backends drive episodes through the shared rollout machinery
 (:func:`repro.envs.rollout.run_episode` for sequential evaluation,
@@ -54,6 +58,7 @@ from repro.envs.rollout import (
 from repro.hw.workload import GenerationWorkload, IndividualWork
 from repro.inax.accelerator import INAX, INAXConfig, schedule_generation
 from repro.inax.compiler import HWNetConfig, compile_genome
+from repro.inax.heuristics import choose_num_pes
 from repro.inax.pipeline import PipelineConfig, pack_waves, predict_costs
 from repro.inax.pu import BufferOverflowError
 from repro.inax.timing import CycleReport
@@ -82,11 +87,19 @@ __all__ = [
     "EvaluationBackend",
     "CPUBackend",
     "CompiledCPUBackend",
-    "FastCPUBackend",
-    "GPUBackend",
     "INAXBackend",
     "BACKENDS",
+    "ALIASES",
+    "create_backend",
+    "default_inax_config",
 ]
+
+
+def default_inax_config(num_outputs: int, num_pus: int = 50) -> INAXConfig:
+    """The paper's §VI-C configuration: PU=50, PE=#output nodes."""
+    return INAXConfig(
+        num_pus=num_pus, num_pes_per_pu=choose_num_pes(num_outputs)
+    )
 
 
 @dataclass
@@ -110,6 +123,9 @@ class EvaluationBackend:
     """Base backend: owns env construction, seeding, and recording."""
 
     name = "backend"
+    #: the shared :func:`create_backend` options this class's
+    #: constructor takes, beyond the ones every backend takes
+    factory_options: tuple[str, ...] = ()
 
     def __init__(
         self,
@@ -258,6 +274,26 @@ class EvaluationBackend:
         digest = hashlib.sha256(payload).digest()
         return int.from_bytes(digest[:8], "little") >> 1
 
+    def _interpreted_fitness(self, genome: Genome) -> tuple[float, int]:
+        """All of ``genome``'s episodes on the interpreted network.
+
+        Returns (fitness, total steps).  Per-episode totals accumulate
+        in step order and sum in episode order, then one division: the
+        accumulation every backend reproduces bit for bit.
+        """
+        net = FeedForwardNetwork.create(genome, self.neat_config)
+        total_reward = 0.0
+        total_steps = 0
+        for episode in range(self.episodes_per_genome):
+            record = run_episode(
+                self._make_env(),
+                net,
+                seed=self._episode_seed(genome, episode),
+            )
+            total_reward += record.total_reward
+            total_steps += record.steps
+        return total_reward / self.episodes_per_genome, total_steps
+
     def _make_env(self) -> Environment:
         env = make(self.env_name, **self.env_kwargs)
         # env-level faults apply identically on every backend (and inside
@@ -372,34 +408,10 @@ class CPUBackend(EvaluationBackend):
         configs: list[HWNetConfig] = []
         lengths: list[int] = []
         for genome in genomes:
-            net = FeedForwardNetwork.create(genome, self.neat_config)
             configs.append(compile_genome(genome, self.neat_config))
-            total_reward = 0.0
-            total_steps = 0
-            for episode in range(self.episodes_per_genome):
-                record = run_episode(
-                    self._make_env(),
-                    net,
-                    seed=self._episode_seed(genome, episode),
-                )
-                total_reward += record.total_reward
-                total_steps += record.steps
-            genome.fitness = total_reward / self.episodes_per_genome
-            lengths.append(total_steps)
+            genome.fitness, steps = self._interpreted_fitness(genome)
+            lengths.append(steps)
         self._record(configs, lengths, keys=[g.key for g in genomes])
-
-
-class GPUBackend(CPUBackend):
-    """The E3-GPU reference setting (§VI-A).
-
-    Functionally identical to the CPU backend — a GPU computes the same
-    forward passes, just (per the paper) *slower* for this workload —
-    so evaluation reuses the software path while the platform pricing
-    (:class:`repro.hw.gpu_model.GPUModel`) charges GPU rates.  Exists so
-    all three of the paper's settings are addressable as backends.
-    """
-
-    name = "gpu"
 
 
 # ------------------------------------------------------------------ pool
@@ -558,6 +570,7 @@ class CompiledCPUBackend(CPUBackend):
     """
 
     name = "cpu-compiled"
+    factory_options = ("workers", "supervisor")
 
     def __init__(
         self,
@@ -730,26 +743,25 @@ class CompiledCPUBackend(CPUBackend):
 
         ``entries`` are the genomes' compiled structures when the caller
         already looked them up.  Reward/step accumulation mirrors
-        :class:`CPUBackend` exactly: per-episode totals in step order,
-        summed in episode order, then one division — so the resulting
-        floats are bit-identical.
+        :meth:`_interpreted_fitness` exactly: per-episode totals in step
+        order, summed in episode order, then one division — so the
+        resulting floats are bit-identical.
         """
         if entries is None:
             entries = [
                 self._compile_cache.get(g, self.neat_config) for g in genomes
             ]
         episodes = self.episodes_per_genome
+        fitnesses = [0.0] * len(genomes)
+        lengths = [0] * len(genomes)
 
-        vector_ids = [
-            i for i, entry in enumerate(entries) if entry.plan is not None
+        slots = [
+            (i, episode)
+            for i, entry in enumerate(entries)
+            if entry.plan is not None
+            for episode in range(episodes)
         ]
-        records: dict[tuple[int, int], object] = {}
-        if vector_ids:
-            slots = [
-                (i, episode)
-                for i in vector_ids
-                for episode in range(episodes)
-            ]
+        if slots:
             envs = [self._make_env() for _ in slots]
             seeds = [
                 self._episode_seed(genomes[i], episode)
@@ -762,35 +774,19 @@ class CompiledCPUBackend(CPUBackend):
                 evaluator = CompiledPopulationEvaluator(
                     [(entries[i], genomes[i]) for i, _ in slots]
                 )
-                for slot, record in zip(
+                for (i, _), record in zip(
                     slots, run_lockstep(envs, evaluator.infer, seeds=seeds)
                 ):
-                    records[slot] = record
+                    fitnesses[i] += record.total_reward
+                    lengths[i] += record.steps
 
-        fitnesses: list[float] = []
-        lengths: list[int] = []
-        interpreted: dict[int, FeedForwardNetwork] = {}
-        for i, genome in enumerate(genomes):
-            total_reward = 0.0
-            total_steps = 0
-            for episode in range(episodes):
-                record = records.get((i, episode))
-                if record is None:  # non-vectorizable shape: reference path
-                    net = interpreted.get(i)
-                    if net is None:
-                        net = FeedForwardNetwork.create(
-                            genome, self.neat_config
-                        )
-                        interpreted[i] = net
-                    record = run_episode(
-                        self._make_env(),
-                        net,
-                        seed=self._episode_seed(genome, episode),
-                    )
-                total_reward += record.total_reward
-                total_steps += record.steps
-            fitnesses.append(total_reward / episodes)
-            lengths.append(total_steps)
+        for i, entry in enumerate(entries):
+            if entry.plan is None:  # non-vectorizable shape: reference path
+                fitnesses[i], lengths[i] = self._interpreted_fitness(
+                    genomes[i]
+                )
+            else:
+                fitnesses[i] /= episodes
         return fitnesses, lengths
 
     def _make_pool(self):
@@ -944,17 +940,6 @@ class CompiledCPUBackend(CPUBackend):
                     registry.merge_snapshot(payload["metrics"])
 
 
-class FastCPUBackend(CompiledCPUBackend):
-    """``cpu-fast``: the compiled software path under its original name.
-
-    Kept so ``--backend cpu-fast``, ``--fallback cpu-fast``, serve job
-    specs and run manifests that name it keep working; evaluation,
-    caching and sharding are :class:`CompiledCPUBackend`'s.
-    """
-
-    name = "cpu-fast"
-
-
 class INAXBackend(EvaluationBackend):
     """HW/SW co-designed evaluation on the functional INAX device.
 
@@ -968,6 +953,7 @@ class INAXBackend(EvaluationBackend):
     """
 
     name = "inax"
+    factory_options = ("fallback",)
 
     def __init__(
         self,
@@ -1085,7 +1071,7 @@ class INAXBackend(EvaluationBackend):
             if self.oversize_policy == "raise":
                 # degradation ladder: an unrunnable genome evaluates in
                 # software instead of aborting the whole run
-                genome.fitness = self._software_fitness(genome)
+                genome.fitness, _ = self._interpreted_fitness(genome)
                 self.fallback_genomes += 1
                 self._event(
                     "fallback.oversize", site,
@@ -1179,19 +1165,6 @@ class INAXBackend(EvaluationBackend):
         if self.fallback is not None:
             columns["fallback_waves"] = float(self.fallback_waves)
         return columns
-
-    def _software_fitness(self, genome: Genome) -> float:
-        """All-episode software evaluation (oversize degradation path)."""
-        net = FeedForwardNetwork.create(genome, self.neat_config)
-        total_reward = 0.0
-        for episode in range(self.episodes_per_genome):
-            record = run_episode(
-                self._make_env(),
-                net,
-                seed=self._episode_seed(genome, episode),
-            )
-            total_reward += record.total_reward
-        return total_reward / self.episodes_per_genome
 
     def _fallback_wave_episode(self, genomes: list[Genome], episode: int):
         """Re-run one wave's episode on the software path.
@@ -1289,12 +1262,71 @@ def _interpreted_infer(nets: list[FeedForwardNetwork]) -> InferFn:
     return infer
 
 
-#: CLI/platform name -> backend class, for everything that selects a
-#: backend by string.
+#: backend name -> class.  Every entry is a real class whose ``name``
+#: is its key; ``repro.fabric`` registers ``"fabric"`` on import.
 BACKENDS: dict[str, type[EvaluationBackend]] = {
     "cpu": CPUBackend,
-    "cpu-fast": FastCPUBackend,
     "cpu-compiled": CompiledCPUBackend,
-    "gpu": GPUBackend,
     "inax": INAXBackend,
 }
+
+#: retired backend names -> the registered name they build.  ``gpu``
+#: is the E3-GPU pricing point (§VI-A): a GPU computes the same forward
+#: passes, so it evaluates on the ``cpu`` path and only the platform
+#: model (:class:`repro.hw.gpu_model.GPUModel`) charges GPU rates.
+ALIASES: dict[str, str] = {"cpu-fast": "cpu-compiled", "gpu": "cpu"}
+
+
+def create_backend(
+    name: str,
+    env_name: str,
+    neat_config: NEATConfig,
+    *,
+    episodes_per_genome: int = 1,
+    base_seed: int = 0,
+    inax_config: INAXConfig | None = None,
+    env_kwargs: dict | None = None,
+    fault_plan: FaultPlan | None = None,
+    pipeline: PipelineConfig | None = None,
+    workers: int = 0,
+    supervisor: SupervisorConfig | None = None,
+    fallback: str | None = None,
+    devices: int = 1,
+) -> EvaluationBackend:
+    """Build the backend registered as ``name`` (or one of its aliases).
+
+    The one place a backend name becomes an instance, so :class:`~repro.
+    core.platform.E3`, ``repro resume`` and the serve pool build the same
+    backend for the same name.  Every backend gets the env's
+    :func:`default_inax_config` unless ``inax_config`` is given, so every
+    generation record carries a cycle report.  ``workers``,
+    ``supervisor``, ``fallback`` and ``devices`` reach only the classes
+    whose :attr:`~EvaluationBackend.factory_options` name them.  A
+    backend built under an alias reports the name it was asked for.
+    """
+    cls = BACKENDS.get(ALIASES.get(name, name))
+    if cls is None:
+        names = ", ".join(repr(n) for n in sorted({*BACKENDS, *ALIASES}))
+        raise ValueError(f"unknown backend {name!r}; use one of {names}")
+    if inax_config is None:
+        env = make(env_name, **(env_kwargs or {}))
+        inax_config = default_inax_config(env.num_outputs)
+    shared = {
+        "workers": workers,
+        "supervisor": supervisor,
+        "fallback": fallback,
+        "devices": devices,
+    }
+    backend = cls(
+        env_name,
+        neat_config,
+        episodes_per_genome=episodes_per_genome,
+        base_seed=base_seed,
+        inax_config=inax_config,
+        env_kwargs=env_kwargs,
+        fault_plan=fault_plan,
+        pipeline=pipeline,
+        **{option: shared[option] for option in cls.factory_options},
+    )
+    backend.name = name
+    return backend

@@ -12,15 +12,14 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 
 from repro.core.backends import (
-    BACKENDS,
-    CompiledCPUBackend,
     EvaluationBackend,
     GenerationRecord,
+    create_backend,
+    default_inax_config,
 )
 from repro.core.profiler import PhaseProfiler
 from repro.envs.registry import make, spec
 from repro.inax.accelerator import INAXConfig
-from repro.inax.heuristics import choose_num_pes
 from repro.inax.pipeline import PipelineConfig
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
@@ -35,13 +34,6 @@ __all__ = [
     "default_inax_config",
     "effective_neat_config",
 ]
-
-
-def default_inax_config(num_outputs: int, num_pus: int = 50) -> INAXConfig:
-    """The paper's §VI-C configuration: PU=50, PE=#output nodes."""
-    return INAXConfig(
-        num_pus=num_pus, num_pes_per_pu=choose_num_pes(num_outputs)
-    )
 
 
 def effective_neat_config(
@@ -110,7 +102,11 @@ class E3:
         devices: int = 1,
         population: Population | None = None,
     ):
-        """``env_kwargs`` override the environment's physics (the
+        """A ``backend`` given by name is built by
+        :func:`~repro.core.backends.create_backend`, which supplies the
+        env's default INAX config when ``inax_config`` is None.
+
+        ``env_kwargs`` override the environment's physics (the
         model-tuning plant perturbation); ``seed_genome`` warm-starts
         the population from a deployed champion (§I's model-tuning
         use-case — see ``examples/model_tuning.py``); ``workers``
@@ -146,10 +142,12 @@ class E3:
 
         ``population`` adopts an existing :class:`Population` — a
         checkpoint restored by :func:`~repro.neat.checkpoint.
-        load_checkpoint` (the serve layer's resume path) — instead of
-        creating a fresh one; its config must match the environment's
-        I/O dimensions, and ``neat_config``/``seed``/``seed_genome``
-        are ignored in favor of the adopted population's own state."""
+        load_checkpoint` (the resume path of ``repro resume`` and the
+        serve layer) — instead of creating a fresh one; its config must
+        match the environment's I/O dimensions, and ``neat_config``/
+        ``seed_genome`` are ignored in favor of the adopted population's
+        own state.  ``seed`` still seeds the backend's per-episode
+        draws, so a resume passes the original run's seed."""
         env_spec = spec(env_name)  # validates the name early
         env_kwargs = dict(env_kwargs or {})
         env = make(env_name, **env_kwargs)
@@ -175,42 +173,29 @@ class E3:
                 num_outputs=env.num_outputs,
                 fitness_threshold=env_spec.required_fitness,
             )
-        if inax_config is None:
-            inax_config = default_inax_config(env.num_outputs)
-        self.inax_config = inax_config
         self.profiler = PhaseProfiler()
         self.seed = seed
         self.telemetry = telemetry
 
         if isinstance(backend, EvaluationBackend):
             self.backend = backend
-        elif backend in BACKENDS:
-            backend_cls = BACKENDS[backend]
-            kwargs = dict(
+        else:
+            self.backend = create_backend(
+                backend,
+                env_name,
+                self.neat_config,
                 episodes_per_genome=episodes_per_genome,
                 base_seed=seed,
                 inax_config=inax_config,
                 env_kwargs=env_kwargs,
                 fault_plan=fault_plan,
                 pipeline=pipeline,
+                workers=workers,
+                supervisor=supervisor,
+                fallback=fallback,
+                devices=devices,
             )
-            if issubclass(backend_cls, CompiledCPUBackend):
-                kwargs["workers"] = workers
-                if supervisor is not None:
-                    kwargs["supervisor"] = supervisor
-            if backend in ("inax", "fabric"):
-                kwargs["fallback"] = fallback
-            if backend == "fabric":
-                kwargs["devices"] = devices
-                if supervisor is not None:
-                    kwargs["supervisor"] = supervisor
-            self.backend = backend_cls(env_name, self.neat_config, **kwargs)
-        else:
-            names = ", ".join(repr(n) for n in sorted(BACKENDS))
-            raise ValueError(
-                f"unknown backend {backend!r}; use one of {names} "
-                "or an EvaluationBackend instance"
-            )
+        self.inax_config = self.backend.inax_config
         recorder = (
             self.profiler
             if telemetry is None

@@ -56,6 +56,7 @@ class FabricINAXBackend(INAXBackend):
     """Island-ready N-device INAX farm with supervised fault recovery."""
 
     name = "fabric"
+    factory_options = ("fallback", "devices", "supervisor")
 
     def __init__(
         self,

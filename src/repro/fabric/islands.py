@@ -30,9 +30,9 @@ import hashlib
 import time
 from dataclasses import asdict, dataclass, field, replace
 
+from repro.core.backends import create_backend
 from repro.core.profiler import PhaseProfiler
 from repro.envs.registry import make, spec
-from repro.fabric.backend import FabricINAXBackend
 from repro.fabric.topology import FarmTopology
 from repro.inax.accelerator import INAXConfig
 from repro.inax.pipeline import PipelineConfig
@@ -119,17 +119,13 @@ class IslandModel:
                 f"population_size {self.neat_config.population_size} cannot "
                 f"split across {topology.islands} islands"
             )
-        if inax_config is None:
-            from repro.core.platform import default_inax_config
-
-            inax_config = default_inax_config(env.num_outputs)
-        self.inax_config = inax_config
         self.seed = seed
         self.telemetry = telemetry
         self.profiler = PhaseProfiler()
         self.health = health
 
-        self.backend = FabricINAXBackend(
+        self.backend = create_backend(
+            "fabric",
             env_name,
             self.neat_config,
             inax_config=inax_config,
@@ -142,6 +138,7 @@ class IslandModel:
             devices=topology.devices,
             supervisor=supervisor,
         )
+        self.inax_config = self.backend.inax_config
 
         recorder = (
             self.profiler

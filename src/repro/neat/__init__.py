@@ -34,11 +34,7 @@ from repro.neat.validate import (
     iter_violations,
     validate_genome,
 )
-from repro.neat.vectorized import (
-    PopulationEvaluator,
-    VectorizedNetwork,
-    vectorize,
-)
+from repro.neat.vectorized import PopulationEvaluator
 
 __all__ = [
     "CSVReporter",
@@ -60,7 +56,6 @@ __all__ = [
     "RunResult",
     "Species",
     "SpeciesSet",
-    "VectorizedNetwork",
     "activations",
     "aggregations",
     "allocate_offspring",
@@ -72,5 +67,4 @@ __all__ = [
     "required_nodes",
     "save_checkpoint",
     "validate_genome",
-    "vectorize",
 ]

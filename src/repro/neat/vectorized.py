@@ -2,8 +2,8 @@
 
 The interpreted per-node forward pass (:class:`FeedForwardNetwork`) is
 the *reference* — INAX's PEs match it bit-for-bit.  For software-side
-throughput (the ``cpu-compiled`` backend, batch inference, Monte-Carlo
-fitness over many rollouts), this module compiles the same layered plan
+throughput (the ``cpu-compiled`` backend and the INAX device's
+flattened step), this module compiles the same layered plan
 into padded per-layer index/weight matrices and replays the reference
 computation with NumPy:
 
@@ -20,15 +20,14 @@ computation with NumPy:
   clamps are written ``np.fmax(lo, np.fmin(hi, x))`` because the scalar
   ``max(lo, min(hi, x))`` maps NaN to ``hi`` (``np.clip`` keeps NaN).
 
-Two evaluators share that compiled plan:
-
-* :class:`VectorizedNetwork` — one network over a batch of observations;
-* :class:`PopulationEvaluator` — many networks in lock-step, one
-  observation each, flattened into a single value buffer so a whole
-  population's forward pass costs a handful of NumPy ops per layer.
-  This is the inference engine behind ``cpu-compiled``
-  (:class:`repro.compile.CompiledPopulationEvaluator`) and the INAX
-  device's flattened step (:meth:`repro.inax.accelerator.INAX.step`).
+:class:`PopulationEvaluator` runs many such plans in lock-step, one
+observation each, flattened into a single value buffer so a whole
+population's forward pass costs a handful of NumPy ops per layer.  It
+is the inference engine behind ``cpu-compiled``
+(:class:`repro.compile.CompiledPopulationEvaluator`, through
+:meth:`PopulationEvaluator.from_groups`) and the INAX device's
+flattened step (:meth:`repro.inax.accelerator.INAX.step`, through
+:meth:`PopulationEvaluator.from_plans`).
 
 Only ``sum`` aggregation is supported (the default and the only one
 NEAT's evolved networks use here); anything else falls back to the
@@ -52,7 +51,7 @@ from repro.envs.rollout import check_observations, check_slots
 from repro.neat.activations import aggregations
 from repro.neat.network import FeedForwardNetwork
 
-__all__ = ["VectorizedNetwork", "PopulationEvaluator", "vectorize"]
+__all__ = ["PopulationEvaluator"]
 
 
 def _clamp(x, lo, hi):
@@ -226,44 +225,6 @@ def _apply_activations(layer: _LayerPlan, pre: np.ndarray) -> np.ndarray:
     return out
 
 
-class VectorizedNetwork:
-    """A compiled batch evaluator for one decoded network."""
-
-    def __init__(self, net: FeedForwardNetwork):
-        self._reference = net
-        self.input_keys = net.input_keys
-        self.output_keys = net.output_keys
-        self.plan = _NetPlan(net)
-
-    # ---------------------------------------------------------- evaluate
-    def activate_batch(self, inputs: np.ndarray) -> np.ndarray:
-        """(batch, num_inputs) -> (batch, num_outputs)."""
-        plan = self.plan
-        x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-        if x.shape[1] != plan.num_inputs:
-            raise ValueError(
-                f"expected {plan.num_inputs} inputs, got {x.shape[1]}"
-            )
-        batch = x.shape[0]
-        values = np.zeros((batch, plan.num_slots))
-        values[:, : plan.num_inputs] = x
-        for layer in plan.layers:
-            gathered = values[:, layer.sources]  # (batch, rows, fan_in)
-            pre = _accumulate(gathered * layer.weights) + layer.biases
-            values[:, layer.slots] = _apply_activations(layer, pre)
-        out = np.zeros((batch, plan.num_outputs))
-        visible = plan.output_slots >= 0
-        out[:, visible] = values[:, plan.output_slots[visible]]
-        return out
-
-    def activate(self, inputs: np.ndarray) -> np.ndarray:
-        """Single-observation convenience, matching the reference API."""
-        return self.activate_batch(np.asarray(inputs).reshape(1, -1))[0]
-
-    def __call__(self, inputs: np.ndarray) -> np.ndarray:
-        return self.activate(inputs)
-
-
 class _LevelTable:
     """Every member's rows at one depth, with member-relative slots.
 
@@ -344,9 +305,6 @@ class PopulationEvaluator:
     #: rebuild the flattened tensors once the alive set falls below this
     #: fraction of the currently built set
     REBUILD_FRACTION = 0.6
-
-    def __init__(self, nets: list[VectorizedNetwork]):
-        self._init_groups(_single_groups([net.plan for net in nets]))
 
     @classmethod
     def from_plans(cls, plans: "list[_NetPlan]") -> "PopulationEvaluator":
@@ -489,8 +447,3 @@ def _single_groups(plans: "list[_NetPlan]") -> list:
         )
         for member, plan in enumerate(plans)
     ]
-
-
-def vectorize(net: FeedForwardNetwork) -> VectorizedNetwork:
-    """Compile a decoded network for batch evaluation."""
-    return VectorizedNetwork(net)

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Any
 
-from repro.core.backends import BACKENDS
+from repro.core.backends import ALIASES, BACKENDS
 from repro.envs.registry import spec as env_spec
 
 __all__ = ["JobState", "JobSpec", "Job", "TERMINAL_STATES"]
@@ -84,8 +84,8 @@ class JobSpec:
             env_spec(self.env)
         except KeyError as error:
             raise ValueError(str(error)) from error
-        if self.backend not in BACKENDS:
-            names = ", ".join(repr(n) for n in sorted(BACKENDS))
+        if self.backend not in BACKENDS and self.backend not in ALIASES:
+            names = ", ".join(repr(n) for n in sorted({*BACKENDS, *ALIASES}))
             raise ValueError(
                 f"unknown backend {self.backend!r}; use one of {names}"
             )

@@ -3,13 +3,17 @@
 Building a backend is the expensive part of a small job — spawning a
 worker pool, cold compile caches, environment construction.  The pool
 keeps finished jobs' backends warm and leases them to later jobs with
-the *same construction key* (environment, backend class, episode
+the *same construction key* (environment, backend name, episode
 count, worker count, and the full NEAT config), after
 :meth:`~repro.core.backends.EvaluationBackend.reset_run_state` clears
 everything a run accumulates.  Structural caches are content-keyed
 and cannot change fitness bits, so a reused backend is **bit-identical
 to a fresh one** — ``tests/serve/test_pool.py`` asserts exactly that —
-it just skips the cold start.
+it just skips the cold start.  Fresh backends come from
+:func:`~repro.core.backends.create_backend`, the factory
+:class:`~repro.core.platform.E3` uses, so a leased backend is the one
+``E3`` builds for the same name: same class, INAX config and device
+count.
 
 ``max_leases`` bounds how many backends exist at once (idle + active):
 the admission-controlled queue decides *how many jobs* may run, the
@@ -25,13 +29,7 @@ import threading
 from dataclasses import asdict
 from typing import Any
 
-from repro.core.backends import (
-    BACKENDS,
-    CompiledCPUBackend,
-    EvaluationBackend,
-)
-from repro.core.platform import default_inax_config
-from repro.envs.registry import make
+from repro.core.backends import EvaluationBackend, create_backend
 from repro.neat.config import NEATConfig
 
 __all__ = ["PoolExhausted", "BackendLease", "BackendPool"]
@@ -147,13 +145,13 @@ class BackendPool:
                 self.reused += 1
         else:
             try:
-                backend = self._build(
-                    env_name,
+                backend = create_backend(
                     backend_name,
+                    env_name,
                     neat_config,
-                    episodes_per_genome,
-                    workers,
-                    base_seed,
+                    episodes_per_genome=episodes_per_genome,
+                    base_seed=base_seed,
+                    workers=workers,
                 )
             except BaseException:
                 with self._lock:
@@ -162,30 +160,6 @@ class BackendPool:
             with self._lock:
                 self.created += 1
         return BackendLease(backend, key, self)
-
-    def _build(
-        self,
-        env_name: str,
-        backend_name: str,
-        neat_config: NEATConfig,
-        episodes_per_genome: int,
-        workers: int,
-        base_seed: int,
-    ) -> EvaluationBackend:
-        backend_cls = BACKENDS[backend_name]
-        kwargs: dict[str, Any] = dict(
-            episodes_per_genome=episodes_per_genome,
-            base_seed=base_seed,
-        )
-        if issubclass(backend_cls, CompiledCPUBackend):
-            kwargs["workers"] = workers
-        if backend_name in ("inax", "fabric"):
-            # mirror E3's default device sizing so a pooled inax
-            # backend behaves exactly like a directly-constructed one
-            kwargs["inax_config"] = default_inax_config(
-                make(env_name).num_outputs
-            )
-        return backend_cls(env_name, neat_config, **kwargs)
 
     def _release(self, lease: BackendLease, discard: bool) -> None:
         with self._lock:

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 from repro.core.backends import (
+    ALIASES,
     BACKENDS,
     CompiledCPUBackend,
     CPUBackend,
-    FastCPUBackend,
+    create_backend,
 )
 from repro.inax.compiler import compile_genome
 from repro.neat.config import NEATConfig
@@ -55,11 +56,11 @@ class TestRegistration:
         assert BACKENDS["cpu-compiled"] is CompiledCPUBackend
         assert CompiledCPUBackend.name == "cpu-compiled"
         # cpu-fast is a name-only alias of the compiled path
-        assert BACKENDS["cpu-fast"] is FastCPUBackend
-        assert FastCPUBackend.__bases__ == (CompiledCPUBackend,)
-        own = {k for k in vars(FastCPUBackend) if not k.startswith("__")}
-        assert own == {"name"}
-        assert FastCPUBackend.name == "cpu-fast"
+        assert "cpu-fast" not in BACKENDS
+        assert ALIASES["cpu-fast"] == "cpu-compiled"
+        fast = create_backend("cpu-fast", "cartpole", _cfg())
+        assert type(fast) is CompiledCPUBackend
+        assert fast.name == "cpu-fast"
 
 
 @pytest.mark.parametrize("env_name", ["cartpole", "lunar_lander"])

@@ -25,7 +25,6 @@ from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
 from repro.neat.innovation import InnovationTracker
 from repro.neat.network import FeedForwardNetwork
-from repro.neat.vectorized import VectorizedNetwork
 
 from tests.conftest import evolved_genome
 
@@ -77,7 +76,7 @@ def test_weight_mutated_clone_shares_bucket_with_independent_outputs(
     observations = rng.normal(size=(2, config.num_inputs))
     results = evaluator.infer([0, 1], observations)
     for slot, member in ((0, genome), (1, clone)):
-        own = VectorizedNetwork(FeedForwardNetwork.create(member, config))
+        own = FeedForwardNetwork.create(member, config)
         assert np.array_equal(
             results[slot], own.activate(observations[slot])
         ), "bucket member must produce its own network's outputs"

@@ -3,7 +3,7 @@
 Everything here pins the bit-identity chain the ``cpu-compiled``
 backend rests on: recipe-lowered HW configs equal ``compile_genome``,
 filled parameter blocks equal a fresh decode's plan, and the population
-evaluator reproduces the per-genome vectorized forward pass exactly.
+evaluator reproduces each genome's interpreted forward pass exactly.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ from repro.inax.compiler import compile_genome
 from repro.neat.config import NEATConfig
 from repro.neat.innovation import InnovationTracker
 from repro.neat.network import FeedForwardNetwork
-from repro.neat.vectorized import VectorizedNetwork, _NetPlan
+from repro.neat.vectorized import _NetPlan
 
 from tests.conftest import evolved_genome
 
@@ -150,9 +150,7 @@ class TestFusedEvaluation:
         obs = np.random.default_rng(7).normal(size=(len(members), 4))
         out = evaluator.infer(list(range(len(members))), obs)
         for row, member in enumerate(members):
-            reference = VectorizedNetwork(
-                FeedForwardNetwork.create(member, cfg)
-            )
+            reference = FeedForwardNetwork.create(member, cfg)
             assert np.array_equal(out[row], reference.activate(obs[row]))
 
     def test_population_evaluator_mixed_shapes(self):
@@ -171,9 +169,7 @@ class TestFusedEvaluation:
         observations = rng.normal(size=(len(members), 4))
         results = evaluator.infer(slots, observations)
         for slot, (_, genome) in enumerate(members):
-            reference = VectorizedNetwork(
-                FeedForwardNetwork.create(genome, cfg)
-            )
+            reference = FeedForwardNetwork.create(genome, cfg)
             assert np.array_equal(
                 results[slot], reference.activate(observations[slot])
             )
@@ -194,9 +190,7 @@ class TestFusedEvaluation:
         results = evaluator.infer(alive, observations)
         assert evaluator.rebuilds == rebuilds + 1
         for row, slot in enumerate(alive):
-            reference = VectorizedNetwork(
-                FeedForwardNetwork.create(genomes[slot], cfg)
-            )
+            reference = FeedForwardNetwork.create(genomes[slot], cfg)
             assert np.array_equal(
                 results[row], reference.activate(observations[row])
             )

@@ -9,7 +9,12 @@ per genome.
 import numpy as np
 import pytest
 
-from repro.core.backends import CPUBackend, FastCPUBackend, INAXBackend
+from repro.core.backends import (
+    CompiledCPUBackend,
+    CPUBackend,
+    INAXBackend,
+    create_backend,
+)
 from repro.inax.accelerator import INAXConfig
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
@@ -142,11 +147,13 @@ class TestINAXBackend:
 
 
 class TestFastCPUBackend:
+    """The compiled software path, also reachable as ``cpu-fast``."""
+
     def test_single_generation_bitwise_identical_to_cpu(self, cartpole_cfg):
         cpu = CPUBackend("cartpole", cartpole_cfg, base_seed=5,
                          episodes_per_genome=3)
-        fast = FastCPUBackend("cartpole", cartpole_cfg, base_seed=5,
-                              episodes_per_genome=3)
+        fast = CompiledCPUBackend("cartpole", cartpole_cfg, base_seed=5,
+                                  episodes_per_genome=3)
         gc = _genomes(cartpole_cfg, seed=3)
         gf = _genomes(cartpole_cfg, seed=3)
         cpu.evaluate(gc)
@@ -164,7 +171,7 @@ class TestFastCPUBackend:
             return result
 
         cpu_result = run(CPUBackend("cartpole", cartpole_cfg, base_seed=9))
-        fast = FastCPUBackend("cartpole", cartpole_cfg, base_seed=9)
+        fast = CompiledCPUBackend("cartpole", cartpole_cfg, base_seed=9)
         fast_result = run(fast)
         fast.close()
         assert [s.best_fitness for s in cpu_result.history] == [
@@ -179,10 +186,10 @@ class TestFastCPUBackend:
         )
 
     def test_sharded_matches_serial(self, cartpole_cfg):
-        serial = FastCPUBackend("cartpole", cartpole_cfg, base_seed=2,
-                                episodes_per_genome=2)
-        sharded = FastCPUBackend("cartpole", cartpole_cfg, base_seed=2,
-                                 episodes_per_genome=2, workers=2)
+        serial = CompiledCPUBackend("cartpole", cartpole_cfg, base_seed=2,
+                                    episodes_per_genome=2)
+        sharded = CompiledCPUBackend("cartpole", cartpole_cfg, base_seed=2,
+                                     episodes_per_genome=2, workers=2)
         gs = _genomes(cartpole_cfg, seed=1)
         gp = _genomes(cartpole_cfg, seed=1)
         serial.evaluate(gs)
@@ -202,7 +209,7 @@ class TestFastCPUBackend:
             node = gs[1].nodes[0]
             node.aggregation = "mean"  # vectorizer only supports sum
         cpu = CPUBackend("cartpole", cartpole_cfg, base_seed=3)
-        fast = FastCPUBackend("cartpole", cartpole_cfg, base_seed=3)
+        fast = CompiledCPUBackend("cartpole", cartpole_cfg, base_seed=3)
         cpu.evaluate(genomes_cpu)
         fast.evaluate(genomes_fast)
         assert [g.fitness for g in genomes_cpu] == [
@@ -211,10 +218,10 @@ class TestFastCPUBackend:
 
     def test_negative_workers_rejected(self, cartpole_cfg):
         with pytest.raises(ValueError, match="workers"):
-            FastCPUBackend("cartpole", cartpole_cfg, workers=-1)
+            CompiledCPUBackend("cartpole", cartpole_cfg, workers=-1)
 
     def test_close_is_idempotent(self, cartpole_cfg):
-        backend = FastCPUBackend("cartpole", cartpole_cfg)
+        backend = CompiledCPUBackend("cartpole", cartpole_cfg)
         backend.close()
         backend.close()
 
@@ -259,7 +266,7 @@ class TestSeeding:
 
     def test_deterministic_and_backend_independent(self, cartpole_cfg):
         cpu = CPUBackend("cartpole", cartpole_cfg, base_seed=6)
-        fast = FastCPUBackend("cartpole", cartpole_cfg, base_seed=6)
+        fast = CompiledCPUBackend("cartpole", cartpole_cfg, base_seed=6)
         inax = INAXBackend("cartpole", cartpole_cfg, base_seed=6)
         g = Genome(key=17)
         assert (
@@ -332,10 +339,9 @@ class TestOversizePolicy:
 
 class TestGPUBackend:
     def test_functionally_identical_to_cpu(self, cartpole_cfg):
-        from repro.core.backends import GPUBackend
-
         cpu = CPUBackend("cartpole", cartpole_cfg, base_seed=5)
-        gpu = GPUBackend("cartpole", cartpole_cfg, base_seed=5)
+        gpu = create_backend("gpu", "cartpole", cartpole_cfg, base_seed=5)
+        assert type(gpu) is CPUBackend
         gc, gg = _genomes(cartpole_cfg, seed=6), _genomes(cartpole_cfg, seed=6)
         cpu.evaluate(gc)
         gpu.evaluate(gg)

@@ -11,8 +11,8 @@ import pytest
 from repro.core.backends import (
     CompiledCPUBackend,
     CPUBackend,
-    FastCPUBackend,
     INAXBackend,
+    create_backend,
 )
 from repro.inax.accelerator import INAXConfig
 from repro.inax.pipeline import PipelineConfig
@@ -46,7 +46,9 @@ def _backend(name, env_name, cfg, pipeline=None):
     if name == "cpu":
         return CPUBackend(env_name, cfg, pipeline=pipeline, **kwargs)
     if name == "cpu-fast":
-        return FastCPUBackend(env_name, cfg, pipeline=pipeline, **kwargs)
+        return create_backend(
+            name, env_name, cfg, pipeline=pipeline, **kwargs
+        )
     if name == "cpu-compiled":
         return CompiledCPUBackend(env_name, cfg, pipeline=pipeline, **kwargs)
     return INAXBackend(

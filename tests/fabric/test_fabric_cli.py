@@ -59,6 +59,29 @@ class TestFabricRun:
         assert code == 2
         assert "--devices needs the fabric backend" in capsys.readouterr().out
 
+    def test_resume_rejects_devices_for_software_backends(
+        self, capsys, tmp_path
+    ):
+        checkpoint = tmp_path / "ckpt.json"
+        code = main(
+            ["run", "--env", "cartpole", "--backend", "cpu",
+             "--population", "12", "--generations", "1", "--seed", "2",
+             "--quiet", "--checkpoint", str(checkpoint)]
+        )
+        assert code in (0, 2)
+        capsys.readouterr()
+        saved = checkpoint.read_text()
+        code = main(
+            ["resume", "--checkpoint", str(checkpoint), "--env", "cartpole",
+             "--backend", "cpu", "--devices", "3", "--generations", "1",
+             "--seed", "2", "--quiet"]
+        )
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "--devices needs the fabric backend, not 'cpu'" in out
+        # rejected before anything ran: the checkpoint was not resaved
+        assert checkpoint.read_text() == saved
+
     def test_chaos_run_prints_resilience_summary(self, capsys):
         code = main(
             ["run", "--env", "cartpole", "--backend", "fabric",

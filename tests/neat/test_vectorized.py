@@ -1,4 +1,9 @@
-"""Tests for the vectorized network evaluator."""
+"""Tests for the vectorized network evaluator.
+
+One network over a batch of observations runs through
+:meth:`PopulationEvaluator.from_plans` with one member per observation
+row, all sharing the network's plan.
+"""
 
 import numpy as np
 import pytest
@@ -10,8 +15,7 @@ from repro.neat.network import FeedForwardNetwork
 from repro.neat.vectorized import (
     _VECTOR_ACTIVATIONS,
     PopulationEvaluator,
-    VectorizedNetwork,
-    vectorize,
+    _NetPlan,
 )
 
 from tests.conftest import evolved_genome
@@ -31,6 +35,18 @@ def _reference(seed=0, mutations=15, activation="tanh"):
     return FeedForwardNetwork.create(genome, cfg), rng
 
 
+def _batch(net, obs):
+    """(batch, num_inputs) -> (batch, num_outputs) through one plan."""
+    obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
+    evaluator = PopulationEvaluator.from_plans([_NetPlan(net)] * len(obs))
+    return evaluator.infer(list(range(len(obs))), obs)
+
+
+def _one(net, x):
+    """One observation through the evaluator."""
+    return _batch(net, x)[0]
+
+
 class TestEquivalence:
     @settings(max_examples=25, deadline=None)
     @given(
@@ -39,18 +55,14 @@ class TestEquivalence:
     )
     def test_matches_reference(self, seed, activation):
         net, rng = _reference(seed=seed, activation=activation)
-        fast = vectorize(net)
         for _ in range(4):
             x = rng.standard_normal(4)
-            assert np.allclose(
-                fast.activate(x), net.activate(x), atol=1e-12
-            )
+            assert np.allclose(_one(net, x), net.activate(x), atol=1e-12)
 
     def test_batch_matches_loop(self):
         net, rng = _reference(seed=3)
-        fast = vectorize(net)
         batch = rng.standard_normal((16, 4))
-        out = fast.activate_batch(batch)
+        out = _batch(net, batch)
         assert out.shape == (16, 3)
         for i in range(16):
             assert np.allclose(out[i], net.activate(batch[i]), atol=1e-12)
@@ -60,17 +72,15 @@ class TestEquivalence:
         edges = [(-1, 2, 2.0), (2, 0, 3.0), (-1, 0, 1.0)]  # direct skip
         genome = _genome_from_edges(cfg, edges)
         net = FeedForwardNetwork.create(genome, cfg)
-        fast = vectorize(net)
         x = np.array([1.5])
-        assert np.allclose(fast.activate(x), net.activate(x))
+        assert np.allclose(_one(net, x), net.activate(x))
 
     def test_bias_only_output(self):
         cfg = NEATConfig(num_inputs=1, num_outputs=2)
         genome = _genome_from_edges(cfg, [(-1, 0, 1.0)], biases={1: 0.5})
         net = FeedForwardNetwork.create(genome, cfg)
-        fast = vectorize(net)
         ref = net.activate(np.array([2.0]))
-        assert np.allclose(fast.activate(np.array([2.0])), ref)
+        assert np.allclose(_one(net, np.array([2.0])), ref)
 
 
 class TestBitwiseParity:
@@ -90,12 +100,11 @@ class TestBitwiseParity:
     )
     def test_activate_batch_bit_for_bit(self, seed, activation):
         net, rng = _reference(seed=seed, activation=activation)
-        fast = vectorize(net)
         batch = rng.standard_normal((8, 4)) * 3.0
         # sensor faults: a few NaN/±inf readings among the clean rows
         cells = rng.integers(8, size=3), rng.integers(4, size=3)
         batch[cells] = rng.choice([np.nan, np.inf, -np.inf], 3)
-        out = fast.activate_batch(batch)
+        out = _batch(net, batch)
         expected = np.stack([net.activate(batch[i]) for i in range(8)])
         assert out.tobytes() == expected.tobytes()
 
@@ -113,10 +122,9 @@ class TestBitwiseParity:
         for trial in range(10):
             genome = evolved_genome(cfg, tracker, rng, mutations=12, key=trial)
             net = FeedForwardNetwork.create(genome, cfg)
-            fast = vectorize(net)
             for _ in range(4):
                 x = rng.standard_normal(4) * 2.0
-                assert fast.activate(x).tobytes() == net.activate(x).tobytes()
+                assert _one(net, x).tobytes() == net.activate(x).tobytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_colliding_nans_keep_the_first(self):
@@ -132,17 +140,18 @@ class TestBitwiseParity:
         expected = net.activate(obs[0])
         default_nan = np.array([float("inf") + float("-inf")])
         assert expected.tobytes() == default_nan.tobytes()
-        fast = vectorize(net)
-        assert fast.activate_batch(obs)[0].tobytes() == expected.tobytes()
-        evaluator = PopulationEvaluator([fast, fast])
+        assert _batch(net, obs)[0].tobytes() == expected.tobytes()
+        plan = _NetPlan(net)
+        evaluator = PopulationEvaluator.from_plans([plan, plan])
         outputs = evaluator.infer([0, 1], np.repeat(obs, 2, axis=0))
         for row in outputs:
             assert row.tobytes() == expected.tobytes()
 
     def test_population_evaluator_bit_for_bit(self):
         nets = [_reference(seed=s, mutations=10)[0] for s in range(12)]
-        fast = [vectorize(n) for n in nets]
-        evaluator = PopulationEvaluator(fast)
+        evaluator = PopulationEvaluator.from_plans(
+            [_NetPlan(n) for n in nets]
+        )
         rng = np.random.default_rng(0)
         alive = list(range(12))
         while alive:
@@ -163,7 +172,9 @@ class TestBitwiseParity:
         """A member a rebuild left out may come back: the evaluator
         rebuilds for it.  Slots outside the population still raise."""
         nets = [_reference(seed=s, mutations=10)[0] for s in range(12)]
-        evaluator = PopulationEvaluator([vectorize(n) for n in nets])
+        evaluator = PopulationEvaluator.from_plans(
+            [_NetPlan(n) for n in nets]
+        )
         rng = np.random.default_rng(1)
         built = evaluator.rebuilds
         for alive in ([0, 1], [0, 1, 7, 11], list(range(12))):
@@ -184,15 +195,4 @@ class TestValidation:
         genome.nodes[0].aggregation = "max"
         net = FeedForwardNetwork.create(genome, cfg)
         with pytest.raises(ValueError, match="sum"):
-            VectorizedNetwork(net)
-
-    def test_wrong_input_width_rejected(self):
-        net, _ = _reference()
-        fast = vectorize(net)
-        with pytest.raises(ValueError, match="expected 4"):
-            fast.activate_batch(np.zeros((2, 7)))
-
-    def test_callable_interface(self):
-        net, _ = _reference()
-        fast = vectorize(net)
-        assert fast(np.zeros(4)).shape == (3,)
+            _NetPlan(net)

@@ -13,7 +13,7 @@ real backends on CartPole:
 import numpy as np
 import pytest
 
-from repro.core.backends import CPUBackend, FastCPUBackend, INAXBackend
+from repro.core.backends import CompiledCPUBackend, CPUBackend, INAXBackend
 from repro.inax.accelerator import INAXConfig
 from repro.neat.config import NEATConfig
 from repro.neat.innovation import InnovationTracker
@@ -61,10 +61,10 @@ class TestWorkerChaosTransparency:
     def test_worker_error_chaos_is_bit_identical(self):
         cfg = _cfg()
         clean = _fitness(
-            FastCPUBackend("cartpole", cfg, base_seed=1, workers=0), cfg
+            CompiledCPUBackend("cartpole", cfg, base_seed=1, workers=0), cfg
         )
         # every attempt errors -> retries exhaust -> in-process degrade
-        backend = FastCPUBackend(
+        backend = CompiledCPUBackend(
             "cartpole",
             cfg,
             base_seed=1,
@@ -82,11 +82,11 @@ class TestWorkerChaosTransparency:
     def test_worker_crash_chaos_is_bit_identical(self):
         cfg = _cfg()
         clean = _fitness(
-            FastCPUBackend("cartpole", cfg, base_seed=1, workers=0), cfg
+            CompiledCPUBackend("cartpole", cfg, base_seed=1, workers=0), cfg
         )
         # seed=3 crashes shard 0 at attempt 0 and nothing at attempt 1,
         # so the watchdog fires exactly once and the retry succeeds
-        backend = FastCPUBackend(
+        backend = CompiledCPUBackend(
             "cartpole",
             cfg,
             base_seed=1,
@@ -104,9 +104,9 @@ class TestWorkerChaosTransparency:
     def test_disabled_supervisor_still_completes(self):
         cfg = _cfg()
         clean = _fitness(
-            FastCPUBackend("cartpole", cfg, base_seed=1, workers=0), cfg
+            CompiledCPUBackend("cartpole", cfg, base_seed=1, workers=0), cfg
         )
-        backend = FastCPUBackend(
+        backend = CompiledCPUBackend(
             "cartpole",
             cfg,
             base_seed=1,
@@ -131,7 +131,7 @@ class TestReplayability:
         logs = []
         fitnesses = []
         for _ in range(2):
-            backend = FastCPUBackend(
+            backend = CompiledCPUBackend(
                 "cartpole",
                 cfg,
                 base_seed=1,
@@ -263,7 +263,7 @@ class TestQuarantineEndToEnd:
             n=40,
         )
         fast = _fitness(
-            FastCPUBackend(
+            CompiledCPUBackend(
                 "cartpole",
                 cfg,
                 base_seed=1,
@@ -291,8 +291,8 @@ class TestQuarantineEndToEnd:
 class TestReporterColumns:
     def test_fastcpu_columns(self):
         cfg = _cfg()
-        inprocess = FastCPUBackend("cartpole", cfg, base_seed=1, workers=0)
-        sharded = FastCPUBackend("cartpole", cfg, base_seed=1, workers=2)
+        inprocess = CompiledCPUBackend("cartpole", cfg, base_seed=1, workers=0)
+        sharded = CompiledCPUBackend("cartpole", cfg, base_seed=1, workers=2)
         try:
             # supervision columns only appear when sharding is possible
             assert set(inprocess.reporter_columns()) == {"quarantined"}
