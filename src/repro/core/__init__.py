@@ -30,7 +30,6 @@ from repro.core.experiment import (
     run_experiment,
 )
 from repro.core.platform import E3, E3RunResult, default_inax_config
-from repro.core.profiler import PhaseProfiler
 from repro.core.suite import (
     BENCH_SETTINGS,
     PAPER_SETTINGS,
@@ -60,7 +59,6 @@ __all__ = [
     "PLATFORM_POWER",
     "PhasePower",
     "PAPER_SETTINGS",
-    "PhaseProfiler",
     "PlatformResult",
     "cpu_model_for",
     "create_backend",

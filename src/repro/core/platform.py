@@ -17,7 +17,6 @@ from repro.core.backends import (
     create_backend,
     default_inax_config,
 )
-from repro.core.profiler import PhaseProfiler
 from repro.envs.registry import make, spec
 from repro.inax.accelerator import INAXConfig
 from repro.inax.pipeline import PipelineConfig
@@ -26,7 +25,6 @@ from repro.neat.genome import Genome
 from repro.neat.network import FeedForwardNetwork
 from repro.neat.population import GenerationStats, Population
 from repro.telemetry import RunManifest, TelemetrySession
-from repro.telemetry.metrics import TeeRecorder
 
 __all__ = [
     "E3",
@@ -70,7 +68,9 @@ class E3RunResult:
     neat_config: NEATConfig
     history: list[GenerationStats] = field(default_factory=list)
     records: list[GenerationRecord] = field(default_factory=list)
-    profiler: PhaseProfiler = field(default_factory=PhaseProfiler)
+    #: phase name -> wall-clock seconds (a copy of the population's
+    #: table; equal to the run's ``phase.*`` spans and counters)
+    phases: dict[str, float] = field(default_factory=dict)
     #: the run's telemetry session, when one was attached
     telemetry: TelemetrySession | None = None
 
@@ -113,8 +113,8 @@ class E3:
         shards the ``cpu-compiled``/``cpu-fast`` evaluation across that
         many worker processes (ignored by the other backends); ``telemetry``
         attaches a :class:`~repro.telemetry.TelemetrySession` — it is
-        installed for the duration of :meth:`run`, phase timings tee
-        into its metrics registry, and the backend's cache/shard
+        installed for the duration of :meth:`run`, phase timings land
+        in its trace and metrics registry, and the backend's cache/shard
         statistics are published into it at run end.
 
         The resilience knobs (see ``docs/resilience.md``): ``fault_plan``
@@ -173,7 +173,6 @@ class E3:
                 num_outputs=env.num_outputs,
                 fitness_threshold=env_spec.required_fitness,
             )
-        self.profiler = PhaseProfiler()
         self.seed = seed
         self.telemetry = telemetry
 
@@ -196,20 +195,11 @@ class E3:
                 devices=devices,
             )
         self.inax_config = self.backend.inax_config
-        recorder = (
-            self.profiler
-            if telemetry is None
-            else TeeRecorder(self.profiler, telemetry.phase_timer)
-        )
         if population is not None:
-            population.profiler = recorder
             self.population = population
         else:
             self.population = Population(
-                self.neat_config,
-                seed=seed,
-                profiler=recorder,
-                seed_genome=seed_genome,
+                self.neat_config, seed=seed, seed_genome=seed_genome
             )
         if hasattr(self.backend, "reporter_columns"):
             self.population.stat_sources.append(self.backend.reporter_columns)
@@ -284,7 +274,7 @@ class E3:
             neat_config=self.neat_config,
             history=result.history,
             records=list(self.backend.records),
-            profiler=self.profiler,
+            phases=dict(self.population.phases),
             telemetry=session,
         )
 

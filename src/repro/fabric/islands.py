@@ -27,11 +27,9 @@ randomness — the property the chaos determinism suite pins down.
 from __future__ import annotations
 
 import hashlib
-import time
 from dataclasses import asdict, dataclass, field, replace
 
 from repro.core.backends import create_backend
-from repro.core.profiler import PhaseProfiler
 from repro.envs.registry import make, spec
 from repro.fabric.topology import FarmTopology
 from repro.inax.accelerator import INAXConfig
@@ -41,8 +39,8 @@ from repro.neat.genome import Genome
 from repro.neat.population import GenerationStats, Population
 from repro.resilience.faults import ResilienceEvent, emit_event
 from repro.telemetry import RunManifest, TelemetrySession
-from repro.telemetry.metrics import TeeRecorder, get_metrics
-from repro.telemetry.spans import span as _span
+from repro.telemetry.metrics import get_metrics
+from repro.telemetry.spans import phase, span as _span
 
 __all__ = ["IslandModel", "IslandRunResult", "KEY_STRIDE", "island_seed"]
 
@@ -75,7 +73,9 @@ class IslandRunResult:
     island_histories: list[list[GenerationStats]] = field(
         default_factory=list
     )
-    profiler: PhaseProfiler = field(default_factory=PhaseProfiler)
+    #: phase name -> wall-clock seconds over the whole farm (a copy of
+    #: the table every island shares)
+    phases: dict[str, float] = field(default_factory=dict)
     telemetry: TelemetrySession | None = None
 
 
@@ -121,7 +121,10 @@ class IslandModel:
             )
         self.seed = seed
         self.telemetry = telemetry
-        self.profiler = PhaseProfiler()
+        #: one phase table shared by the farm's evaluate and every
+        #: island's evolve phases, so it adds in the same order as the
+        #: ``phase.*_seconds`` counters
+        self.phases: dict[str, float] = {}
         self.health = health
 
         self.backend = create_backend(
@@ -140,11 +143,6 @@ class IslandModel:
         )
         self.inax_config = self.backend.inax_config
 
-        recorder = (
-            self.profiler
-            if telemetry is None
-            else TeeRecorder(self.profiler, telemetry.phase_timer)
-        )
         total = self.neat_config.population_size
         share, remainder = divmod(total, topology.islands)
         self.islands: list[Population] = []
@@ -154,7 +152,7 @@ class IslandModel:
                 Population(
                     replace(self.neat_config, population_size=size),
                     seed=island_seed(seed, index),
-                    profiler=recorder,
+                    phases=self.phases,
                     key_offset=index * KEY_STRIDE,
                 )
             )
@@ -233,7 +231,7 @@ class IslandModel:
             neat_config=self.neat_config,
             history=list(self.history),
             island_histories=[list(pop.history) for pop in self.islands],
-            profiler=self.profiler,
+            phases=dict(self.phases),
             telemetry=session,
         )
 
@@ -241,15 +239,14 @@ class IslandModel:
         """One farm generation: evaluate, observe, migrate, evolve."""
         generation = self.islands[0].generation
         genomes = [g for pop in self.islands for g in pop.population]
-        t0 = time.perf_counter()
-        with _span(
-            "phase.evaluate",
+        with phase(
+            self.phases,
+            "evaluate",
             generation=generation,
             population=len(genomes),
             islands=len(self.islands),
         ):
             self.backend.evaluate(genomes)
-        self.profiler.record("evaluate", time.perf_counter() - t0)
 
         bests = [pop.observe_evaluated() for pop in self.islands]
         self._record_aggregate(generation, bests)

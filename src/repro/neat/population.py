@@ -9,16 +9,17 @@
 * **Evolve** — speciate, cull stagnation, reproduce (elitism, crossover,
   mutation); all on the "CPU" side of the co-design split.
 
-An optional profiler (anything with ``record(phase, seconds)``) receives
-the per-phase wall-clock times that regenerate Fig 1(b) and Fig 9(d).
+Each phase is timed by :func:`repro.telemetry.spans.phase` into
+:attr:`Population.phases`, the per-phase wall-clock table that
+regenerates Fig 1(b) and Fig 9(d); the same seconds feed the
+``phase.*`` spans and counters when telemetry is on.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Callable
 
 import numpy as np
 
@@ -28,22 +29,11 @@ from repro.neat.innovation import InnovationTracker
 from repro.neat.reproduction import Reproduction
 from repro.neat.species import SpeciesSet
 from repro.telemetry.metrics import get_metrics
-from repro.telemetry.spans import span as _span
+from repro.telemetry.spans import phase
 
-__all__ = ["Population", "GenerationStats", "PhaseRecorder"]
+__all__ = ["Population", "GenerationStats"]
 
 EvaluateFn = Callable[[list[Genome]], None]
-
-
-class PhaseRecorder(Protocol):
-    """Minimal profiler interface the population reports into."""
-
-    def record(self, phase: str, seconds: float) -> None: ...
-
-
-class _NullRecorder:
-    def record(self, phase: str, seconds: float) -> None:
-        pass
 
 
 @dataclass
@@ -84,11 +74,15 @@ class Population:
         self,
         config: NEATConfig,
         seed: int | None = None,
-        profiler: PhaseRecorder | None = None,
+        phases: dict[str, float] | None = None,
         seed_genome: Genome | None = None,
         key_offset: int = 0,
     ):
-        """``seed_genome`` warm-starts the population from a deployed
+        """``phases`` is the table the evaluate and evolve phases add
+        their seconds to (:attr:`phases`); by default the population
+        keeps its own.
+
+        ``seed_genome`` warm-starts the population from a deployed
         champion (the model-tuning use-case, §I) instead of from the
         minimal two-layer topology.
 
@@ -104,7 +98,8 @@ class Population:
             self.reproduction._next_genome_key = key_offset
         self.species_set = SpeciesSet(config)
         self.generation = 0
-        self.profiler: PhaseRecorder = profiler or _NullRecorder()
+        #: phase name -> accumulated wall-clock seconds
+        self.phases: dict[str, float] = {} if phases is None else phases
         self.best_genome: Genome | None = None
         self.history: list[GenerationStats] = []
         #: callables returning ``dict[str, float]`` merged into each
@@ -195,14 +190,13 @@ class Population:
         population is bit-identical either way; the join wait is
         recorded as the ``overlap`` phase.
         """
-        t0 = time.perf_counter()
-        with _span(
-            "phase.evaluate",
+        with phase(
+            self.phases,
+            "evaluate",
             generation=self.generation,
             population=len(self.population),
         ):
             evaluate(self.population)
-        self.profiler.record("evaluate", time.perf_counter() - t0)
 
         best = self.observe_evaluated()
         if drain is None:
@@ -302,10 +296,8 @@ class Population:
         )
         thread.start()
         self._evolve()
-        t0 = time.perf_counter()
-        with _span("phase.overlap", generation=self.generation):
+        with phase(self.phases, "overlap", generation=self.generation):
             thread.join()
-        self.profiler.record("overlap", time.perf_counter() - t0)
         if "error" in outcome:
             raise outcome["error"]
 
@@ -313,26 +305,20 @@ class Population:
     def _evolve(self) -> None:
         rng = self.rng
 
-        t0 = time.perf_counter()
-        with _span("phase.stagnation", generation=self.generation):
+        with phase(self.phases, "stagnation", generation=self.generation):
             self.species_set.update_fitnesses(self.generation)
             self.species_set.remove_stagnant(self.generation)
-        self.profiler.record("stagnation", time.perf_counter() - t0)
 
-        t0 = time.perf_counter()
-        with _span("phase.reproduce", generation=self.generation):
+        with phase(self.phases, "reproduce", generation=self.generation):
             self.population = self.reproduction.reproduce(
                 self.species_set, self.generation, rng
             )
-        self.profiler.record("reproduce", time.perf_counter() - t0)
 
         self.generation += 1
         self.tracker.reset_generation()
 
-        t0 = time.perf_counter()
-        with _span("phase.speciate", generation=self.generation):
+        with phase(self.phases, "speciate", generation=self.generation):
             self.species_set.speciate(self.population, self.generation, rng)
-        self.profiler.record("speciate", time.perf_counter() - t0)
 
     def _record_stats(self, best: Genome) -> None:
         fitnesses = [g.fitness for g in self.population if g.fitness is not None]

@@ -6,11 +6,12 @@ the Fig 9(a) setup/active/control bars.  This package is the single
 instrumentation layer those artifacts flow through:
 
 * :mod:`repro.telemetry.spans` — nestable context-manager spans on a
-  monotonic clock, recorded into a bounded in-memory tracer;
+  monotonic clock, recorded into a bounded in-memory tracer, and
+  :func:`~repro.telemetry.spans.phase`, the one phase timer: a single
+  pair of clock reads feeds the run's phase table, the ``phase.*``
+  span and the ``phase.<name>_seconds`` counter;
 * :mod:`repro.telemetry.metrics` — counters / gauges / fixed-bucket
-  histograms, plus :class:`~repro.telemetry.metrics.PhaseTimer`, which
-  subsumes :class:`repro.core.profiler.PhaseProfiler` behind the same
-  API;
+  histograms;
 * :mod:`repro.telemetry.export` — JSONL and Chrome trace-event sinks
   and the ``trace-summary`` table builder;
 * :mod:`repro.telemetry.manifest` — the run manifest emitted at run
@@ -50,25 +51,29 @@ from repro.telemetry.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    PhaseTimer,
-    TeeRecorder,
     get_metrics,
     set_metrics,
 )
-from repro.telemetry.spans import Span, Tracer, get_tracer, set_tracer, span
+from repro.telemetry.spans import (
+    Span,
+    Tracer,
+    get_tracer,
+    phase,
+    set_tracer,
+    span,
+)
 
 __all__ = [
     "Span",
     "Tracer",
     "span",
+    "phase",
     "get_tracer",
     "set_tracer",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PhaseTimer",
-    "TeeRecorder",
     "get_metrics",
     "set_metrics",
     "RunManifest",
@@ -113,7 +118,6 @@ class TelemetrySession:
         self.tracer = Tracer(max_spans=max_spans)
         self.metrics = MetricsRegistry()
         self.manifest = manifest
-        self.phase_timer = PhaseTimer(self.metrics)
         self._previous: tuple[Tracer | None, MetricsRegistry | None] | None = None
 
     # --------------------------------------------------------- lifecycle

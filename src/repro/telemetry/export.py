@@ -28,7 +28,7 @@ from typing import Any, Iterable
 
 from repro.telemetry.manifest import RunManifest
 from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import Span, Tracer
+from repro.telemetry.spans import PHASE_PREFIX, Span, Tracer
 
 __all__ = [
     "write_trace_jsonl",
@@ -44,6 +44,10 @@ __all__ = [
 
 
 # --------------------------------------------------------------- writers
+#: metric row naming how many spans the tracer dropped at its cap
+SPANS_DROPPED = "telemetry.spans_dropped"
+
+
 def write_trace_jsonl(
     path: str | Path,
     tracer: Tracer,
@@ -54,6 +58,9 @@ def write_trace_jsonl(
 
     Row order: manifest (if any), spans oldest-first, metrics.  Every
     row carries a ``type`` discriminator so readers can stream-filter.
+    When the tracer hit its ``max_spans`` cap, a final
+    ``telemetry.spans_dropped`` counter row records how many of the
+    oldest spans the file lacks.
     """
     rows = 0
     with open(path, "w") as handle:
@@ -69,6 +76,11 @@ def write_trace_jsonl(
                 row.update(state)
                 handle.write(json.dumps(row) + "\n")
                 rows += 1
+        if tracer.dropped:
+            dropped = {"type": "metric", "name": SPANS_DROPPED,
+                       "kind": "counter", "value": tracer.dropped}
+            handle.write(json.dumps(dropped) + "\n")
+            rows += 1
     return rows
 
 
@@ -237,10 +249,6 @@ def validate_trace_jsonl(path: str | Path) -> list[str]:
 
 
 # --------------------------------------------------------------- summary
-#: span-name prefix the NEAT loop uses for its phase spans
-PHASE_PREFIX = "phase."
-
-
 @dataclass
 class TraceSummary:
     """Everything ``repro trace-summary`` prints, as data."""
@@ -252,6 +260,9 @@ class TraceSummary:
     pu_cycles: dict[str, dict[str, float]] = field(default_factory=dict)
     span_count: int = 0
     metric_count: int = 0
+    #: oldest spans the tracer dropped at its cap; the phase and PU
+    #: tables cover only the retained spans
+    spans_dropped: int = 0
 
     def phase_fractions(self) -> dict[str, float]:
         total = sum(self.phase_seconds.values())
@@ -281,6 +292,7 @@ class TraceSummary:
             },
             "span_count": self.span_count,
             "metric_count": self.metric_count,
+            "spans_dropped": self.spans_dropped,
         }
 
 
@@ -299,6 +311,8 @@ def summarize_trace(
             summary.manifest = row
         elif kind == "metric":
             summary.metric_count += 1
+            if row.get("name") == SPANS_DROPPED:
+                summary.spans_dropped = int(row["value"])
         elif kind == "span":
             summary.span_count += 1
             name = row.get("name", "")
@@ -344,6 +358,12 @@ def format_trace_summary(summary: TraceSummary) -> str:
             f"run: command={m.get('command') or '?'} env={m.get('env') or '?'} "
             f"backend={m.get('backend') or '?'} seed={m.get('seed')} "
             f"workers={m.get('workers')}"
+        )
+    if summary.spans_dropped:
+        blocks.append(
+            "warning: the tracer dropped the oldest "
+            f"{summary.spans_dropped} spans at its max_spans cap; the "
+            "tables below cover only the retained spans"
         )
     fractions = summary.phase_fractions()
     if summary.phase_seconds:

@@ -1,13 +1,12 @@
 """Metrics registry: counters, gauges, and fixed-bucket histograms.
 
 The registry is the single store for everything the platform counts —
-episode steps, lock-step wave sizes, decode-cache hits/misses, and the
-per-generation phase seconds that :class:`repro.core.profiler.
-PhaseProfiler` used to be the only home for.  :class:`PhaseTimer`
-re-exposes the profiler's exact API (``record`` / ``phase`` /
-``fractions`` / ``merge``) on top of registry counters, so phase
-timing, cache statistics, and workload histograms all land in one
-snapshot and one exported JSON file.
+episode steps, lock-step wave sizes, compile-cache hits/misses, and the
+NEAT loop's ``phase.<name>_seconds`` counters, which
+:func:`repro.telemetry.spans.phase` feeds from the same clock reads as
+the run's phase table and its ``phase.*`` spans.  Phase timing, cache
+statistics, and workload histograms all land in one snapshot and one
+exported JSON file.
 
 Like the tracer, the registry is off by default: call sites check the
 module-level :func:`get_metrics` for ``None`` before touching any
@@ -18,18 +17,14 @@ from __future__ import annotations
 
 import bisect
 import math
-import time
-from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Any, Callable, Iterator, Protocol, Sequence, TypeVar, cast
+from typing import Any, Callable, Sequence, TypeVar, cast
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PhaseTimer",
-    "TeeRecorder",
     "get_metrics",
     "set_metrics",
 ]
@@ -261,96 +256,6 @@ class MetricsRegistry:
                     hist.max = max(hist.max, state["max"])
             else:
                 raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
-
-
-class PhaseTimer:
-    """:class:`~repro.core.profiler.PhaseProfiler`'s API over a registry.
-
-    Each phase becomes a ``<prefix>.<phase>_seconds`` counter, so the
-    Fig 1(b)/9(d) phase breakdown ships in the same metrics snapshot as
-    everything else while existing ``fractions()`` consumers keep
-    working unchanged.
-    """
-
-    PREFIX = "phase"
-    SUFFIX = "_seconds"
-
-    def __init__(self, registry: MetricsRegistry | None = None) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-
-    def _counter_name(self, phase: str) -> str:
-        return f"{self.PREFIX}.{phase}{self.SUFFIX}"
-
-    def record(self, phase: str, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(f"negative duration for {phase!r}: {seconds}")
-        self.registry.counter(self._counter_name(phase)).inc(seconds)
-
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record(name, time.perf_counter() - t0)
-
-    # ------------------------------------------------------------- views
-    @property
-    def phases(self) -> dict[str, float]:
-        prefix = f"{self.PREFIX}."
-        out: dict[str, float] = {}
-        for name in self.registry.names():
-            if name.startswith(prefix) and name.endswith(self.SUFFIX):
-                phase = name[len(prefix) : -len(self.SUFFIX)]
-                out[phase] = self.registry.counter(name).value
-        return out
-
-    def seconds(self, phase: str) -> float:
-        return self.phases.get(phase, 0.0)
-
-    @property
-    def total(self) -> float:
-        return sum(self.phases.values())
-
-    def fractions(self) -> dict[str, float]:
-        phases = self.phases
-        total = sum(phases.values())
-        if total <= 0:
-            return {k: 0.0 for k in phases}
-        return {k: v / total for k, v in phases.items()}
-
-    def merge(self, other: "_HasPhases") -> None:
-        """Accumulate another PhaseTimer/PhaseProfiler's phases."""
-        for phase, seconds in other.phases.items():
-            self.record(phase, seconds)
-
-
-class _HasPhases(Protocol):
-    """Anything exposing a ``phases`` mapping (PhaseTimer, PhaseProfiler)."""
-
-    @property
-    def phases(self) -> dict[str, float]: ...
-
-
-class _PhaseRecorder(Protocol):
-    """Anything accepting ``record(phase, seconds)`` calls."""
-
-    def record(self, phase: str, seconds: float) -> None: ...
-
-
-class TeeRecorder:
-    """Fan one ``record(phase, seconds)`` out to several recorders.
-
-    Lets the population keep feeding its :class:`PhaseProfiler` while a
-    telemetry session's :class:`PhaseTimer` sees the same stream.
-    """
-
-    def __init__(self, *recorders: _PhaseRecorder) -> None:
-        self.recorders: tuple[_PhaseRecorder, ...] = tuple(recorders)
-
-    def record(self, phase: str, seconds: float) -> None:
-        for recorder in self.recorders:
-            recorder.record(phase, seconds)
 
 
 # ------------------------------------------------------------------ global

@@ -17,6 +17,11 @@ Two clocks coexist in one trace:
   Fig 9(a) setup/active/control structure is literally visible per PU
   in a trace viewer.
 
+The NEAT loop's phases (Fig 1(b)/9(d)) are timed by :func:`phase`,
+the one phase timer: one clock read on entry and one on exit, and the
+same seconds go to the caller's phase table, the ``phase.<name>`` span
+and the ``phase.<name>_seconds`` counter, so the three always agree.
+
 Instrumentation is **off by default**: the module-level :func:`span`
 helper checks a single context-local variable and returns a shared
 no-op context manager when no tracer is installed, so disabled
@@ -36,13 +41,20 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.telemetry.metrics import get_metrics
+
 __all__ = [
+    "PHASE_PREFIX",
     "Span",
     "Tracer",
     "get_tracer",
+    "phase",
     "set_tracer",
     "span",
 ]
+
+#: span-name prefix of the NEAT loop's phase spans
+PHASE_PREFIX = "phase."
 
 
 @dataclass
@@ -110,27 +122,41 @@ class Tracer:
         self, name: str, track: str = "host", **attrs: Any
     ) -> Iterator[None]:
         """Time a block as a span; nesting sets the parent linkage."""
-        span_id = self._next_id
-        self._next_id += 1
-        parent = self._stack[-1] if self._stack else None
-        self._stack.append(span_id)
+        self._open()
         t0 = time.perf_counter()
         try:
             yield
         finally:
-            duration = time.perf_counter() - t0
-            self._stack.pop()
-            self._append(
-                Span(
-                    name=name,
-                    start=t0 - self._epoch,
-                    duration=duration,
-                    span_id=span_id,
-                    parent_id=parent,
-                    track=track,
-                    attrs=attrs,
-                )
+            self._close(name, t0, time.perf_counter() - t0, track, attrs)
+
+    def _open(self) -> None:
+        """Push a new span onto the active stack, so spans opened before
+        the matching :meth:`_close` become its children."""
+        self._stack.append(self._next_id)
+        self._next_id += 1
+
+    def _close(
+        self,
+        name: str,
+        t0: float,
+        duration: float,
+        track: str,
+        attrs: dict[str, Any],
+    ) -> None:
+        """Pop the innermost open span and record it as started at
+        ``t0`` (a ``perf_counter`` reading) and lasting ``duration``."""
+        span_id = self._stack.pop()
+        self._append(
+            Span(
+                name=name,
+                start=t0 - self._epoch,
+                duration=duration,
+                span_id=span_id,
+                parent_id=self._stack[-1] if self._stack else None,
+                track=track,
+                attrs=attrs,
             )
+        )
 
     def add_span(
         self,
@@ -177,15 +203,6 @@ class Tracer:
         self._spans.clear()
         self.dropped = 0
 
-    def seconds_by_name(self, prefix: str = "") -> dict[str, float]:
-        """Total duration per span name (optionally name-prefixed)."""
-        totals: dict[str, float] = {}
-        for item in self._spans:
-            if prefix and not item.name.startswith(prefix):
-                continue
-            totals[item.name] = totals.get(item.name, 0.0) + item.duration
-        return totals
-
 
 # ----------------------------------------------------------- context-local
 #: the installed tracer; ``None`` means telemetry is disabled.  A
@@ -221,7 +238,7 @@ def span(
 ) -> AbstractContextManager[None]:
     """Module-level span helper with a near-zero disabled fast path.
 
-    ``with span("phase.evaluate", generation=g): ...`` records into the
+    ``with span("backend.evaluate", generation=g): ...`` records into the
     installed tracer, or is a shared no-op context manager when none is
     installed.
     """
@@ -229,3 +246,29 @@ def span(
     if tracer is None:
         return _NULL_SPAN
     return tracer.span(name, track=track, **attrs)
+
+
+@contextmanager
+def phase(table: dict[str, float], name: str, **attrs: Any) -> Iterator[None]:
+    """Time a NEAT-loop phase with one pair of clock reads.
+
+    The block's seconds always add to ``table[name]``, also when the
+    block raises.  With a tracer installed they are also the duration
+    of a ``phase.<name>`` span, opened on entry so the spans inside the
+    block are its children; with a registry installed they also add to
+    the ``phase.<name>_seconds`` counter.
+    """
+    tracer = _TRACER.get()
+    registry = get_metrics()
+    if tracer is not None:
+        tracer._open()
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        seconds = time.perf_counter() - t0
+        table[name] = table.get(name, 0.0) + seconds
+        if tracer is not None:
+            tracer._close(PHASE_PREFIX + name, t0, seconds, "host", attrs)
+        if registry is not None:
+            registry.counter(f"{PHASE_PREFIX}{name}_seconds").inc(seconds)

@@ -63,11 +63,15 @@ def test_run_cartpole_inax_backend_solves_same_as_cpu():
     assert r_cpu.best_fitness == r_inax.best_fitness
 
 
-def test_profiler_populated():
+def test_phases_populated():
     platform = E3("cartpole", neat_config=_small_neat(20), seed=0)
-    platform.run(max_generations=2)
-    assert platform.profiler.seconds("evaluate") > 0
-    assert "speciate" in platform.profiler.phases
+    result = platform.run(max_generations=2)
+    assert result.phases["evaluate"] > 0
+    assert "speciate" in result.phases
+    # the result holds a copy of the population's table
+    assert result.phases == platform.population.phases
+    result.phases["evaluate"] = 99.0
+    assert platform.population.phases["evaluate"] != 99.0
 
 
 def test_custom_backend_instance():

@@ -5,6 +5,7 @@ from repro.fabric.topology import FarmTopology
 from repro.inax.accelerator import INAXConfig
 from repro.neat.config import NEATConfig
 from repro.resilience.faults import FaultPlan
+from repro.telemetry import TelemetrySession
 
 
 def _model(topology, plan_text=None, seed=3, population=12, generations=None):
@@ -142,3 +143,24 @@ class TestResult:
             key=lambda g: g.fitness,
         )
         assert result.best_fitness >= champion.fitness
+
+    def test_phases_cover_the_farm_and_match_the_counters(self):
+        session = TelemetrySession()
+        model = IslandModel(
+            "cartpole",
+            FarmTopology(devices=2, islands=2),
+            neat_config=NEATConfig(population_size=24),
+            seed=1,
+            telemetry=session,
+        )
+        result = model.run(max_generations=3)
+        assert set(result.phases) == {
+            "evaluate", "stagnation", "reproduce", "speciate"
+        }
+        counters = {
+            name[len("phase.") : -len("_seconds")]: state["value"]
+            for name, state in session.metrics.snapshot().items()
+            if name.startswith("phase.") and name.endswith("_seconds")
+        }
+        assert result.phases == counters
+        assert all(pop.phases is model.phases for pop in model.islands)

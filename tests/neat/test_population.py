@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.profiler import PhaseProfiler
 from repro.neat.config import NEATConfig
 from repro.neat.network import FeedForwardNetwork
 from repro.neat.population import Population
@@ -95,19 +94,37 @@ def test_history_records_sizes():
         assert stats.num_species >= 1
 
 
-def test_profiler_receives_phases():
+def test_phase_table_receives_phases():
     cfg = NEATConfig(num_inputs=2, num_outputs=1, population_size=15)
-    profiler = PhaseProfiler()
 
     def constant(genomes):
         for g in genomes:
             g.fitness = 1.0
 
-    pop = Population(cfg, seed=0, profiler=profiler)
+    pop = Population(cfg, seed=0)
     pop.run(constant, max_generations=2)
-    for phase in ("evaluate", "reproduce", "speciate", "stagnation"):
-        assert profiler.seconds(phase) >= 0.0
-        assert phase in profiler.phases
+    assert pop.phases.keys() == {
+        "evaluate", "reproduce", "speciate", "stagnation"
+    }
+    assert all(seconds >= 0.0 for seconds in pop.phases.values())
+
+
+def test_populations_can_share_a_phase_table():
+    cfg = NEATConfig(num_inputs=2, num_outputs=1, population_size=15)
+    table: dict[str, float] = {}
+
+    def constant(genomes):
+        for g in genomes:
+            g.fitness = 1.0
+
+    first = Population(cfg, seed=0, phases=table)
+    second = Population(cfg, seed=1, phases=table)
+    assert first.phases is table and second.phases is table
+    first.advance(constant)
+    after_first = dict(table)
+    second.advance(constant)
+    assert table.keys() == after_first.keys()
+    assert all(table[k] >= after_first[k] for k in table)
 
 
 def test_best_genome_is_monotone():

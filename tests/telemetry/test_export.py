@@ -61,6 +61,37 @@ class TestJsonl:
         assert {r["type"] for r in parsed} == {"manifest", "span", "metric"}
         assert validate_trace_jsonl(path) == []
 
+    def test_dropped_spans_get_a_counter_row(self, tmp_path):
+        tracer = Tracer(max_spans=3)
+        for i in range(5):
+            tracer.add_span("phase.evaluate", start=float(i), duration=1.0)
+        path = tmp_path / "trace.jsonl"
+        rows = write_trace_jsonl(path, tracer, metrics=_registry())
+        parsed = read_trace_jsonl(path)
+        assert len(parsed) == rows == 3 + 3 + 1
+        assert parsed[-1] == {
+            "type": "metric", "name": "telemetry.spans_dropped",
+            "kind": "counter", "value": 2,
+        }
+        assert validate_trace_jsonl(path) == []
+        summary = summarize_trace(path)
+        assert summary.spans_dropped == 2
+        assert summary.phase_seconds == {"evaluate": 3.0}
+        text = format_trace_summary(summary)
+        assert (
+            "dropped the oldest 2 spans at its max_spans cap; the tables "
+            "below cover only the retained spans"
+        ) in text
+
+    def test_no_drop_row_without_drops(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(path, _loaded_tracer())
+        names = {row.get("name") for row in read_trace_jsonl(path)}
+        assert "telemetry.spans_dropped" not in names
+        summary = summarize_trace(path)
+        assert summary.spans_dropped == 0
+        assert "dropped" not in format_trace_summary(summary)
+
     def test_validation_reports_line_numbers(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
@@ -184,7 +215,7 @@ class TestSummary:
         payload = summarize_trace(path).to_dict()
         assert set(payload) == {
             "manifest", "phase_seconds", "phase_fractions", "pu_cycles",
-            "pu_utilization", "span_count", "metric_count",
+            "pu_utilization", "span_count", "metric_count", "spans_dropped",
         }
         assert payload["manifest"]["backend"] == "inax"
         assert payload["phase_fractions"]["evaluate"] == 1.0

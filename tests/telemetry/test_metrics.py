@@ -1,15 +1,12 @@
-"""Unit tests for the metrics registry and PhaseTimer."""
+"""Unit tests for the metrics registry."""
 
 import pytest
 
-from repro.core.profiler import PhaseProfiler
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    PhaseTimer,
-    TeeRecorder,
     get_metrics,
     set_metrics,
 )
@@ -93,59 +90,6 @@ class TestRegistry:
     def test_merge_unknown_kind_raises(self):
         with pytest.raises(ValueError):
             MetricsRegistry().merge_snapshot({"x": {"kind": "mystery"}})
-
-
-class TestPhaseTimer:
-    def test_profiler_api_parity(self):
-        profiler = PhaseProfiler()
-        timer = PhaseTimer()
-        for recorder in (profiler, timer):
-            recorder.record("evaluate", 3.0)
-            recorder.record("speciate", 1.0)
-            recorder.record("evaluate", 1.0)
-        assert timer.phases == profiler.phases
-        assert timer.fractions() == profiler.fractions()
-        assert timer.total == profiler.total == 5.0
-        assert timer.seconds("evaluate") == 4.0
-        assert timer.seconds("missing") == 0.0
-
-    def test_phase_context_manager(self):
-        timer = PhaseTimer()
-        with timer.phase("work"):
-            pass
-        assert timer.phases.keys() == {"work"}
-        assert timer.seconds("work") >= 0.0
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            PhaseTimer().record("x", -0.1)
-
-    def test_merge_accepts_profiler(self):
-        profiler = PhaseProfiler()
-        profiler.record("evaluate", 2.0)
-        timer = PhaseTimer()
-        timer.record("evaluate", 1.0)
-        timer.merge(profiler)
-        assert timer.seconds("evaluate") == 3.0
-
-    def test_backed_by_registry_counters(self):
-        registry = MetricsRegistry()
-        timer = PhaseTimer(registry)
-        timer.record("evaluate", 2.0)
-        assert registry.counter("phase.evaluate_seconds").value == 2.0
-
-    def test_empty_fractions(self):
-        assert PhaseTimer().fractions() == {}
-
-
-class TestTeeRecorder:
-    def test_fans_out(self):
-        profiler = PhaseProfiler()
-        timer = PhaseTimer()
-        tee = TeeRecorder(profiler, timer)
-        tee.record("evaluate", 1.5)
-        assert profiler.seconds("evaluate") == 1.5
-        assert timer.seconds("evaluate") == 1.5
 
 
 class TestGlobalRegistry:

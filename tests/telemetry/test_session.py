@@ -5,13 +5,16 @@ from pathlib import Path
 import pytest
 
 from repro.core.platform import E3
+from repro.inax.pipeline import PipelineConfig
 from repro.neat.config import NEATConfig
 from repro.telemetry import (
     MetricsRegistry,
     TelemetrySession,
     Tracer,
+    format_trace_summary,
     get_metrics,
     get_tracer,
+    phase,
     set_metrics,
     set_tracer,
     summarize_trace,
@@ -105,10 +108,15 @@ class TestSessionLifecycle:
 
     def test_phase_timer_shares_registry(self):
         session = TelemetrySession()
-        session.phase_timer.record("evaluate", 2.0)
+        table: dict[str, float] = {}
+        with session:
+            with phase(table, "evaluate"):
+                pass
         assert (
-            session.metrics.counter("phase.evaluate_seconds").value == 2.0
+            session.metrics.counter("phase.evaluate_seconds").value
+            == table["evaluate"]
         )
+        assert [s.name for s in session.tracer.spans] == ["phase.evaluate"]
 
     def test_export_writes_selected_sinks(self, tmp_path):
         session = TelemetrySession()
@@ -136,6 +144,15 @@ def _run(backend: str, telemetry: TelemetrySession | None = None, **kwargs):
     return platform.run(max_generations=3)
 
 
+def _phase_counters(session: TelemetrySession) -> dict[str, float]:
+    """The session's ``phase.<name>_seconds`` counters by phase name."""
+    return {
+        name[len("phase.") : -len("_seconds")]: state["value"]
+        for name, state in session.metrics.snapshot().items()
+        if name.startswith("phase.") and name.endswith("_seconds")
+    }
+
+
 class TestPlatformIntegration:
     def test_inax_run_produces_expected_spans(self):
         session = TelemetrySession()
@@ -157,26 +174,69 @@ class TestPlatformIntegration:
         assert result.telemetry is session
         assert not session.installed  # run() uninstalled it
 
-    def test_phase_timer_matches_profiler_exactly(self):
+    def test_backend_evaluate_is_child_of_phase_evaluate(self):
+        session = TelemetrySession()
+        _run("inax", telemetry=session)
+        by_id = {s.span_id: s for s in session.tracer.spans}
+        parents = [
+            by_id[s.parent_id]
+            for s in session.tracer.spans
+            if s.name == "backend.evaluate"
+        ]
+        assert [p.name for p in parents] == ["phase.evaluate"] * 3
+        assert [p.attrs for p in parents] == [
+            {"generation": g, "population": 24} for g in range(3)
+        ]
+
+    def test_phase_counters_match_phase_table_exactly(self):
         session = TelemetrySession()
         result = _run("cpu", telemetry=session)
-        # the TeeRecorder feeds both from the same record() calls
-        assert session.phase_timer.phases == result.profiler.phases
-        assert session.phase_timer.fractions() == result.profiler.fractions()
+        assert set(result.phases) == {
+            "evaluate", "stagnation", "reproduce", "speciate"
+        }
+        assert result.phases == _phase_counters(session)
 
-    def test_trace_summary_fractions_match_profiler(self, tmp_path):
-        """Acceptance: trace-summary phase fractions within 1% of the
-        profiler's fractions()."""
+    @pytest.mark.parametrize(
+        "backend, pipeline",
+        [
+            ("cpu", None),
+            ("cpu-compiled", None),
+            ("inax", PipelineConfig(overlap=True)),
+        ],
+        ids=["cpu", "cpu-compiled", "inax-overlap"],
+    )
+    def test_trace_summary_matches_phase_table_exactly(
+        self, tmp_path, backend, pipeline
+    ):
+        """The run's phase table, the trace's ``phase.*`` spans and the
+        ``phase.*_seconds`` counters come from the same clock reads, so
+        they agree with ``==``, not to a tolerance."""
         session = TelemetrySession()
-        result = _run("cpu-fast", telemetry=session)
+        result = _run(backend, telemetry=session, pipeline=pipeline)
         path = tmp_path / "trace.jsonl"
         write_trace_jsonl(path, session.tracer, metrics=session.metrics)
         summary = summarize_trace(path)
-        fractions = summary.phase_fractions()
-        expected = result.profiler.fractions()
-        assert set(fractions) == set(expected)
-        for phase, value in expected.items():
-            assert fractions[phase] == pytest.approx(value, abs=0.01)
+        assert summary.spans_dropped == 0
+        assert summary.phase_seconds == result.phases
+        assert _phase_counters(session) == result.phases
+        if pipeline is not None:
+            assert "overlap" in result.phases
+
+    def test_dropped_spans_are_reported(self, tmp_path):
+        session = TelemetrySession(max_spans=100)
+        result = _run("inax", telemetry=session)
+        assert session.tracer.dropped > 0
+        path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(path, session.tracer, metrics=session.metrics)
+        summary = summarize_trace(path)
+        assert summary.spans_dropped == session.tracer.dropped
+        assert summary.to_dict()["spans_dropped"] == session.tracer.dropped
+        assert (
+            f"dropped the oldest {session.tracer.dropped} spans"
+            in format_trace_summary(summary)
+        )
+        # the counters still cover every phase; the trace does not
+        assert _phase_counters(session) == result.phases
 
     def test_metrics_cover_episodes_and_cache(self):
         session = TelemetrySession()

@@ -1,8 +1,17 @@
-"""Unit tests for the span tracer."""
+"""Unit tests for the span tracer and the phase timer."""
+
+import time
 
 import pytest
 
-from repro.telemetry.spans import Tracer, get_tracer, set_tracer, span
+from repro.telemetry.metrics import MetricsRegistry, get_metrics, set_metrics
+from repro.telemetry.spans import (
+    Tracer,
+    get_tracer,
+    phase,
+    set_tracer,
+    span,
+)
 
 
 class TestTracer:
@@ -62,15 +71,6 @@ class TestTracer:
         with pytest.raises(ValueError):
             Tracer(max_spans=0)
 
-    def test_seconds_by_name(self):
-        tracer = Tracer()
-        tracer.add_span("phase.evaluate", start=0.0, duration=2.0)
-        tracer.add_span("phase.evaluate", start=2.0, duration=1.0)
-        tracer.add_span("phase.speciate", start=3.0, duration=0.5)
-        tracer.add_span("other", start=4.0, duration=9.0)
-        totals = tracer.seconds_by_name("phase.")
-        assert totals == {"phase.evaluate": 3.0, "phase.speciate": 0.5}
-
     def test_to_dict_schema(self):
         tracer = Tracer()
         with tracer.span("outer"):
@@ -109,3 +109,118 @@ class TestGlobalSpanHelper:
             assert set_tracer(b) is a
         finally:
             set_tracer(None)
+
+
+@pytest.fixture
+def installed():
+    """A fresh tracer and registry installed for one test."""
+    tracer, registry = Tracer(), MetricsRegistry()
+    previous = set_tracer(tracer), set_metrics(registry)
+    try:
+        yield tracer, registry
+    finally:
+        set_tracer(previous[0])
+        set_metrics(previous[1])
+
+
+class TestPhase:
+    def test_accumulates_across_calls(self, installed):
+        tracer, registry = installed
+        table: dict[str, float] = {}
+        with phase(table, "evaluate"):
+            pass
+        with phase(table, "evaluate"):
+            pass
+        with phase(table, "speciate"):
+            pass
+        first, second, speciate = tracer.spans
+        assert table == {
+            "evaluate": first.duration + second.duration,
+            "speciate": speciate.duration,
+        }
+        counter = registry.counter("phase.evaluate_seconds")
+        assert counter.value == table["evaluate"]
+
+    def test_times_the_block(self):
+        table: dict[str, float] = {}
+        with phase(table, "sleepy"):
+            time.sleep(0.01)
+        assert table["sleepy"] >= 0.005
+
+    def test_one_clock_feeds_table_span_and_counter(self, installed):
+        tracer, registry = installed
+        table = {"reproduce": 1.0}
+        with phase(table, "reproduce", generation=2):
+            pass
+        (recorded,) = tracer.spans
+        assert recorded.name == "phase.reproduce"
+        assert recorded.track == "host"
+        assert recorded.attrs == {"generation": 2}
+        assert recorded.parent_id is None
+        assert table["reproduce"] == 1.0 + recorded.duration
+        assert registry.names() == ["phase.reproduce_seconds"]
+        assert (
+            registry.counter("phase.reproduce_seconds").value
+            == recorded.duration
+        )
+
+    def test_records_when_block_raises(self, installed):
+        tracer, registry = installed
+        table: dict[str, float] = {}
+        with pytest.raises(RuntimeError):
+            with phase(table, "boom"):
+                raise RuntimeError("boom")
+        (recorded,) = tracer.spans
+        assert recorded.name == "phase.boom"
+        assert table == {"boom": recorded.duration}
+        assert registry.counter("phase.boom_seconds").value == table["boom"]
+
+    def test_span_opened_inside_is_its_child(self, installed):
+        tracer, _ = installed
+        with phase({}, "evaluate", generation=0):
+            with span("backend.evaluate"):
+                with tracer.span("rollout.lockstep"):
+                    pass
+        rollout, backend, evaluate = tracer.spans
+        assert evaluate.name == "phase.evaluate"
+        assert backend.parent_id == evaluate.span_id
+        assert rollout.parent_id == backend.span_id
+        assert evaluate.start <= backend.start
+        assert backend.end <= evaluate.end
+
+    def test_stack_unwinds_after_raising_block(self, installed):
+        tracer, _ = installed
+        with tracer.span("outer"):
+            with pytest.raises(RuntimeError):
+                with phase({}, "evaluate"):
+                    with span("inner"):
+                        raise RuntimeError("boom")
+            with span("sibling"):
+                pass
+        inner, evaluate, sibling, outer = tracer.spans
+        assert inner.parent_id == evaluate.span_id
+        assert evaluate.parent_id == outer.span_id
+        # the raising phase popped itself: the sibling hangs off outer
+        assert sibling.parent_id == outer.span_id
+        with span("after"):
+            pass
+        assert tracer.spans[-1].parent_id is None
+
+    def test_untraced_phase_leaves_no_tracer_or_registry_state(self):
+        assert get_tracer() is None and get_metrics() is None
+        table: dict[str, float] = {}
+        with phase(table, "evaluate", generation=0):
+            pass
+        assert table.keys() == {"evaluate"}
+        assert get_tracer() is None and get_metrics() is None
+        # nothing was buffered for a tracer or registry installed later
+        tracer, registry = Tracer(), MetricsRegistry()
+        previous = set_tracer(tracer), set_metrics(registry)
+        try:
+            with span("later"):
+                pass
+        finally:
+            set_tracer(previous[0])
+            set_metrics(previous[1])
+        assert [s.name for s in tracer.spans] == ["later"]
+        assert len(registry) == 0
