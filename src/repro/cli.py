@@ -97,7 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = in-process)",
     )
     resume.add_argument("--generations", type=int, default=20)
-    resume.add_argument("--seed", type=int, default=0)
+    resume.add_argument(
+        "--seed", type=int, default=None,
+        help="run seed for the per-episode draws (default: the seed the "
+        "checkpoint recorded; 0, with a warning, if it recorded none)",
+    )
     resume.add_argument(
         "--csv", default=None,
         help="append per-generation rows to this CSV log (the header is "
@@ -605,7 +609,10 @@ def _cmd_run(args) -> int:
         csv_reporter.close()
     if args.checkpoint:
         save_checkpoint(
-            platform.population, args.checkpoint, keep=args.checkpoint_keep
+            platform.population,
+            args.checkpoint,
+            keep=args.checkpoint_keep,
+            seed=args.seed,
         )
         print(f"checkpoint written to {args.checkpoint}")
 
@@ -718,6 +725,16 @@ def _cmd_resume(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.seed is None:
+        args.seed = population.run_seed
+    if args.seed is None:
+        print(
+            f"warning: checkpoint {args.checkpoint} records no run seed; "
+            "resuming with --seed 0 (pass the original run's --seed to "
+            "continue it exactly)",
+            file=sys.stderr,
+        )
+        args.seed = 0
     session = _telemetry_session(args, "resume")
     if session is not None:
         session.manifest.extra["checkpoint"] = args.checkpoint
@@ -758,7 +775,9 @@ def _cmd_resume(args) -> int:
     platform.backend.close()
     if csv_reporter is not None:
         csv_reporter.close()
-    save_checkpoint(population, args.checkpoint, keep=args.checkpoint_keep)
+    save_checkpoint(
+        population, args.checkpoint, keep=args.checkpoint_keep, seed=args.seed
+    )
     print(
         f"\nresumed {args.env} from generation {start_generation}: "
         f"now at {population.generation}, best "

@@ -13,10 +13,19 @@ run "evaluate":
   :class:`~repro.compile.CompiledPopulationEvaluator`, and optionally
   shard the population across a ``multiprocessing`` pool.  Fitness
   trajectories are bit-identical to :class:`CPUBackend`;
-* :class:`INAXBackend` — the co-designed path (E3-INAX): compile each
-  genome to a HW configuration, dispatch the population in waves to the
-  functional INAX device, and drive the closed CPU<->FPGA loop until
-  every individual's episode terminates.
+* :class:`INAXBackend` — the co-designed path (E3-INAX): lower each
+  genome to a HW configuration through the same shape-keyed cache,
+  dispatch the population in waves to the functional INAX device, and
+  account every wave's cycles until its last episode terminates.  When
+  nothing about the run can make the data matter, the generation's
+  episodes run in one lock-step pass on the compiled engine and each
+  device wave replays its cycle accounting from the episode lengths;
+  otherwise the device steps each wave through the closed CPU<->FPGA
+  loop.
+
+:class:`CompiledCPUBackend` and :class:`INAXBackend` share one compile
+cache plumbing and one lock-step episode helper
+(:meth:`_CompiledBackend._episode_records`).
 
 :func:`create_backend` is the one way to build a backend by name: it
 resolves :data:`ALIASES`, hands each class only the shared options its
@@ -41,6 +50,7 @@ import hashlib
 import math
 import multiprocessing
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +59,7 @@ from repro.compile import CompileCache, CompiledPopulationEvaluator
 from repro.envs.base import Environment
 from repro.envs.registry import make
 from repro.envs.rollout import (
+    EpisodeRecord,
     InferFn,
     check_observations,
     check_slots,
@@ -93,6 +104,10 @@ __all__ = [
     "create_backend",
     "default_inax_config",
 ]
+
+
+#: shape-keyed compile-cache capacity of every compiled backend
+COMPILE_CACHE_SIZE = 512
 
 
 def default_inax_config(num_outputs: int, num_pus: int = 50) -> INAXConfig:
@@ -274,25 +289,27 @@ class EvaluationBackend:
         digest = hashlib.sha256(payload).digest()
         return int.from_bytes(digest[:8], "little") >> 1
 
+    def _interpreted_records(
+        self, genome: Genome, episodes: range | list[int] | None = None
+    ) -> list[EpisodeRecord]:
+        """``genome``'s ``episodes`` (default: all) on the interpreted
+        network, one record each, in order."""
+        if episodes is None:
+            episodes = range(self.episodes_per_genome)
+        net = FeedForwardNetwork.create(genome, self.neat_config)
+        return [
+            run_episode(
+                self._make_env(), net, seed=self._episode_seed(genome, episode)
+            )
+            for episode in episodes
+        ]
+
     def _interpreted_fitness(self, genome: Genome) -> tuple[float, int]:
         """All of ``genome``'s episodes on the interpreted network.
 
-        Returns (fitness, total steps).  Per-episode totals accumulate
-        in step order and sum in episode order, then one division: the
-        accumulation every backend reproduces bit for bit.
+        Returns (fitness, total steps), summed by :func:`_fitness_of`.
         """
-        net = FeedForwardNetwork.create(genome, self.neat_config)
-        total_reward = 0.0
-        total_steps = 0
-        for episode in range(self.episodes_per_genome):
-            record = run_episode(
-                self._make_env(),
-                net,
-                seed=self._episode_seed(genome, episode),
-            )
-            total_reward += record.total_reward
-            total_steps += record.steps
-        return total_reward / self.episodes_per_genome, total_steps
+        return _fitness_of(self._interpreted_records(genome))
 
     def _make_env(self) -> Environment:
         env = make(self.env_name, **self.env_kwargs)
@@ -394,6 +411,21 @@ class EvaluationBackend:
         return record
 
 
+def _fitness_of(records: list[EpisodeRecord]) -> tuple[float, int]:
+    """(fitness, total steps) of one genome's episode records.
+
+    Per-episode totals accumulate in step order and sum in episode
+    order, then one division: the accumulation every backend
+    reproduces bit for bit.
+    """
+    total_reward = 0.0
+    total_steps = 0
+    for record in records:
+        total_reward += record.total_reward
+        total_steps += record.steps
+    return total_reward / len(records), total_steps
+
+
 class CPUBackend(EvaluationBackend):
     """SW-only evaluation: the E3-CPU baseline.
 
@@ -412,6 +444,128 @@ class CPUBackend(EvaluationBackend):
             genome.fitness, steps = self._interpreted_fitness(genome)
             lengths.append(steps)
         self._record(configs, lengths, keys=[g.key for g in genomes])
+
+
+class _CompiledBackend(EvaluationBackend):
+    """What every backend on the compiled engine shares.
+
+    One cross-generation shape-keyed :class:`~repro.compile.CompileCache`
+    (its statistics, resume warm-start, per-run counter reset and
+    ``compile.cache.*`` gauges), the HW-config lowering through the
+    shapes' fill recipes, and :meth:`_episode_records`, the one
+    lock-step episode loop.  Cached structures are keyed purely on
+    genome content, so they survive :meth:`reset_run_state` and a
+    reused backend stays bit-identical to a fresh one.
+    """
+
+    def __init__(
+        self,
+        env_name: str,
+        neat_config: NEATConfig,
+        cache_size: int = COMPILE_CACHE_SIZE,
+        **options,
+    ):
+        super().__init__(env_name, neat_config, **options)
+        self._compile_cache = CompileCache(cache_size)
+
+    def reset_run_state(self, base_seed: int | None = None) -> None:
+        """Reset run accumulators; keep the compiled structures.
+
+        The hit/miss/warmed counters restart so the next run's cache
+        stats cover only its own activity.
+        """
+        super().reset_run_state(base_seed=base_seed)
+        self._compile_cache.hits = 0
+        self._compile_cache.misses = 0
+        self._compile_cache.warmed = 0
+
+    def compile_cache_info(self) -> dict[str, int]:
+        """Compile-cache statistics: hits, misses, current size, and
+        ``warmed``, the entries :meth:`warm_caches` built (resume
+        warm-start), which are deliberately excluded from hits/misses."""
+        return self._compile_cache.info()
+
+    def warm_caches(self, genomes: list[Genome]) -> int:
+        built = 0
+        for genome in genomes:
+            if self._compile_cache.warm(genome, self.neat_config):
+                built += 1
+        return built
+
+    def _publish_compile_gauges(self) -> None:
+        registry = get_metrics()
+        if registry is None:
+            return
+        info = self.compile_cache_info()
+        registry.gauge("compile.cache.hits").set(info["hits"])
+        registry.gauge("compile.cache.misses").set(info["misses"])
+        registry.gauge("compile.cache.size").set(info["size"])
+
+    def _lower(self, genomes: list[Genome]) -> tuple[list, list[HWNetConfig]]:
+        """Each genome's compiled structure and its HW configuration.
+
+        The configurations lower through the shapes' fill recipes —
+        equal to :func:`compile_genome` field for field, without
+        re-running ``CreateNet``.
+        """
+        with _span("compile.lookup", genomes=len(genomes)):
+            entries = [
+                self._compile_cache.get(g, self.neat_config) for g in genomes
+            ]
+        configs = [
+            entry.hw_config(genome)
+            for entry, genome in zip(entries, genomes)
+        ]
+        return entries, configs
+
+    def _episode_records(
+        self,
+        genomes: list[Genome],
+        entries=None,
+        episodes: range | list[int] | None = None,
+    ) -> list[list[EpisodeRecord]]:
+        """Every (genome, episode) slot's record, ``[genome][episode]``.
+
+        ``episodes`` defaults to all of them; ``entries`` are the
+        genomes' compiled structures when the caller already looked
+        them up.  The slots of vectorizable shapes run in one lock-step
+        pass of one :class:`~repro.compile.CompiledPopulationEvaluator`;
+        the rest run on the interpreted path, which produces the same
+        bits by construction.
+        """
+        if entries is None:
+            entries = [
+                self._compile_cache.get(g, self.neat_config) for g in genomes
+            ]
+        if episodes is None:
+            episodes = range(self.episodes_per_genome)
+        records: list[list] = [[None] * len(episodes) for _ in genomes]
+        slots = [
+            (i, e)
+            for i, entry in enumerate(entries)
+            if entry.plan is not None
+            for e in range(len(episodes))
+        ]
+        if slots:
+            envs = [self._make_env() for _ in slots]
+            seeds = [
+                self._episode_seed(genomes[i], episodes[e]) for i, e in slots
+            ]
+            buckets = len({id(entries[i]) for i, _ in slots})
+            with _span(
+                "compile.batch_step", slots=len(slots), buckets=buckets
+            ):
+                evaluator = CompiledPopulationEvaluator(
+                    [(entries[i], genomes[i]) for i, _ in slots]
+                )
+                for (i, e), record in zip(
+                    slots, run_lockstep(envs, evaluator.infer, seeds=seeds)
+                ):
+                    records[i][e] = record
+        for i, entry in enumerate(entries):
+            if entry.plan is None:  # non-vectorizable shape: reference path
+                records[i] = self._interpreted_records(genomes[i], episodes)
+        return records
 
 
 # ------------------------------------------------------------------ pool
@@ -537,7 +691,7 @@ def _fastcpu_worker_evaluate(
     return rows, telemetry
 
 
-class CompiledCPUBackend(CPUBackend):
+class CompiledCPUBackend(_CompiledBackend):
     """Compiled + sharded software evaluation (``cpu-compiled``).
 
     The production software path.  Three optimizations over
@@ -581,7 +735,7 @@ class CompiledCPUBackend(CPUBackend):
         inax_config: INAXConfig | None = None,
         env_kwargs: dict | None = None,
         workers: int = 0,
-        cache_size: int = 512,
+        cache_size: int = COMPILE_CACHE_SIZE,
         fault_plan: FaultPlan | None = None,
         quarantine_penalty: float = DEFAULT_PENALTY,
         supervisor: SupervisorConfig | None = None,
@@ -602,6 +756,7 @@ class CompiledCPUBackend(CPUBackend):
             fault_plan=fault_plan,
             quarantine_penalty=quarantine_penalty,
             pipeline=pipeline,
+            cache_size=cache_size,
         )
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
@@ -609,7 +764,6 @@ class CompiledCPUBackend(CPUBackend):
         self.supervisor_config = (
             supervisor if supervisor is not None else SupervisorConfig()
         )
-        self._compile_cache = CompileCache(cache_size)
         self._supervisor: ShardSupervisor | None = None
         #: compile-cache deltas folded back from worker shards
         self._shard_compile = {"hits": 0, "misses": 0}
@@ -641,18 +795,12 @@ class CompiledCPUBackend(CPUBackend):
     def reset_run_state(self, base_seed: int | None = None) -> None:
         """Reset run accumulators; keep compile cache + worker pool warm.
 
-        Compiled structures survive (structural, content-keyed,
-        bit-safe) but the hit/miss/warmed counters restart so the next
-        run's cache stats cover only its own activity.  Worker-side
-        sizes are still live (the pool persists), so the aggregate
-        ``size`` stays truthful; worker deltas keep flowing against the
-        workers' own cumulative reported counters, which the run
-        boundary does not disturb.
+        Worker-side sizes are still live (the pool persists), so the
+        aggregate ``size`` stays truthful; worker deltas keep flowing
+        against the workers' own cumulative reported counters, which
+        the run boundary does not disturb.
         """
         super().reset_run_state(base_seed=base_seed)
-        self._compile_cache.hits = 0
-        self._compile_cache.misses = 0
-        self._compile_cache.warmed = 0
         self._shard_compile = {"hits": 0, "misses": 0}
         if self._supervisor is not None:
             # per-run resilience accounting; the pool itself stays warm
@@ -661,30 +809,19 @@ class CompiledCPUBackend(CPUBackend):
             self._supervisor.events = []
 
     def compile_cache_info(self) -> dict[str, int]:
-        """Compile-cache statistics: hits, misses, current size.
+        """Compile-cache statistics, worker shards included.
 
         With ``workers > 1`` the counts combine the parent cache with
         every worker shard's (workers report deltas back with each
         evaluated shard; ``size`` **sums each shard slot's most recent
         report**, so the aggregate is deterministic no matter what
-        order payloads arrive in).  ``warmed`` counts entries built by
-        :meth:`warm_caches` (resume warm-start), which are deliberately
-        excluded from hits/misses.
+        order payloads arrive in).
         """
-        info = self._compile_cache.info()
-        return {
-            "hits": info["hits"] + self._shard_compile["hits"],
-            "misses": info["misses"] + self._shard_compile["misses"],
-            "size": info["size"] + sum(self._shard_compile_sizes.values()),
-            "warmed": info["warmed"],
-        }
-
-    def warm_caches(self, genomes: list[Genome]) -> int:
-        built = 0
-        for genome in genomes:
-            if self._compile_cache.warm(genome, self.neat_config):
-                built += 1
-        return built
+        info = super().compile_cache_info()
+        info["hits"] += self._shard_compile["hits"]
+        info["misses"] += self._shard_compile["misses"]
+        info["size"] += sum(self._shard_compile_sizes.values())
+        return info
 
     def reporter_columns(self) -> dict[str, float]:
         columns = super().reporter_columns()
@@ -708,33 +845,15 @@ class CompiledCPUBackend(CPUBackend):
 
     # -------------------------------------------------------- evaluation
     def _evaluate(self, genomes: list[Genome]) -> None:
-        with _span("compile.lookup", genomes=len(genomes)):
-            entries = [
-                self._compile_cache.get(g, self.neat_config) for g in genomes
-            ]
-        # workload records lower through the fill recipes — equal to
-        # compile_genome() field for field, without re-running CreateNet
-        configs = [
-            entry.hw_config(genome)
-            for entry, genome in zip(entries, genomes)
-        ]
+        entries, configs = self._lower(genomes)
         if self.workers > 1 and len(genomes) > 1:
             fitnesses, lengths = self._fitness_sharded(genomes)
         else:
             fitnesses, lengths = self._fitness_for(genomes, entries=entries)
         for genome, fitness in zip(genomes, fitnesses):
             genome.fitness = fitness
-        self._publish_metrics()
+        self._publish_compile_gauges()
         self._record(configs, lengths, keys=[g.key for g in genomes])
-
-    def _publish_metrics(self) -> None:
-        registry = get_metrics()
-        if registry is None:
-            return
-        info = self.compile_cache_info()
-        registry.gauge("compile.cache.hits").set(info["hits"])
-        registry.gauge("compile.cache.misses").set(info["misses"])
-        registry.gauge("compile.cache.size").set(info["size"])
 
     def _fitness_for(
         self, genomes: list[Genome], entries=None
@@ -742,52 +861,15 @@ class CompiledCPUBackend(CPUBackend):
         """Evaluate ``genomes`` in-process; returns (fitnesses, lengths).
 
         ``entries`` are the genomes' compiled structures when the caller
-        already looked them up.  Reward/step accumulation mirrors
-        :meth:`_interpreted_fitness` exactly: per-episode totals in step
-        order, summed in episode order, then one division — so the
+        already looked them up.  Each genome's records sum through
+        :func:`_fitness_of`, like :meth:`_interpreted_fitness`, so the
         resulting floats are bit-identical.
         """
-        if entries is None:
-            entries = [
-                self._compile_cache.get(g, self.neat_config) for g in genomes
-            ]
-        episodes = self.episodes_per_genome
-        fitnesses = [0.0] * len(genomes)
-        lengths = [0] * len(genomes)
-
-        slots = [
-            (i, episode)
-            for i, entry in enumerate(entries)
-            if entry.plan is not None
-            for episode in range(episodes)
+        results = [
+            _fitness_of(records)
+            for records in self._episode_records(genomes, entries)
         ]
-        if slots:
-            envs = [self._make_env() for _ in slots]
-            seeds = [
-                self._episode_seed(genomes[i], episode)
-                for i, episode in slots
-            ]
-            buckets = len({id(entries[i]) for i, _ in slots})
-            with _span(
-                "compile.batch_step", slots=len(slots), buckets=buckets
-            ):
-                evaluator = CompiledPopulationEvaluator(
-                    [(entries[i], genomes[i]) for i, _ in slots]
-                )
-                for (i, _), record in zip(
-                    slots, run_lockstep(envs, evaluator.infer, seeds=seeds)
-                ):
-                    fitnesses[i] += record.total_reward
-                    lengths[i] += record.steps
-
-        for i, entry in enumerate(entries):
-            if entry.plan is None:  # non-vectorizable shape: reference path
-                fitnesses[i], lengths[i] = self._interpreted_fitness(
-                    genomes[i]
-                )
-            else:
-                fitnesses[i] /= episodes
-        return fitnesses, lengths
+        return [f for f, _ in results], [steps for _, steps in results]
 
     def _make_pool(self):
         """Build a fresh initialized worker pool (supervisor factory)."""
@@ -940,16 +1022,26 @@ class CompiledCPUBackend(CPUBackend):
                     registry.merge_snapshot(payload["metrics"])
 
 
-class INAXBackend(EvaluationBackend):
+class INAXBackend(_CompiledBackend):
     """HW/SW co-designed evaluation on the functional INAX device.
 
     Episodes run in lock-step across a wave of PUs: each synchronized
     device step infers every still-alive individual, then the CPU steps
     each individual's environment with the decoded action.  Early
     terminations drop out of subsequent steps (the §V-B2 idle-PU
-    effect), and the device's cycle report reflects it.  The wave loop
-    itself is the shared :func:`run_lockstep` driver with the device as
-    the inference function.
+    effect), and the device's cycle report reflects it.
+
+    The modelled device always runs its waves one after another; the
+    host simulates them one of two ways.  When the device is
+    :attr:`~repro.inax.accelerator.INAX.replayable`, the generation's
+    episodes run first, in one lock-step pass on the compiled engine
+    (:meth:`_functional_pass`), and each wave-episode then replays its
+    cycle accounting on the device from the episode lengths
+    (:meth:`~repro.inax.accelerator.INAX.replay_wave`).  Otherwise each
+    wave-episode runs through the shared :func:`run_lockstep` driver
+    with the device's per-PU :meth:`~repro.inax.accelerator.INAX.step`
+    as the inference function.  Both produce the same fitness bits,
+    cycle reports and device spans.
     """
 
     name = "inax"
@@ -1019,6 +1111,9 @@ class INAXBackend(EvaluationBackend):
         self.fallback = fallback
         self.fallback_waves = 0
         self.fallback_genomes = 0
+        # id(genome) -> its episode records, while a generation's
+        # functional pass is live (see _functional_pass)
+        self._pass_records: dict[int, list[EpisodeRecord]] | None = None
 
     def reset_run_state(self, base_seed: int | None = None) -> None:
         super().reset_run_state(base_seed=base_seed)
@@ -1044,20 +1139,22 @@ class INAXBackend(EvaluationBackend):
 
     def _gate_oversize(
         self, genomes: list[Genome]
-    ) -> tuple[list[Genome], list[HWNetConfig]]:
-        """Compile and apply the buffer-capacity gate (§IV-D).
+    ) -> tuple[list[Genome], list[HWNetConfig], list]:
+        """Lower and apply the buffer-capacity gate (§IV-D).
 
-        Returns the runnable (genome, config) subset; oversized genomes
-        are resolved here (software fallback or penalty) per
-        ``oversize_policy``.
+        Returns the runnable genomes with their HW configs and compiled
+        structures; oversized genomes are resolved here (software
+        fallback or penalty) per ``oversize_policy``.
         """
-        all_configs = [compile_genome(g, self.neat_config) for g in genomes]
+        all_entries, all_configs = self._lower(genomes)
         runnable: list[Genome] = []
         configs: list[HWNetConfig] = []
-        for genome, config in zip(genomes, all_configs):
+        entries: list = []
+        for genome, config, entry in zip(genomes, all_configs, all_entries):
             if self._fits_buffers(config):
                 runnable.append(genome)
                 configs.append(config)
+                entries.append(entry)
                 continue
             site = f"gen={self._generation}|genome={genome.key}"
             if self.oversize_policy == "raise" and self.fallback is None:
@@ -1083,47 +1180,48 @@ class INAXBackend(EvaluationBackend):
                     "inax.oversize", site,
                     penalty=self.oversize_penalty,
                 )
-        return runnable, configs
+        return runnable, configs, entries
 
     def _evaluate(self, genomes: list[Genome]) -> None:
         assert self.inax_config is not None
         # buffer-capacity gate (§IV-D: finite weight/value buffers)
-        runnable, configs = self._gate_oversize(genomes)
+        runnable, configs, entries = self._gate_oversize(genomes)
 
         lengths = [0] * len(runnable)
         rewards = [0.0] * len(runnable)
         num_pus = self.inax_config.num_pus
         keys = [g.key for g in runnable]
 
-        # wave packing happens *before* evaluation, off last-generation
-        # episode lengths — exactly what the analytic scheduler replays
-        with _span("inax.pack", genomes=len(runnable)):
-            predicted = self._predict_costs(configs, keys)
-            waves = pack_waves(
-                predicted
-                if predicted is not None
-                else [None] * len(runnable),
-                num_pus,
-                self.pipeline.schedule,
-            )
-
-        self.device.reset_report()
-        dispatched = 0
-        for indices in waves:
-            wave_genomes = [runnable[i] for i in indices]
-            wave_configs = [configs[i] for i in indices]
-            for episode in range(self.episodes_per_genome):
-                prefetched = self.pipeline.prefetch and dispatched > 0
-                self._run_wave_episode(
-                    indices,
-                    wave_genomes,
-                    wave_configs,
-                    episode,
-                    lengths,
-                    rewards,
-                    prefetched=prefetched,
+        with self._functional_pass(runnable, entries):
+            # wave packing happens *before* evaluation, off last-generation
+            # episode lengths — exactly what the analytic scheduler replays
+            with _span("inax.pack", genomes=len(runnable)):
+                predicted = self._predict_costs(configs, keys)
+                waves = pack_waves(
+                    predicted
+                    if predicted is not None
+                    else [None] * len(runnable),
+                    num_pus,
+                    self.pipeline.schedule,
                 )
-                dispatched += 1
+
+            self.device.reset_report()
+            dispatched = 0
+            for indices in waves:
+                wave_genomes = [runnable[i] for i in indices]
+                wave_configs = [configs[i] for i in indices]
+                for episode in range(self.episodes_per_genome):
+                    prefetched = self.pipeline.prefetch and dispatched > 0
+                    self._run_wave_episode(
+                        indices,
+                        wave_genomes,
+                        wave_configs,
+                        episode,
+                        lengths,
+                        rewards,
+                        prefetched=prefetched,
+                    )
+                    dispatched += 1
 
         for genome, reward in zip(runnable, rewards):
             genome.fitness = reward / self.episodes_per_genome
@@ -1137,6 +1235,31 @@ class INAXBackend(EvaluationBackend):
         # the functional device's own report supersedes the analytic one
         record.cycle_report = self.device.report
         self._publish_cycle_gauges(record.cycle_report)
+        self._publish_compile_gauges()
+
+    @contextmanager
+    def _functional_pass(self, genomes: list[Genome], entries: list):
+        """Run the generation's episodes first, when the data cannot matter.
+
+        With a :attr:`~repro.inax.accelerator.INAX.replayable` device
+        (every device of a farm is built alike), all of ``genomes``'
+        episodes run in one pass of :meth:`_episode_records`, and every
+        wave-episode dispatched inside the ``with`` block replays its
+        cycle accounting from them (:meth:`_device_wave_episode`).
+        Otherwise nothing runs here and the devices step every wave.
+        The records never outlive the block.
+        """
+        if self.device.replayable:
+            self._pass_records = {
+                id(genome): records
+                for genome, records in zip(
+                    genomes, self._episode_records(genomes, entries)
+                )
+            }
+        try:
+            yield
+        finally:
+            self._pass_records = None
 
     def _publish_cycle_gauges(self, report) -> None:
         """Per-generation pipeline gauges (watchtower detector inputs)."""
@@ -1172,20 +1295,19 @@ class INAXBackend(EvaluationBackend):
         Fresh envs + the same per-(genome, episode) seeds make this
         bit-identical to what the device would have produced (the
         backend-parity contract), no matter how far the faulted wave
-        got.  ``fallback="cpu-fast"`` uses the compiled evaluator when
-        every genome vectorizes; otherwise — and for ``fallback="cpu"``
-        — the interpreted per-node path runs.
+        got.  ``fallback="cpu-fast"`` runs it through the backend's own
+        compile cache and :meth:`_episode_records`;
+        ``fallback="cpu"`` runs the interpreted per-node path.
         """
+        if self.fallback == "cpu-fast":
+            return [
+                records[0]
+                for records in self._episode_records(
+                    genomes, episodes=[episode]
+                )
+            ]
         envs = [self._make_env() for _ in genomes]
         seeds = [self._episode_seed(genome, episode) for genome in genomes]
-        if self.fallback == "cpu-fast":
-            cache = CompileCache(len(genomes))
-            entries = [cache.get(g, self.neat_config) for g in genomes]
-            if all(entry.plan is not None for entry in entries):
-                evaluator = CompiledPopulationEvaluator(
-                    list(zip(entries, genomes))
-                )
-                return run_lockstep(envs, evaluator.infer, seeds=seeds)
         nets = [
             FeedForwardNetwork.create(genome, self.neat_config)
             for genome in genomes
@@ -1202,10 +1324,20 @@ class INAXBackend(EvaluationBackend):
     ):
         """One wave's episode on one device; raises on device faults.
 
-        The fresh-env + per-(genome, episode) seed discipline lives
-        here, so any device (the single INAX or any fabric farm member)
-        produces bit-identical episode records for the same wave.
+        The one place a wave-episode's execution is chosen.  Inside a
+        live :meth:`_functional_pass` the records come from the pass
+        and ``device`` replays the wave from their lengths; otherwise
+        ``device`` steps the wave in lock-step.  The fresh-env +
+        per-(genome, episode) seed discipline makes either way, on any
+        device (the single INAX or any fabric farm member), produce
+        bit-identical episode records for the same wave.
         """
+        if self._pass_records is not None:
+            records = [self._pass_records[id(g)][episode] for g in genomes]
+            device.replay_wave(
+                configs, [r.steps for r in records], prefetched=prefetched
+            )
+            return records
         device.begin_wave(configs, prefetched=prefetched)
         envs = [self._make_env() for _ in genomes]
         seeds = [self._episode_seed(genome, episode) for genome in genomes]

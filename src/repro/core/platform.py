@@ -147,7 +147,9 @@ class E3:
         match the environment's I/O dimensions, and ``neat_config``/
         ``seed_genome`` are ignored in favor of the adopted population's
         own state.  ``seed`` still seeds the backend's per-episode
-        draws, so a resume passes the original run's seed."""
+        draws, so a resume passes the original run's seed (``repro
+        resume`` reads it from the checkpoint's
+        :attr:`~repro.neat.population.Population.run_seed`)."""
         env_spec = spec(env_name)  # validates the name early
         env_kwargs = dict(env_kwargs or {})
         env = make(env_name, **env_kwargs)

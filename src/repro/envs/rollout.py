@@ -180,11 +180,6 @@ def run_episode(
 #: so :func:`run_lockstep` hands the survivors back to their instances;
 #: the crossover is pure tuning (both paths produce identical bits).
 BATCH_MIN_WIDTH = 8
-#: Fewest live slots worth one flattened INAX device step.  A narrower
-#: step runs slot by slot on the per-PU reference path, where a few PU
-#: passes cost less than one flattened pass; like
-#: :data:`BATCH_MIN_WIDTH` the crossover is pure tuning.
-INFER_MIN_WIDTH = 4
 
 
 def check_slots(slots: list[int], num_slots: int) -> None:

@@ -14,7 +14,11 @@
 * the per-(genome, episode) seeding contract makes device placement
   invisible to fitness, so a fault-ridden run is *fitness-identical*
   to a clean run of the same seed — eviction and re-pack can only move
-  cycles, never results.
+  cycles, never results;
+* as on one device, a farm whose devices are replayable runs the
+  generation's episodes in one lock-step pass first, and every
+  dispatched wave-episode — a re-packed one included — replays its
+  cycle accounting on the device the dispatch loop picked.
 
 Cycle accounting: devices run in parallel in the cycle domain, so the
 generation's wall-clock is the max over per-device report cycles plus
@@ -135,72 +139,75 @@ class FabricINAXBackend(INAXBackend):
         generation = self._generation
         sup = self.fabric
         sup.begin_generation(generation)
-        runnable, configs = self._gate_oversize(genomes)
+        runnable, configs, entries = self._gate_oversize(genomes)
 
         lengths = [0] * len(runnable)
         rewards = [0.0] * len(runnable)
         keys = [g.key for g in runnable]
         num_pus = self.inax_config.num_pus
 
-        with _span("inax.pack", genomes=len(runnable)):
-            predicted = self._predict_costs(configs, keys)
-            waves = pack_waves(
-                predicted
+        with self._functional_pass(runnable, entries):
+            with _span("inax.pack", genomes=len(runnable)):
+                predicted = self._predict_costs(configs, keys)
+                waves = pack_waves(
+                    predicted
+                    if predicted is not None
+                    else [None] * len(runnable),
+                    num_pus,
+                    self.pipeline.schedule,
+                )
+            # without predictions (arrival schedule, or a cold first LPT
+            # generation) every wave prices as one unit, so LPT assignment
+            # degrades to balanced wave *counts* instead of piling the
+            # whole generation onto device 0
+            wave_costs = [
+                max((predicted[i] or 1.0) for i in indices)
                 if predicted is not None
-                else [None] * len(runnable),
-                num_pus,
-                self.pipeline.schedule,
-            )
-        # without predictions (arrival schedule, or a cold first LPT
-        # generation) every wave prices as one unit, so LPT assignment
-        # degrades to balanced wave *counts* instead of piling the whole
-        # generation onto device 0
-        wave_costs = [
-            max((predicted[i] or 1.0) for i in indices)
-            if predicted is not None
-            else 1.0
-            for indices in waves
-        ]
-        for device in self.farm:
-            device.reset_report()
+                else 1.0
+                for indices in waves
+            ]
+            for device in self.farm:
+                device.reset_report()
 
-        queues: dict[int, deque] = {}
-        if waves:
-            with _span(
-                "fabric.assign", waves=len(waves), devices=len(sup.alive())
-            ):
-                assignment = assign_waves(wave_costs, sup.alive())
-            queues = {
-                device: deque((ordinal, 0) for ordinal in ordinals)
-                for device, ordinals in assignment.items()
-            }
-        dispatched = {device: 0 for device in range(self.num_devices)}
+            queues: dict[int, deque] = {}
+            if waves:
+                with _span(
+                    "fabric.assign", waves=len(waves), devices=len(sup.alive())
+                ):
+                    assignment = assign_waves(wave_costs, sup.alive())
+                queues = {
+                    device: deque((ordinal, 0) for ordinal in ordinals)
+                    for device, ordinals in assignment.items()
+                }
+            dispatched = {device: 0 for device in range(self.num_devices)}
 
-        # drain device queues; an eviction re-packs (and may refill an
-        # already-passed device's queue), so the outer loop re-scans
-        # until every queue is dry
-        while any(queues.values()):
-            for device in sorted(queues):
-                queue = queues[device]
-                while queue:
-                    ordinal, start_episode = queue[0]
-                    indices = waves[ordinal]
-                    done = self._dispatch_wave(
-                        generation,
-                        device,
-                        indices,
-                        [runnable[i] for i in indices],
-                        [configs[i] for i in indices],
-                        start_episode,
-                        lengths,
-                        rewards,
-                        dispatched,
-                        queue,
-                    )
-                    if not done:
-                        self._repack(generation, device, queues, wave_costs)
-                        break
-                    queue.popleft()
+            # drain device queues; an eviction re-packs (and may refill an
+            # already-passed device's queue), so the outer loop re-scans
+            # until every queue is dry
+            while any(queues.values()):
+                for device in sorted(queues):
+                    queue = queues[device]
+                    while queue:
+                        ordinal, start_episode = queue[0]
+                        indices = waves[ordinal]
+                        done = self._dispatch_wave(
+                            generation,
+                            device,
+                            indices,
+                            [runnable[i] for i in indices],
+                            [configs[i] for i in indices],
+                            start_episode,
+                            lengths,
+                            rewards,
+                            dispatched,
+                            queue,
+                        )
+                        if not done:
+                            self._repack(
+                                generation, device, queues, wave_costs
+                            )
+                            break
+                        queue.popleft()
 
         for genome, reward in zip(runnable, rewards):
             genome.fitness = reward / self.episodes_per_genome
@@ -213,6 +220,7 @@ class FabricINAXBackend(INAXBackend):
         )
         record.cycle_report = self._finish_generation(generation)
         self._publish_cycle_gauges(record.cycle_report)
+        self._publish_compile_gauges()
 
     def _dispatch_wave(
         self,

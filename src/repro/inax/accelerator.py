@@ -16,16 +16,17 @@ Two execution paths are provided:
 Both paths share the same per-PU timing semantics, and the tests assert
 they agree cycle-for-cycle.
 
-The stepwise device itself computes a step one of two ways, with
-identical output bits and cycle counts.  The per-PU reference runs each
-live slot's :meth:`~repro.inax.pu.ProcessingUnit.infer` node by node on
-its PEs.  When nothing about the step can depend on the data, the wave's
-configurations are instead lowered once at set-up into one flattened
-plan (:class:`~repro.neat.vectorized.PopulationEvaluator`, the
-``cpu-compiled`` engine), every live slot computes in one NumPy pass,
-and each slot's input-independent latency is read from the per-slot
-timing :meth:`INAX.begin_wave` precomputed — the same parallelism
-across PUs that the paper's wave step exploits.
+The stepwise device drives a wave one of two ways, with identical cycle
+reports and wave spans.  :meth:`INAX.step` is the reference: each live
+slot's :meth:`~repro.inax.pu.ProcessingUnit.infer` runs node by node on
+its PEs.  When nothing about a wave can make the data matter (no fault
+injector, no fixed-point ``datapath``, no ``skip_zero_activations``),
+a slot's outputs depend on no other slot and its per-step latency is
+static, so the host computes the episodes elsewhere (the backends run a
+whole generation in one lock-step pass) and :meth:`INAX.replay_wave`
+charges the wave from its configurations and episode lengths alone:
+step ``t`` runs every slot whose episode outlives ``t``, through the
+same per-step accounting :meth:`INAX.step` uses.
 """
 
 from __future__ import annotations
@@ -37,14 +38,13 @@ from itertools import accumulate
 
 import numpy as np
 
-from repro.envs.rollout import INFER_MIN_WIDTH, check_observations, check_slots
+from repro.envs.rollout import check_observations, check_slots
 from repro.inax.compiler import HWNetConfig
 from repro.inax.dma import DMAModel
 from repro.inax.pe import PECosts
 from repro.inax.pipeline import PipelineConfig, pack_waves
 from repro.inax.pu import ProcessingUnit, PUCosts, _static_step_cycles
 from repro.inax.timing import CycleReport
-from repro.neat.vectorized import PopulationEvaluator, _NetPlan
 from repro.telemetry.spans import get_tracer
 
 __all__ = [
@@ -94,14 +94,12 @@ class INAXConfig:
 class INAX:
     """Functional stepwise model of the accelerator.
 
-    :meth:`step` runs on the per-PU reference path whenever the data
-    could matter or the wave cannot be flattened: a fixed-point
-    ``datapath``, ``skip_zero_activations`` (data-dependent cycles), an
-    attached fault injector (per-slot hook order and event log), a wave
-    :meth:`begin_wave` could not lower (non-``sum`` aggregation, an
-    activation without a vector twin, mixed arity), or a step with
-    fewer than :data:`~repro.envs.rollout.INFER_MIN_WIDTH` live slots.
-    Every other step is one flattened pass.
+    A wave opens with :meth:`begin_wave` and closes with
+    :meth:`end_wave`.  In between, :meth:`step` runs each synchronized
+    inference on the per-PU reference path.  :meth:`replay_wave` runs a
+    whole wave from its episode lengths instead; it is only valid while
+    :attr:`replayable` holds, and charges exactly what stepping the
+    same live sets would.
     """
 
     def __init__(
@@ -135,13 +133,6 @@ class INAX:
         ]
         self.report = CycleReport()
         self._wave_slots: list[HWNetConfig] = []
-        # the wave's flattened plan (None: every step runs per PU), the
-        # per-slot static timing beside it, and the last step's live
-        # slots with their summed timing
-        self._flat: PopulationEvaluator | None = None
-        self._slot_timing: list[tuple[int, int]] = []
-        self._live: list[int] | None = None
-        self._live_timing: tuple[int, int, int, int, int] | None = None
         #: cycles -> seconds for exported spans; ``None`` uses the
         #: calibrated FPGA clock (:data:`repro.hw.calibration.FPGA_CLOCK_HZ`)
         self.clock_hz: float | None = None
@@ -165,6 +156,24 @@ class INAX:
         self._compute_since_setup = 0
         self._prev_wave_compute = 0
         self._wave_hidden_setup = 0
+
+    @property
+    def replayable(self) -> bool:
+        """Whether a wave's outputs and cycles follow from its
+        configurations and episode lengths alone.
+
+        False under anything that makes the data matter: an attached
+        fault injector (per-slot hooks and their event log), a
+        fixed-point ``datapath`` (outputs differ from the float64
+        reference), or ``skip_zero_activations`` (data-dependent
+        cycles).  Those runs must :meth:`step`.
+        """
+        cfg = self.config
+        return (
+            self.fault_injector is None
+            and cfg.datapath is None
+            and not cfg.skip_zero_activations
+        )
 
     # -------------------------------------------------------------- wave
     def begin_wave(
@@ -198,7 +207,6 @@ class INAX:
         self._wave_slots = list(configs)
         self._wave_index += 1
         self._wave_step = 0
-        self._live = None
         decode_cycles = []
         for pu, cfg in zip(self.pus, configs):
             decode_cycles.append(pu.load(cfg))
@@ -207,7 +215,6 @@ class INAX:
                 self.fault_injector.on_load(
                     self.pus[slot], self._wave_index, slot
                 )
-        self._lower_wave(len(configs))
         dma_cycles = self.config.dma.transfer_cycles(
             sum(c.config_words for c in configs)
         )
@@ -235,42 +242,6 @@ class INAX:
             self._slot_active_cycles = [0] * len(configs)
             self._slot_steps = [0] * len(configs)
 
-    def _lower_wave(self, size: int) -> None:
-        """Flatten the wave's loaded configs for batched steps, if allowed.
-
-        Leaves :attr:`_flat` ``None`` — every step on the per-PU
-        reference path — for a wave narrower than
-        :data:`~repro.envs.rollout.INFER_MIN_WIDTH`, under any of the
-        data-dependent settings, or when the configs do not lower.
-        Otherwise also records each slot's input-independent per-step
-        timing: the closed forms :func:`schedule_generation` prices with.
-        """
-        cfg = self.config
-        self._flat = None
-        if (
-            size < INFER_MIN_WIDTH
-            or cfg.datapath is not None
-            or cfg.skip_zero_activations
-            or self.fault_injector is not None
-        ):
-            return
-        loaded = [pu.loaded for pu in self.pus[:size]]
-        try:
-            self._flat = PopulationEvaluator.from_plans(
-                [_NetPlan(c.network()) for c in loaded]
-            )
-        except (KeyError, ValueError):  # not lowerable: steps run per PU
-            return
-        self._slot_timing = [
-            (
-                _static_step_cycles(
-                    c, cfg.num_pes_per_pu, cfg.pe_costs, cfg.pu_costs
-                ),
-                _static_pe_active(c, cfg.pe_costs),
-            )
-            for c in loaded
-        ]
-
     def step(self, slots: list[int], obs: np.ndarray) -> np.ndarray:
         """One synchronized inference across the wave's live slots.
 
@@ -278,93 +249,24 @@ class INAX:
         slots in ascending order (slots whose episode already terminated
         are left out and idle), row ``i`` of ``obs`` is ``slots[i]``'s
         observation and row ``i`` of the result its output vector.
+        Each live slot's PU infers its own row; fault hooks fire per
+        slot in slot order.
         """
         if not self._wave_slots:
             raise RuntimeError("no wave in progress; call begin_wave() first")
-        if slots != self._live:
-            check_slots(slots, len(self._wave_slots))
-            self._live = list(slots)
-            self._live_timing = None
+        check_slots(slots, len(self._wave_slots))
         obs = check_observations(
             obs, len(slots), self._wave_slots[slots[0]].num_inputs
         )
-        cfg = self.config
+        injector = self.fault_injector
+        wave, step_index = self._wave_index, self._wave_step
         self._wave_step += 1
-        if self._flat is not None and len(slots) >= INFER_MIN_WIDTH:
-            outputs, timing = self._step_flat(slots, obs)
-        else:
-            outputs, timing = self._step_per_pu(slots, obs)
-        slowest, pe_active, pu_active, in_words, out_words = timing
-        injector = self.fault_injector
-        io = cfg.dma.transfer_cycles(in_words) + cfg.dma.transfer_cycles(out_words)
-        if injector is not None:
-            # a dropped input transfer is re-sent; the retry serializes
-            # on the shared input channel
-            io += cfg.dma.retry_cycles(
-                in_words,
-                injector.input_retries(self._wave_index, self._wave_step - 1),
-            )
-        if cfg.overlap_io:
-            step_wall = max(slowest, io) + cfg.step_sync_cycles
-        else:
-            step_wall = slowest + io + cfg.step_sync_cycles
-        self._cycle += step_wall
-        if self._tracing:
-            for slot in slots:
-                self._slot_last_active[slot] = self._cycle
-        report = self.report
-        report.compute_cycles += step_wall
-        report.io_cycles += io
-        report.pe_active_cycles += pe_active
-        report.pe_provisioned_cycles += (
-            cfg.num_pus * cfg.num_pes_per_pu * step_wall
-        )
-        report.pu_active_cycles += pu_active
-        report.pu_provisioned_cycles += cfg.num_pus * step_wall
-        report.steps += 1
-        report.live_slot_steps += len(slots)
-        report.slot_steps_provisioned += cfg.num_pus
-        self._compute_since_setup += step_wall
-        return outputs
-
-    def _step_flat(self, slots: list[int], obs: np.ndarray):
-        """The flattened step: every live slot in one pass.
-
-        Returns ``(outputs, (slowest, pe_active, pu_active, in_words,
-        out_words))`` like :meth:`_step_per_pu`; the timing sums the
-        slots' precomputed static numbers, once per live set.
-        """
-        outputs = self._flat.infer(slots, obs)
-        if self._live_timing is None:
-            timing = [self._slot_timing[slot] for slot in slots]
-            configs = [self._wave_slots[slot] for slot in slots]
-            self._live_timing = (
-                max(cycles for cycles, _ in timing),
-                sum(active for _, active in timing),
-                sum(cycles for cycles, _ in timing),
-                sum(c.num_inputs for c in configs),
-                sum(c.num_outputs for c in configs),
-            )
-        if self._tracing:
-            for slot in slots:
-                self._slot_active_cycles[slot] += self._slot_timing[slot][0]
-                self._slot_steps[slot] += 1
-        return outputs, self._live_timing
-
-    def _step_per_pu(self, slots: list[int], obs: np.ndarray):
-        """The reference step: each live slot's PU infers its own row.
-
-        Returns ``(outputs, (slowest, pe_active, pu_active, in_words,
-        out_words))``; fault hooks fire per slot in slot order.
-        """
-        injector = self.fault_injector
-        wave, step_index = self._wave_index, self._wave_step - 1
         if injector is not None:
             injector.check_wedge(wave, step_index)
         rows = []
+        slot_cycles = []
         slowest = 0
         pe_active = 0
-        pu_active = 0
         in_words = 0
         out_words = 0
         for slot, x in zip(slots, obs):
@@ -378,16 +280,125 @@ class INAX:
                 # but burns no useful PE/PU activity
                 slowest = max(slowest, timing.cycles + stall)
             rows.append(out)
+            slot_cycles.append(timing.cycles)
             slowest = max(slowest, timing.cycles)
             pe_active += timing.pe_active_cycles
-            pu_active += timing.cycles
-            if self._tracing:
-                self._slot_active_cycles[slot] += timing.cycles
-                self._slot_steps[slot] += 1
             in_words += self._wave_slots[slot].num_inputs
             out_words += self._wave_slots[slot].num_outputs
-        outputs = np.array(rows, dtype=np.float64)
-        return outputs, (slowest, pe_active, pu_active, in_words, out_words)
+        # a dropped input transfer is re-sent; the retry serializes on
+        # the shared input channel
+        retries = (
+            injector.input_retries(wave, step_index)
+            if injector is not None
+            else 0
+        )
+        self._charge_step(
+            slots,
+            slot_cycles,
+            (slowest, pe_active, sum(slot_cycles), in_words, out_words),
+            retries,
+        )
+        return np.array(rows, dtype=np.float64)
+
+    def replay_wave(
+        self,
+        configs: list[HWNetConfig],
+        lengths: list[int],
+        prefetched: bool = False,
+    ) -> None:
+        """Run one whole wave from its episode lengths, without inputs.
+
+        Opens the wave exactly like :meth:`begin_wave` (``prefetched``
+        included), charges step ``t`` to every slot whose episode is
+        longer than ``t``, each at its input-independent latency
+        (``_static_step_cycles``) and PE activity (``_static_pe_active``),
+        and closes it with :meth:`end_wave`.  The live sets are the ones
+        :func:`repro.envs.rollout.run_lockstep` would hand :meth:`step`,
+        and every step goes through the same accounting, so the report,
+        the prefetch window and the wave spans equal a stepped wave's.
+        Only valid while :attr:`replayable` holds.
+        """
+        if len(lengths) != len(configs):
+            raise ValueError("need one episode length per configuration")
+        if any(length < 1 for length in lengths):
+            raise ValueError("episode lengths must be >= 1")
+        if not self.replayable:
+            raise RuntimeError(
+                "replay_wave needs a device whose data cannot matter: "
+                "no fault injector, datapath or skip_zero_activations"
+            )
+        self.begin_wave(configs, prefetched=prefetched)
+        cfg = self.config
+        static = [
+            (
+                _static_step_cycles(
+                    c, cfg.num_pes_per_pu, cfg.pe_costs, cfg.pu_costs
+                ),
+                _static_pe_active(c, cfg.pe_costs),
+            )
+            for c in configs
+        ]
+        live = list(range(len(configs)))
+        done = 0
+        for horizon in sorted(set(lengths)):
+            # the live set holds until the next episode ends
+            slot_cycles = [static[slot][0] for slot in live]
+            timing = (
+                max(slot_cycles),
+                sum(static[slot][1] for slot in live),
+                sum(slot_cycles),
+                sum(configs[slot].num_inputs for slot in live),
+                sum(configs[slot].num_outputs for slot in live),
+            )
+            for _ in range(horizon - done):
+                self._charge_step(live, slot_cycles, timing)
+            done = horizon
+            live = [slot for slot in live if lengths[slot] > horizon]
+        self.end_wave()
+
+    def _charge_step(
+        self,
+        slots: list[int],
+        slot_cycles: list[int],
+        timing: tuple[int, int, int, int, int],
+        input_retries: int = 0,
+    ) -> None:
+        """Charge one synchronized step to the report and the timeline.
+
+        ``slot_cycles[i]`` is ``slots[i]``'s active cycles this step;
+        ``timing`` is ``(slowest, pe_active, pu_active, in_words,
+        out_words)`` over the live slots.  ``input_retries`` re-sends
+        of the input block serialize on the input channel.
+        """
+        slowest, pe_active, pu_active, in_words, out_words = timing
+        cfg = self.config
+        dma = cfg.dma
+        io = dma.transfer_cycles(in_words) + dma.transfer_cycles(out_words)
+        if input_retries:
+            io += dma.retry_cycles(in_words, input_retries)
+        if cfg.overlap_io:
+            step_wall = max(slowest, io) + cfg.step_sync_cycles
+        else:
+            step_wall = slowest + io + cfg.step_sync_cycles
+        self._cycle += step_wall
+        if self._tracing:
+            for slot, cycles in zip(slots, slot_cycles):
+                self._slot_last_active[slot] = self._cycle
+                self._slot_active_cycles[slot] += cycles
+                self._slot_steps[slot] += 1
+        report = self.report
+        report.compute_cycles += step_wall
+        report.io_cycles += io
+        report.pe_active_cycles += pe_active
+        report.pe_provisioned_cycles += (
+            cfg.num_pus * cfg.num_pes_per_pu * step_wall
+        )
+        report.pu_active_cycles += pu_active
+        report.pu_provisioned_cycles += cfg.num_pus * step_wall
+        report.steps += 1
+        report.live_slot_steps += len(slots)
+        report.slot_steps_provisioned += cfg.num_pus
+        self._compute_since_setup += step_wall
 
     def end_wave(self) -> None:
         if not self._wave_slots:
@@ -397,7 +408,6 @@ class INAX:
         if self._tracing:
             self._emit_wave_spans()
         self._wave_slots = []
-        self._flat = None
         self._tracing = False
         self._prev_wave_compute = self._compute_since_setup
         self._compute_since_setup = 0
@@ -416,7 +426,6 @@ class INAX:
             self._prev_wave_compute = self._compute_since_setup
             self._compute_since_setup = 0
         self._wave_slots = []
-        self._flat = None
         self._tracing = False
 
     def _emit_wave_spans(self) -> None:

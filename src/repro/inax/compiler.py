@@ -84,16 +84,6 @@ class HWNetConfig:
         """Width per layer, inputs included."""
         return [self.num_inputs] + [len(layer) for layer in self.layers]
 
-    def network(self) -> FeedForwardNetwork:
-        """The configuration as a decoded network again — the inverse of
-        :func:`compile_network`, sharing its node plans."""
-        return FeedForwardNetwork(
-            self.input_keys,
-            self.output_keys,
-            [[plan.key for plan in layer] for layer in self.layers],
-            {plan.key: plan for layer in self.layers for plan in layer},
-        )
-
 
 def compile_network(net: FeedForwardNetwork) -> HWNetConfig:
     """Lower a decoded feed-forward network to a HW configuration."""

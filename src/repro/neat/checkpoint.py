@@ -4,7 +4,9 @@ An edge deployment of E3 is long-lived — the model-tuning use-case (§I)
 continuously adapts a deployed population, and a power cycle must not
 lose the evolved state.  A checkpoint captures everything needed to
 resume: config, population genomes, innovation bookkeeping, species
-structure, RNG state, and the generation counter.
+structure, RNG state, the generation counter, and — when the caller
+passes it — the run seed that keys every per-episode draw, so a resume
+can continue the run without being told it again.
 
 The format is plain JSON so checkpoints are diffable and portable
 across hosts (the genome payload reuses :meth:`Genome.to_dict`).
@@ -61,8 +63,15 @@ class ChecksumMismatchError(CheckpointError):
     """The checkpoint's embedded SHA-256 does not match its payload."""
 
 
-def checkpoint_to_dict(population: Population) -> dict:
-    """Snapshot a population into a JSON-serializable dict."""
+def checkpoint_to_dict(
+    population: Population, seed: int | None = None
+) -> dict:
+    """Snapshot a population into a JSON-serializable dict.
+
+    ``seed`` records the run seed (the backend's per-episode seed
+    base) under the optional ``seed`` key; the restored population
+    carries it as :attr:`~repro.neat.population.Population.run_seed`.
+    """
     config_dict = asdict(population.config)
     # tuples serialize as lists; restore handles the round trip
     species_payload = []
@@ -78,7 +87,7 @@ def checkpoint_to_dict(population: Population) -> dict:
             }
         )
     tracker = population.tracker
-    return {
+    payload = {
         "format_version": _FORMAT_VERSION,
         "generation": population.generation,
         "config": config_dict,
@@ -101,6 +110,9 @@ def checkpoint_to_dict(population: Population) -> dict:
         "next_genome_key": population.reproduction._next_genome_key,
         "rng_state": _encode_rng(population.rng),
     }
+    if seed is not None:
+        payload["seed"] = int(seed)
+    return payload
 
 
 def _payload_checksum(payload: dict) -> str:
@@ -148,7 +160,10 @@ def _fsync_dir(directory: Path) -> None:
 
 
 def save_checkpoint(
-    population: Population, path: str | Path, keep: int = 1
+    population: Population,
+    path: str | Path,
+    keep: int = 1,
+    seed: int | None = None,
 ) -> None:
     """Atomically write a checkpoint file, rotating ``keep`` total copies.
 
@@ -158,12 +173,14 @@ def save_checkpoint(
     the previous complete checkpoint or the new complete one — never a
     truncated hybrid.  With ``keep > 1`` the previous checkpoint is
     first rotated to ``<path>.1`` (and so on up to ``<path>.{keep-1}``),
-    giving :func:`load_checkpoint` intact fallbacks.
+    giving :func:`load_checkpoint` intact fallbacks.  ``seed`` is the
+    run seed to record (see :func:`checkpoint_to_dict`); the checksum
+    covers it.
     """
     if keep < 1:
         raise ValueError(f"keep must be >= 1, got {keep}")
     target = Path(path)
-    payload = checkpoint_to_dict(population)
+    payload = checkpoint_to_dict(population, seed=seed)
     payload["checksum"] = _payload_checksum(payload)
     tmp = target.with_name(target.name + ".tmp")
     with open(tmp, "w") as handle:
@@ -294,6 +311,8 @@ def population_from_dict(payload: dict) -> Population:
     population.reproduction._next_genome_key = payload["next_genome_key"]
 
     population.rng = _decode_rng(payload["rng_state"])
+    seed = payload.get("seed")
+    population.run_seed = None if seed is None else int(seed)
     return population
 
 

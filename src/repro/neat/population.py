@@ -92,6 +92,9 @@ class Population:
         collide across islands."""
         self.config = config
         self.rng = np.random.default_rng(seed)
+        #: the run seed a restored checkpoint recorded (``None`` for a
+        #: new population, or a checkpoint that recorded none)
+        self.run_seed: int | None = None
         self.tracker = InnovationTracker(config.num_outputs)
         self.reproduction = Reproduction(config, self.tracker)
         if key_offset:

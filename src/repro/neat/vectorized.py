@@ -2,10 +2,11 @@
 
 The interpreted per-node forward pass (:class:`FeedForwardNetwork`) is
 the *reference* — INAX's PEs match it bit-for-bit.  For software-side
-throughput (the ``cpu-compiled`` backend and the INAX device's
-flattened step), this module compiles the same layered plan
-into padded per-layer index/weight matrices and replays the reference
-computation with NumPy:
+throughput (the ``cpu-compiled`` backend, and the one lock-step pass
+per generation the ``inax`` and ``fabric`` backends run before their
+devices replay the cycle accounting), this module compiles the same
+layered plan into padded per-layer index/weight matrices and replays
+the reference computation with NumPy:
 
 * each layer becomes ``(fan_out, max_fan_in)`` source-slot and weight
   matrices over a flat value buffer (inputs first, then every node in
@@ -23,11 +24,11 @@ computation with NumPy:
 :class:`PopulationEvaluator` runs many such plans in lock-step, one
 observation each, flattened into a single value buffer so a whole
 population's forward pass costs a handful of NumPy ops per layer.  It
-is the inference engine behind ``cpu-compiled``
+is the inference engine behind every compiled backend
 (:class:`repro.compile.CompiledPopulationEvaluator`, through
-:meth:`PopulationEvaluator.from_groups`) and the INAX device's
-flattened step (:meth:`repro.inax.accelerator.INAX.step`, through
-:meth:`PopulationEvaluator.from_plans`).
+:meth:`PopulationEvaluator.from_groups`);
+:meth:`PopulationEvaluator.from_plans` builds one straight from
+compiled plans.
 
 Only ``sum`` aggregation is supported (the default and the only one
 NEAT's evolved networks use here); anything else falls back to the

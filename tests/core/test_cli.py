@@ -156,6 +156,59 @@ class TestResumeCommand:
         assert "checkpoint updated" in out
         assert code in (0, 2)
 
+    def test_resume_defaults_to_the_recorded_seed(self, tmp_path, capsys):
+        """``run 2 --checkpoint`` then ``resume 2`` without ``--seed``
+        writes the same CSV as one ``run 4``: the checkpoint records
+        the run seed and the resume draws its episode seeds from it."""
+        common = ["--env", "cartpole", "--backend", "cpu-compiled", "--quiet"]
+        first = ["--population", "30", "--seed", "7"]
+        checkpoint = tmp_path / "ckpt.json"
+        resumed = tmp_path / "resumed.csv"
+        continuous = tmp_path / "continuous.csv"
+        main(
+            ["run", *common, *first, "--generations", "2",
+             "--checkpoint", str(checkpoint), "--csv", str(resumed)]
+        )
+        main(
+            ["resume", *common, "--checkpoint", str(checkpoint),
+             "--generations", "2", "--csv", str(resumed)]
+        )
+        main(
+            ["run", *common, *first, "--generations", "4",
+             "--csv", str(continuous)]
+        )
+        assert "records no run seed" not in capsys.readouterr().err
+        assert len(resumed.read_text().splitlines()) == 5
+        assert resumed.read_text() == continuous.read_text()
+
+    def test_resume_without_a_recorded_seed_warns(self, tmp_path, capsys):
+        """A checkpoint that recorded no seed resumes with seed 0, and
+        says so; an explicit ``--seed`` needs no warning."""
+        from repro.neat.checkpoint import load_checkpoint, save_checkpoint
+
+        checkpoint = tmp_path / "ckpt.json"
+        main(
+            [
+                "run", "--env", "cartpole", "--population", "20",
+                "--generations", "1", "--seed", "3", "--quiet",
+                "--checkpoint", str(checkpoint),
+            ]
+        )
+        assert load_checkpoint(checkpoint).run_seed == 3
+        save_checkpoint(load_checkpoint(checkpoint), checkpoint)  # no seed
+        assert load_checkpoint(checkpoint).run_seed is None
+        capsys.readouterr()
+        resume = [
+            "resume", "--checkpoint", str(checkpoint),
+            "--env", "cartpole", "--generations", "1", "--quiet",
+        ]
+        assert main(resume) in (0, 2)
+        assert "records no run seed" in capsys.readouterr().err
+        assert load_checkpoint(checkpoint).run_seed == 0
+        assert main([*resume, "--seed", "5"]) in (0, 2)
+        assert "records no run seed" not in capsys.readouterr().err
+        assert load_checkpoint(checkpoint).run_seed == 5
+
     def test_resume_env_mismatch_rejected(self, tmp_path, capsys):
         checkpoint = tmp_path / "ckpt.json"
         main(

@@ -16,7 +16,7 @@ pins the contract:
   hits/misses, so the rates compare honestly).
 """
 
-from repro.core.backends import CompiledCPUBackend
+from repro.core.backends import CompiledCPUBackend, INAXBackend
 from repro.neat.checkpoint import load_checkpoint, save_checkpoint
 from repro.neat.config import NEATConfig
 from repro.neat.population import Population
@@ -94,6 +94,11 @@ def _roundtrip(tmp_path, backend_cls):
 class TestResumeWarmStart:
     def test_compile_cache_roundtrip(self, tmp_path):
         _roundtrip(tmp_path, CompiledCPUBackend)
+
+    def test_device_cache_roundtrip(self, tmp_path):
+        """The device backend lowers through the same shape-keyed
+        cache, so resume warms its cache too."""
+        _roundtrip(tmp_path, INAXBackend)
 
     def test_cold_resume_shows_the_bug(self, tmp_path):
         """Without warming, the first resumed generation re-compiles

@@ -1,15 +1,15 @@
 """Stateful property test of the INAX device protocol.
 
 Drives the functional device through random begin_wave / step /
-end_wave sequences and checks the §IV-B2 handshake invariants hold in
-every reachable state: illegal transitions always raise, legal ones
-always succeed, and the cycle report only ever grows.
+end_wave and replay_wave sequences and checks the §IV-B2 handshake
+invariants hold in every reachable state: illegal transitions always
+raise, legal ones always succeed, and the cycle report only ever grows.
 
-Waves are wide enough for the flattened step and live sets are random,
-so steps fall on both sides of the per-PU handoff and slots left out of
-one step come back in a later one.  Every output must equal the slot's
-own :meth:`ProcessingUnit.infer` bit for bit, and every report field a
-twin device's that a disarmed fault injector keeps on the per-PU path.
+Live sets are random, so slots left out of one step come back in a
+later one.  Every output must equal the slot's own
+:meth:`ProcessingUnit.infer` bit for bit, and every report field a twin
+device's that a disarmed fault injector keeps stepping per PU — also
+after a replayed wave, which the twin steps through the same live sets.
 """
 
 import dataclasses
@@ -24,7 +24,6 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
-from repro.envs.rollout import INFER_MIN_WIDTH
 from repro.inax.accelerator import INAX, INAXConfig
 from repro.inax.pu import ProcessingUnit
 from repro.inax.synthetic import synthetic_population
@@ -32,7 +31,7 @@ from repro.resilience.faults import FaultPlan
 from repro.resilience.injectors import DeviceFaultInjector
 from repro.telemetry import TelemetrySession
 
-_NUM_PUS = 3 * INFER_MIN_WIDTH
+_NUM_PUS = 12
 _NUM_PES = 2
 _POP = synthetic_population(num_individuals=_NUM_PUS, num_hidden=6, seed=99)
 
@@ -68,18 +67,36 @@ class DeviceProtocol(RuleBasedStateMachine):
 
     # ------------------------------------------------------------- rules
     @precondition(lambda self: self.wave_size == 0)
-    @rule(size=st.integers(1, _NUM_PUS))
-    def begin_wave(self, size):
-        self.device.begin_wave(_POP[:size])
-        self.per_pu.begin_wave(_POP[:size])
+    @rule(size=st.integers(1, _NUM_PUS), prefetched=st.booleans())
+    def begin_wave(self, size, prefetched):
+        self.device.begin_wave(_POP[:size], prefetched=prefetched)
+        self.per_pu.begin_wave(_POP[:size], prefetched=prefetched)
         self.reference = [_reference_pu(config) for config in _POP[:size]]
         self.wave_size = size
+
+    @precondition(lambda self: self.wave_size == 0)
+    @rule(
+        lengths=st.lists(st.integers(1, 6), min_size=1, max_size=_NUM_PUS),
+        prefetched=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def replay_wave(self, lengths, prefetched, seed):
+        """The device replays a whole wave; the twin steps the live sets
+        the replay charges (every slot whose episode outlives ``t``)."""
+        configs = _POP[: len(lengths)]
+        self.device.replay_wave(configs, lengths, prefetched=prefetched)
+        self.per_pu.begin_wave(configs, prefetched=prefetched)
+        rng = np.random.default_rng(seed)
+        for t in range(max(lengths)):
+            live = [slot for slot, n in enumerate(lengths) if n > t]
+            self.per_pu.step(live, rng.standard_normal((len(live), 8)))
+        self.per_pu.end_wave()
 
     @precondition(lambda self: self.wave_size > 0)
     @rule(data=st.data())
     def step_some_slots(self, data):
-        # one coin per slot: wide and narrow live sets alike, so the
-        # flattened engine shrinks and later sees slots come back
+        # one coin per slot: wide and narrow live sets alike, and
+        # slots left out of one step come back in a later one
         mask = data.draw(
             st.lists(
                 st.booleans(),
@@ -114,6 +131,16 @@ class DeviceProtocol(RuleBasedStateMachine):
             pass
         else:  # pragma: no cover - the bug this test exists to catch
             raise AssertionError("begin_wave during a wave must raise")
+
+    @precondition(lambda self: self.wave_size > 0)
+    @rule()
+    def replay_during_wave_rejected(self):
+        try:
+            self.device.replay_wave(_POP[:1], [1])
+        except RuntimeError:
+            pass
+        else:  # pragma: no cover
+            raise AssertionError("replay_wave during a wave must raise")
 
     @precondition(lambda self: self.wave_size == 0)
     @rule()
@@ -161,21 +188,20 @@ TestDeviceProtocol = DeviceProtocol.TestCase
 
 
 def test_revived_slots_match_per_pu_path():
-    """A fixed walk through every hand-over: full wave (flattened),
-    shrink (flattened, the engine rebuilds for the survivors), narrow
-    (per PU), then slots the rebuild left out come back (flattened).
-    The traced per-PU timelines match too."""
+    """A fixed walk through a full wave, a shrink, a single slot, then
+    slots left out coming back: outputs and reports match the twin's
+    and so do the traced per-PU timelines."""
     machine = DeviceProtocol()
     machine.per_pu.track_prefix = "ref."
     walk = [
         list(range(_NUM_PUS)),
-        list(range(INFER_MIN_WIDTH)),
+        list(range(4)),
         [1],
         list(range(1, _NUM_PUS, 2)),
         list(range(_NUM_PUS)),
     ]
     with TelemetrySession() as session:
-        machine.begin_wave(_NUM_PUS)
+        machine.begin_wave(_NUM_PUS, prefetched=False)
         for seed, live in enumerate(walk):
             machine._step(live, seed)
             machine.report_matches_per_pu_path()
@@ -190,6 +216,6 @@ def test_revived_slots_match_per_pu_path():
             and span.track.startswith("ref.") == reference
         ]
 
-    flattened = device_spans(reference=False)
-    assert any(name == "pu.compute" for name, *_ in flattened)
-    assert flattened == device_spans(reference=True)
+    spans = device_spans(reference=False)
+    assert any(name == "pu.compute" for name, *_ in spans)
+    assert spans == device_spans(reference=True)

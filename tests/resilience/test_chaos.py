@@ -248,8 +248,9 @@ class TestQuarantineEndToEnd:
         """The env fault stream keys on episode seeds, not the backend,
         and a corrupted sensor reading changes the same bits on every
         backend — also when 40 genomes share one lock-step population,
-        or one wave of the device's flattened step (env-only faults
-        attach no device injector)."""
+        on cpu-compiled or in the inax backend's one pass before its
+        device replays the cycles (env-only faults attach no device
+        injector)."""
         cfg = _cfg()
         plan_text = f"seed=9,env.{fault}@0.05"
         cpu = _fitness(

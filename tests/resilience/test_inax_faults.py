@@ -5,7 +5,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.envs.rollout import INFER_MIN_WIDTH
 from repro.inax.accelerator import INAX, INAXConfig
 from repro.inax.synthetic import synthetic_population
 from repro.resilience.faults import DeviceFault, FaultPlan
@@ -176,23 +175,28 @@ class TestDeterminism:
         assert waves == {"wave=0", "wave=1"}
 
     def test_no_injector_path_matches_disarmed_plan(self):
-        """An attached injector keeps every step on the per-PU reference
-        path; without one a wave this wide takes the flattened step.
-        Both must agree on every output bit and every report field."""
-        width = 2 * INFER_MIN_WIDTH
+        """Without an injector the device can replay a wave from its
+        episode lengths, which is what the backends do; an attached
+        injector, even an unarmed one, keeps it stepping per PU.  The
+        replay must charge every report field the stepped wave does,
+        and the stepped outputs must not notice the unarmed hooks."""
+        width = 8
         pop = _population(n=width)
         clean = _device(num_pus=width)
-        clean_trace, clean_report = _run_wave(clean, pop)
+        assert clean.replayable
+        clean.replay_wave(pop, [STEPS] * width)
         plan = FaultPlan(seed=1)  # armed with nothing
         noop = _device(plan, num_pus=width)
+        assert not noop.replayable
         noop_trace, noop_report = _run_wave(noop, pop)
-        # the PEs count the nodes they compute: only the reference ran
-        # node by node
+        stepped_trace, _ = _run_wave(_device(num_pus=width), pop)
+        # the PEs count the nodes they compute: only the stepped wave
+        # ran node by node
         assert _nodes_computed(clean) == 0
         assert _nodes_computed(noop) > 0
-        assert noop_trace == clean_trace
+        assert noop_trace == stepped_trace
         assert dataclasses.asdict(noop_report) == dataclasses.asdict(
-            clean_report
+            clean.report
         )
 
 

@@ -172,6 +172,23 @@ class TestResetRunState:
         assert info["misses"] == 0
         assert info["size"] > 0  # compiled structures stay warm
 
+    def test_device_backend_keeps_its_cache_warm(self):
+        """The device backend shares the compile cache plumbing: a
+        reused ``inax`` lease keeps its compiled structures, restarts
+        its counters, and stays bit-identical to a fresh backend."""
+        fresh = run_fitness_history("inax", seed=3)
+        pool = BackendPool(max_leases=2)
+        config = effective_neat_config("cartpole", CONFIG)
+        lease = pool.lease("cartpole", "inax", config, base_seed=11)
+        run_fitness_history(lease.backend, seed=11)  # pollute with job A
+        assert lease.backend.compile_cache_info()["misses"] > 0
+        lease.release()
+        again = pool.lease("cartpole", "inax", config, base_seed=3)
+        info = again.backend.compile_cache_info()
+        assert (info["hits"], info["misses"]) == (0, 0)
+        assert info["size"] > 0  # compiled structures stay warm
+        assert run_fitness_history(again.backend, seed=3) == fresh
+
     def test_close_closes_idle_backends(self):
         pool = BackendPool(max_leases=2)
         config = effective_neat_config("cartpole", CONFIG)

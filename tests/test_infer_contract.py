@@ -2,20 +2,21 @@
 
 ``run_lockstep`` hands each :data:`repro.envs.rollout.InferFn` the
 ascending live slots and a ``(len(slots), num_inputs)`` observation
-block.  The compiled population evaluator, the INAX device (per-PU and
-flattened steps) and the interpreted fallback must all reject anything
-else — a short observation in particular must fail, never broadcast
-across a network's inputs — and answer a well-formed call with the
-interpreted network's outputs bit for bit.
+block.  The compiled population evaluator (``cpu-compiled``'s engine,
+and the flattened engine the ``inax`` backend's one lock-step pass runs
+before its device replays the cycles), the INAX device's per-PU step
+and the interpreted fallback must all reject anything else — a short
+observation in particular must fail, never broadcast across a
+network's inputs — and answer a well-formed call with the interpreted
+network's outputs bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from repro.compile import CompileCache, CompiledPopulationEvaluator
-from repro.core.backends import _interpreted_infer
-from repro.envs.rollout import INFER_MIN_WIDTH
-from repro.inax.accelerator import INAX
+from repro.core.backends import INAXBackend, _interpreted_infer
+from repro.inax.accelerator import INAX, INAXConfig
 from repro.inax.compiler import compile_genome
 from repro.neat.config import NEATConfig
 from repro.neat.innovation import InnovationTracker
@@ -24,8 +25,8 @@ from repro.neat.network import FeedForwardNetwork
 from tests.conftest import evolved_genome
 
 CFG = NEATConfig(num_inputs=4, num_outputs=2)
-#: wide enough for the device's flattened step
-WIDTH = INFER_MIN_WIDTH
+#: slots per contract check; a wide call must hold as well as a narrow one
+WIDTH = 4
 
 
 def _genomes():
@@ -44,6 +45,18 @@ def _compiled(genomes):
     ).infer
 
 
+def _inax_pass(genomes):
+    """The engine of the ``inax`` backend's one lock-step pass, built
+    from that backend's own compile cache and recipe lowering."""
+    backend = INAXBackend(
+        "cartpole",
+        CFG,
+        inax_config=INAXConfig(num_pus=len(genomes), num_pes_per_pu=2),
+    )
+    entries, _ = backend._lower(genomes)
+    return CompiledPopulationEvaluator(list(zip(entries, genomes))).infer
+
+
 def _device(genomes):
     device = INAX(num_pus=len(genomes), num_pes_per_pu=2)
     device.begin_wave([compile_genome(genome, CFG) for genome in genomes])
@@ -59,8 +72,8 @@ def _interpreted(genomes):
 #: name -> (InferFn builder, live slots of a well-formed call)
 INFER_FNS = {
     "cpu-compiled": (_compiled, [0]),
-    "inax-per-pu": (_device, [0]),
-    "inax-flattened": (_device, list(range(WIDTH))),
+    "inax-per-pu": (_device, list(range(WIDTH))),
+    "inax-flattened": (_inax_pass, list(range(WIDTH))),
     "fallback": (_interpreted, [0]),
 }
 
