@@ -311,12 +311,6 @@ def _add_pipeline_args(command) -> None:
         help="double-buffered DMA/decode: hide wave N+1's set-up behind "
         "wave N's compute (--no-prefetch restores the baseline)",
     )
-    command.add_argument(
-        "--overlap", action="store_true",
-        help="run the CPU's evolve phase concurrently with the "
-        "backend's generation drain (cycle pricing) instead of "
-        "serializing them",
-    )
 
 
 def _pipeline_kwargs(args) -> dict:
@@ -326,7 +320,6 @@ def _pipeline_kwargs(args) -> dict:
     pipeline = PipelineConfig(
         schedule=getattr(args, "schedule", "arrival"),
         prefetch=bool(getattr(args, "prefetch", False)),
-        overlap=bool(getattr(args, "overlap", False)),
     )
     if pipeline == PipelineConfig():
         return {}
@@ -406,7 +399,6 @@ def _run_manifest(args, command: str):
         seed=getattr(args, "seed", 0),
         schedule=getattr(args, "schedule", "arrival"),
         prefetch=bool(getattr(args, "prefetch", False)),
-        overlap=bool(getattr(args, "overlap", False)),
         devices=getattr(args, "devices", 1),
         islands=getattr(args, "islands", 1),
         migration_interval=getattr(args, "migration_interval", 0),

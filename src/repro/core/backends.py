@@ -39,9 +39,11 @@ fitness trajectory is identical regardless of backend — the property
 the integration tests pin down.
 
 Every backend also records the generation's *workload* (for the
-CPU/GPU cost models) and, when an INAX configuration is attached, the
-analytic cycle report (for E3-INAX pricing) — this is what the Fig 9/10
-benchmark harnesses consume.
+CPU/GPU cost models) and, when an INAX configuration is attached, its
+cycle report (for E3-INAX pricing): the device backends record their
+device's own report, and the software backends price the generation
+inline with the closed-form :func:`schedule_generation` — this is what
+the Fig 9/10 benchmark harnesses consume.
 """
 
 from __future__ import annotations
@@ -125,9 +127,9 @@ class GenerationRecord:
     #: compiled individuals, aligned with workload.individuals
     configs: list[HWNetConfig]
     episode_lengths: list[int]
-    #: analytic INAX cycles (filled when an INAX config is attached;
-    #: with evolve/evaluate overlap the fill is deferred until the
-    #: backend's :meth:`EvaluationBackend.drain` runs)
+    #: INAX cycles: the device's report on the device backends, the
+    #: closed-form pricing on the software backends (None when no INAX
+    #: config is attached)
     cycle_report: CycleReport | None = None
     #: the per-individual cost predictions the wave packer used
     #: (``schedule="lpt"`` only), so the dispatch can be replayed
@@ -169,13 +171,11 @@ class EvaluationBackend:
         self.resilience_events: list[ResilienceEvent] = []
         self.records: list[GenerationRecord] = []
         self._generation = 0
-        #: pipelining policies (wave packing / prefetch / overlap)
+        #: pipelining policies (wave packing / prefetch)
         self.pipeline = pipeline if pipeline is not None else PipelineConfig()
         #: genome key -> total episode steps at its last evaluation (the
         #: LPT packer's cost predictor)
         self._last_lengths: dict[int, int] = {}
-        #: deferred per-generation bookkeeping (see :meth:`drain`)
-        self._pending_drain: list = []
 
     # ------------------------------------------------------------ hooks
     def evaluate(self, genomes: list[Genome]) -> None:
@@ -216,8 +216,6 @@ class EvaluationBackend:
                 # dropping it falls back to arrival-order placement
                 for key in nonfinite:
                     self._last_lengths.pop(key, None)
-        if not self.pipeline.overlap:
-            self.drain()
 
     def _evaluate(self, genomes: list[Genome]) -> None:
         raise NotImplementedError
@@ -231,23 +229,6 @@ class EvaluationBackend:
         built; backends without structural caches warm nothing.
         """
         return 0
-
-    def drain(self) -> None:
-        """Run the generation's deferred bookkeeping (idempotent).
-
-        Every fitness is already set *synchronously* by
-        :meth:`evaluate` — reproduction needs them all — so what the
-        evolve/evaluate overlap actually hides is this drain: the
-        analytic :func:`schedule_generation` pricing of the generation
-        record.  It touches no RNG, no genomes, and no telemetry
-        tracer, so running it on a background thread while
-        ``Population`` evolves cannot change a bit of the run.  With
-        ``pipeline.overlap`` off, :meth:`evaluate` drains inline and
-        behavior is exactly the pre-pipeline sequential loop.
-        """
-        pending, self._pending_drain = self._pending_drain, []
-        for task in pending:
-            task()
 
     def close(self) -> None:
         """Release any resources (worker pools, devices). Idempotent."""
@@ -269,7 +250,6 @@ class EvaluationBackend:
         self.records = []
         self._generation = 0
         self._last_lengths = {}
-        self._pending_drain = []
         self.quarantine_count = 0
         self.resilience_events = []
         if base_seed is not None:
@@ -359,22 +339,29 @@ class EvaluationBackend:
         episode_lengths: list[int],
         keys: list[int] | None = None,
         predicted_costs: list[float | None] | None = None,
-        analytic: bool = True,
+        cycle_report: CycleReport | None = None,
     ) -> GenerationRecord:
-        """Record the generation; analytic pricing may be deferred.
+        """Record the generation with its cycle report.
 
         ``keys`` (genome keys aligned with ``configs``) feed the LPT
-        cost predictor for the *next* generation.  ``analytic=False``
-        skips the closed-form :func:`schedule_generation` — the INAX
-        backend supersedes it with the functional device's own report,
-        so pricing the generation twice would be pure waste.
+        cost predictor for the *next* generation.  The device backends
+        pass their device's ``cycle_report`` and the ``predicted_costs``
+        their packer used.  Without a report, a backend with an INAX
+        config prices the generation here with the closed-form
+        :func:`schedule_generation`.
         """
-        if predicted_costs is None and analytic:
+        if cycle_report is None and self.inax_config is not None:
             # software backends model the dispatch the device would run;
             # predictions must come from *pre-update* history, exactly
             # like the device packs before evaluating
-            predicted_costs = (
-                self._predict_costs(configs, keys) if keys else None
+            if keys:
+                predicted_costs = self._predict_costs(configs, keys)
+            cycle_report = schedule_generation(
+                self.inax_config,
+                configs,
+                episode_lengths,
+                pipeline=self.pipeline,
+                predicted_costs=predicted_costs,
             )
         workload = GenerationWorkload(
             individuals=[
@@ -386,23 +373,9 @@ class EvaluationBackend:
             workload=workload,
             configs=configs,
             episode_lengths=episode_lengths,
-            cycle_report=None,
+            cycle_report=cycle_report,
             predicted_costs=predicted_costs,
         )
-        if analytic and self.inax_config is not None:
-            inax_config = self.inax_config
-            pipeline = self.pipeline
-
-            def price() -> None:
-                record.cycle_report = schedule_generation(
-                    inax_config,
-                    configs,
-                    episode_lengths,
-                    pipeline=pipeline,
-                    predicted_costs=predicted_costs,
-                )
-
-            self._pending_drain.append(price)
         if keys is not None:
             for key, steps in zip(keys, episode_lengths):
                 self._last_lengths[key] = steps
@@ -1230,10 +1203,8 @@ class INAXBackend(_CompiledBackend):
             lengths,
             keys=keys,
             predicted_costs=predicted,
-            analytic=False,
+            cycle_report=self.device.report,
         )
-        # the functional device's own report supersedes the analytic one
-        record.cycle_report = self.device.report
         self._publish_cycle_gauges(record.cycle_report)
         self._publish_compile_gauges()
 
@@ -1289,16 +1260,35 @@ class INAXBackend(_CompiledBackend):
             columns["fallback_waves"] = float(self.fallback_waves)
         return columns
 
-    def _fallback_wave_episode(self, genomes: list[Genome], episode: int):
-        """Re-run one wave's episode on the software path.
+    def _fall_back(
+        self,
+        error: Exception,
+        indices: list[int],
+        genomes: list[Genome],
+        episode: int,
+    ) -> list[EpisodeRecord]:
+        """The degradation ladder for one faulted wave-episode.
 
-        Fresh envs + the same per-(genome, episode) seeds make this
-        bit-identical to what the device would have produced (the
-        backend-parity contract), no matter how far the faulted wave
-        got.  ``fallback="cpu-fast"`` runs it through the backend's own
-        compile cache and :meth:`_episode_records`;
+        Re-raises ``error`` when no fallback is armed; otherwise counts
+        and logs the ``fallback.wave`` and re-runs the wave's episode on
+        the software path (the caller has already aborted the device's
+        wave).  Fresh envs + the same per-(genome, episode) seeds make
+        the records bit-identical to what the device would have
+        produced (the backend-parity contract), no matter how far the
+        faulted wave got.  ``fallback="cpu-fast"`` runs it through the
+        backend's own compile cache and :meth:`_episode_records`;
         ``fallback="cpu"`` runs the interpreted per-node path.
         """
+        if self.fallback is None:
+            raise error
+        self.fallback_waves += 1
+        self.fallback_genomes += len(genomes)
+        self._event(
+            "fallback.wave",
+            f"gen={self._generation}|offset={indices[0]}|episode={episode}",
+            error=type(error).__name__,
+            genomes=len(genomes),
+        )
         if self.fallback == "cpu-fast":
             return [
                 records[0]
@@ -1364,17 +1354,7 @@ class INAXBackend(_CompiledBackend):
             )
         except (DeviceFault, BufferOverflowError) as error:
             self.device.abort_wave()
-            if self.fallback is None:
-                raise
-            self.fallback_waves += 1
-            self.fallback_genomes += len(genomes)
-            self._event(
-                "fallback.wave",
-                f"gen={self._generation}|offset={indices[0]}|episode={episode}",
-                error=type(error).__name__,
-                genomes=len(genomes),
-            )
-            episode_records = self._fallback_wave_episode(genomes, episode)
+            episode_records = self._fall_back(error, indices, genomes, episode)
         for slot, record in enumerate(episode_records):
             rewards[indices[slot]] += record.total_reward
             lengths[indices[slot]] += record.steps

@@ -129,10 +129,11 @@ class E3:
         (``docs/fabric.md``); the other backends ignore it.
 
         ``pipeline`` (a :class:`~repro.inax.pipeline.PipelineConfig`)
-        selects the generation-pipelining policies: LPT wave packing,
-        double-buffered DMA/decode prefetch, and evolve/evaluate
-        overlap — all default to the paper's sequential baseline and
-        none of them can change a fitness bit.
+        selects the generation-pipelining policies: LPT wave packing
+        and double-buffered DMA/decode prefetch — both default to the
+        paper's sequential baseline and neither can change a fitness
+        bit.  Each generation's cycle report is priced inside its
+        evaluate phase.
 
         ``health`` attaches a :class:`~repro.obs.monitor.HealthMonitor`
         (the run-health watchtower, ``docs/observability.md``): it is
@@ -236,6 +237,8 @@ class E3:
                     generations=max_generations or 0,
                     episodes_per_genome=self.backend.episodes_per_genome,
                     seed=self.seed,
+                    schedule=self.backend.pipeline.schedule,
+                    prefetch=self.backend.pipeline.prefetch,
                     devices=getattr(self.backend, "num_devices", 1),
                     supervisor=(
                         asdict(supervisor_config)
@@ -244,18 +247,11 @@ class E3:
                     ),
                 )
             session.install()
-        backend_pipeline = getattr(self.backend, "pipeline", None)
-        drain = (
-            self.backend.drain
-            if backend_pipeline is not None and backend_pipeline.overlap
-            else None
-        )
         try:
             result = self.population.run(
                 self.backend.evaluate,
                 max_generations=max_generations,
                 fitness_threshold=fitness_threshold,
-                drain=drain,
                 stop=stop,
             )
         finally:

@@ -42,13 +42,12 @@ from repro.inax.pipeline import PipelineConfig, pack_waves
 from repro.inax.pu import BufferOverflowError, _static_step_cycles
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
-from repro.resilience.faults import DeviceFault, FaultPlan
+from repro.resilience.faults import DeviceFault
 from repro.resilience.injectors import (
     DeviceFaultInjector,
     has_device_faults,
     has_fabric_faults,
 )
-from repro.resilience.quarantine import DEFAULT_PENALTY
 from repro.resilience.supervisor import SupervisorConfig
 from repro.telemetry import get_metrics, get_tracer
 from repro.telemetry.spans import span as _span
@@ -66,38 +65,18 @@ class FabricINAXBackend(INAXBackend):
         self,
         env_name: str,
         neat_config: NEATConfig,
-        inax_config: INAXConfig | None = None,
-        episodes_per_genome: int = 1,
-        base_seed: int = 0,
-        env_kwargs: dict | None = None,
-        oversize_policy: str = "raise",
-        oversize_penalty: float = -1e9,
-        fallback: str | None = None,
-        fault_plan: FaultPlan | None = None,
-        quarantine_penalty: float = DEFAULT_PENALTY,
-        pipeline: PipelineConfig | None = None,
+        *,
         devices: int = 2,
         supervisor: SupervisorConfig | None = None,
+        **options,
     ):
         """``devices`` sizes the farm; ``supervisor`` is the shared
         recovery policy (:class:`SupervisorConfig` — the same frozen
         config the shard supervisor reads, recorded in the run
-        manifest).  Every other knob matches :class:`INAXBackend`.
+        manifest).  Every other option goes to :class:`INAXBackend`.
         """
-        super().__init__(
-            env_name,
-            neat_config,
-            inax_config=inax_config,
-            episodes_per_genome=episodes_per_genome,
-            base_seed=base_seed,
-            env_kwargs=env_kwargs,
-            oversize_policy=oversize_policy,
-            oversize_penalty=oversize_penalty,
-            fallback=fallback,
-            fault_plan=fault_plan,
-            quarantine_penalty=quarantine_penalty,
-            pipeline=pipeline,
-        )
+        super().__init__(env_name, neat_config, **options)
+        fault_plan = self.fault_plan
         if devices < 1:
             raise ValueError(f"devices must be >= 1, got {devices}")
         self.num_devices = devices
@@ -216,9 +195,8 @@ class FabricINAXBackend(INAXBackend):
             lengths,
             keys=keys,
             predicted_costs=predicted,
-            analytic=False,
+            cycle_report=self._finish_generation(generation),
         )
-        record.cycle_report = self._finish_generation(generation)
         self._publish_cycle_gauges(record.cycle_report)
         self._publish_compile_gauges()
 
@@ -262,17 +240,9 @@ class FabricINAXBackend(INAXBackend):
                 # eviction refused (last alive device): degrade to the
                 # software ladder on this device, like the single-device
                 # backend
-                if self.fallback is None:
-                    raise
-                self.fallback_waves += 1
-                self.fallback_genomes += len(wave_genomes)
-                self._event(
-                    "fallback.wave",
-                    f"gen={generation}|offset={indices[0]}|episode={episode}",
-                    error=type(error).__name__,
-                    genomes=len(wave_genomes),
+                records = self._fall_back(
+                    error, indices, wave_genomes, episode
                 )
-                records = self._fallback_wave_episode(wave_genomes, episode)
             dispatched[device] += 1
             for slot, record in enumerate(records):
                 rewards[indices[slot]] += record.total_reward

@@ -196,6 +196,8 @@ class IslandModel:
                     generations=limit,
                     episodes_per_genome=self.backend.episodes_per_genome,
                     seed=self.seed,
+                    schedule=self.backend.pipeline.schedule,
+                    prefetch=self.backend.pipeline.prefetch,
                     devices=self.topology.devices,
                     islands=self.topology.islands,
                     migration_interval=self.topology.migration_interval,

@@ -510,9 +510,6 @@ class INAX:
         self._wave_hidden_setup = 0
 
 
-StepCycleFn = "Callable[[HWNetConfig], int]"
-
-
 def schedule_generation(
     config: INAXConfig,
     net_configs: list[HWNetConfig],

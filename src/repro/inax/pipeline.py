@@ -1,6 +1,6 @@
 """Generation pipelining for the INAX engine.
 
-Three independent policies close the gap between the naive sequential
+Two independent policies close the gap between the naive sequential
 loop and "as fast as the hardware allows":
 
 * **wave packing** (``schedule``) — which individuals share a dispatch
@@ -15,12 +15,9 @@ loop and "as fast as the hardware allows":
   words stream over the weight channel while wave N computes, so only
   ``max(0, setup − prev_compute)`` of each later wave's set-up is
   exposed on the wall clock.
-* **overlap** — the CPU's "evolve" phase for generation g+1 runs while
-  the backend drains generation g's bookkeeping (workload build +
-  analytic cycle pricing).
 
 Because episode seeds are keyed on (run seed, genome key, episode) and
-fitness is per-genome, *no* packing or overlap policy can change a
+fitness is per-genome, *no* packing or prefetch policy can change a
 single fitness bit — the determinism contract the property tests pin.
 """
 
@@ -46,8 +43,6 @@ class PipelineConfig:
     schedule: str = "arrival"
     #: double-buffer DMA/decode: hide wave N+1's set-up behind wave N
     prefetch: bool = False
-    #: run evolve(g+1) while the backend drains generation g
-    overlap: bool = False
 
     def __post_init__(self) -> None:
         if self.schedule not in SCHEDULES:

@@ -17,7 +17,6 @@ regenerates Fig 1(b) and Fig 9(d); the same seconds feed the
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -131,15 +130,9 @@ class Population:
         evaluate: EvaluateFn,
         max_generations: int | None = None,
         fitness_threshold: float | None = None,
-        drain: Callable[[], None] | None = None,
         stop: Callable[[], bool] | None = None,
     ) -> RunResult:
         """Run evaluate/evolve loops until solved or out of generations.
-
-        ``drain`` (optional) is the backend's deferred-bookkeeping hook:
-        when given, each generation's evolve phase runs concurrently
-        with it (the pipeline's evolve/evaluate overlap — see
-        :meth:`advance`).
 
         ``stop`` (optional) is a cooperative cancellation probe checked
         at each generation boundary (the serve layer passes the job's
@@ -166,7 +159,7 @@ class Population:
                 and stop()
             ):
                 break
-            best = self.advance(evaluate, drain=drain)
+            best = self.advance(evaluate)
             if threshold is not None and best.fitness is not None:
                 if best.fitness >= threshold:
                     solved = True
@@ -179,20 +172,8 @@ class Population:
             history=list(self.history),
         )
 
-    def advance(
-        self, evaluate: EvaluateFn, drain: Callable[[], None] | None = None
-    ) -> Genome:
-        """Run one evaluate + evolve cycle; returns the generation's best.
-
-        With ``drain``, the backend's deferred generation bookkeeping
-        (workload/cycle pricing — every fitness is already set) runs on
-        a background thread *while* this population evolves generation
-        g+1, and is joined before the method returns — the CPU's evolve
-        phase and the backend's drain overlap instead of serializing.
-        The drain touches no RNG and no genomes, so the evolved
-        population is bit-identical either way; the join wait is
-        recorded as the ``overlap`` phase.
-        """
+    def advance(self, evaluate: EvaluateFn) -> Genome:
+        """Run one evaluate + evolve cycle; returns the generation's best."""
         with phase(
             self.phases,
             "evaluate",
@@ -202,10 +183,7 @@ class Population:
             evaluate(self.population)
 
         best = self.observe_evaluated()
-        if drain is None:
-            self._evolve()
-        else:
-            self._evolve_overlapped(drain)
+        self._evolve()
         return best
 
     def observe_evaluated(self) -> Genome:
@@ -280,29 +258,6 @@ class Population:
                     self.population[index] = clone
                     break
         self.species_set.speciate(self.population, self.generation, self.rng)
-
-    def _evolve_overlapped(self, drain: Callable[[], None]) -> None:
-        """Evolve while the backend drains; re-raise drain errors here."""
-        outcome: dict[str, BaseException] = {}
-
-        def _run_drain() -> None:
-            try:
-                drain()
-            except BaseException as error:  # repro: noqa[RES001]
-                # stored, then re-raised on the main thread after join —
-                # a drain failure must fail the run, not vanish with the
-                # worker thread
-                outcome["error"] = error
-
-        thread = threading.Thread(
-            target=_run_drain, name="backend-drain", daemon=True
-        )
-        thread.start()
-        self._evolve()
-        with phase(self.phases, "overlap", generation=self.generation):
-            thread.join()
-        if "error" in outcome:
-            raise outcome["error"]
 
     # ------------------------------------------------------------ evolve
     def _evolve(self) -> None:

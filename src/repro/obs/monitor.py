@@ -58,7 +58,6 @@ _RUN_KEYS = (
     "git_dirty",
     "schedule",
     "prefetch",
-    "overlap",
     "devices",
     "islands",
     "migration_interval",
@@ -96,11 +95,9 @@ def build_sample(
     The ``GenerationStats`` fixed fields and backend-contributed extras
     provide the evolution-side signals; the optional ``backend`` is
     probed (duck-typed, every probe optional) for cache counters and
-    the generation's cycle report.  Under evolve/evaluate overlap the
-    software backends defer cycle pricing to ``drain()``, so the INAX
-    shape fields stay ``None`` there — the INAX backend prices its
-    report synchronously, which is the only backend those detectors
-    are about anyway.
+    the generation's cycle report.  Every backend with an INAX config
+    has priced that report by the time the reporter runs; only a
+    backend built without one leaves the INAX shape fields ``None``.
     """
     extras = stats.extras
     kwargs: dict[str, Any] = {

@@ -69,10 +69,9 @@ class RunManifest:
     episodes_per_genome: int = 1
     seed: int = 0
     #: generation-pipelining config (wave schedule, DMA/decode
-    #: prefetch, evolve/evaluate overlap) — the paper-baseline defaults
+    #: prefetch) — the paper-baseline defaults
     schedule: str = "arrival"
     prefetch: bool = False
-    overlap: bool = False
     #: fabric farm topology (single-device runs keep the defaults)
     devices: int = 1
     islands: int = 1

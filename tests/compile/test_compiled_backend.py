@@ -45,7 +45,6 @@ def _genomes(cfg, seed=0, mutations=6):
 def _evaluate(backend, genomes):
     try:
         backend.evaluate(genomes)
-        backend.drain()
     finally:
         backend.close()
     return {g.key: g.fitness for g in genomes}

@@ -63,7 +63,6 @@ def _backend(name, env_name, cfg, pipeline=None):
 def _fitness_by_key(backend, genomes):
     try:
         backend.evaluate(genomes)
-        backend.drain()
     finally:
         backend.close()
     return {g.key: g.fitness for g in genomes}
@@ -83,9 +82,7 @@ def test_permutations_and_lpt_are_bit_identical(env_name, backend_name):
         genomes = _genomes(cfg)
         order = rng.permutation(len(genomes))
         shuffled = [genomes[i] for i in order]
-        pipeline = PipelineConfig(
-            schedule="lpt", prefetch=True, overlap=bool(trial % 2)
-        )
+        pipeline = PipelineConfig(schedule="lpt", prefetch=True)
         backend = _backend(backend_name, env_name, cfg, pipeline=pipeline)
         # seed the length history so the second generation packs by LPT
         permuted = _fitness_by_key(backend, shuffled)
@@ -95,10 +92,8 @@ def test_permutations_and_lpt_are_bit_identical(env_name, backend_name):
         backend2 = _backend(backend_name, env_name, cfg, pipeline=pipeline)
         try:
             backend2.evaluate(genomes)
-            backend2.drain()
             second = _genomes(cfg)
             backend2.evaluate(second)  # now packs on real predictions
-            backend2.drain()
         finally:
             backend2.close()
         assert {g.key: g.fitness for g in second} == baseline, (
@@ -137,7 +132,6 @@ class TestQuarantinedCostPrediction:
         try:
             first = _genomes(cfg)
             backend.evaluate(first)
-            backend.drain()
             quarantined = backend.quarantine_count
             assert 0 < quarantined < len(first), (
                 "fault seed must quarantine some but not all genomes "
@@ -148,7 +142,6 @@ class TestQuarantinedCostPrediction:
             assert len(surviving) == len(first) - quarantined
 
             backend.evaluate(_genomes(cfg))
-            backend.drain()
             predicted = backend.records[1].predicted_costs
             assert predicted is not None
         finally:
@@ -174,9 +167,7 @@ class TestQuarantinedCostPrediction:
         )
         try:
             backend.evaluate(_genomes(cfg))
-            backend.drain()
             backend.evaluate(_genomes(cfg))
-            backend.drain()
             predicted = backend.records[1].predicted_costs
         finally:
             backend.close()

@@ -23,7 +23,10 @@ class TestPipelineConfig:
         cfg = PipelineConfig()
         assert cfg.schedule == "arrival"
         assert cfg.prefetch is False
-        assert cfg.overlap is False
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "schedule",
+            "prefetch",
+        ]
 
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError, match="unknown schedule"):

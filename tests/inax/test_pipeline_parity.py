@@ -271,7 +271,6 @@ class TestFallbackCycleAccounting:
         genomes = _genomes(cfg)
         try:
             backend.evaluate(genomes)
-            backend.drain()
             report = backend.records[-1].cycle_report
             waves = backend.fallback_waves
         finally:
@@ -308,14 +307,11 @@ class TestFallbackCycleAccounting:
             base_seed=1,
             fallback="cpu-fast",
             fault_plan=FaultPlan.parse("seed=11,inax.wedge@0.05"),
-            pipeline=PipelineConfig(
-                schedule="lpt", prefetch=True, overlap=True
-            ),
+            pipeline=PipelineConfig(schedule="lpt", prefetch=True),
         )
         chaotic = _genomes(cfg)
         try:
             backend.evaluate(chaotic)
-            backend.drain()
         finally:
             backend.close()
         assert [g.fitness for g in chaotic] == expected

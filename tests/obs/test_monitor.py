@@ -79,7 +79,7 @@ class TestBuildSample:
 
     def test_deferred_cycle_report_tolerated(self):
         class FakeRecord:
-            cycle_report = None  # overlap mode: priced later in drain()
+            cycle_report = None  # a backend built with no INAX config
 
         class FakeBackend:
             records = [FakeRecord()]
@@ -183,7 +183,7 @@ class TestRunAttribution:
             "seed": 7,
             "schedule": "lpt",
             "prefetch": True,
-            "overlap": False,
+            "overlap": False,  # retired key of older manifests
             "git_commit": "abc",
             "git_dirty": False,
             "created_unix": 123.4,  # wall clock: must not leak
@@ -192,6 +192,7 @@ class TestRunAttribution:
         run = run_attribution(manifest)
         assert "created_unix" not in run
         assert "platform" not in run
+        assert "overlap" not in run
         assert run["schedule"] == "lpt"
         assert run["git_commit"] == "abc"
 

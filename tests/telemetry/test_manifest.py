@@ -52,18 +52,16 @@ class TestGitAndPipelineAttribution:
     def test_pipeline_config_fields(self):
         manifest = RunManifest.collect(
             command="run", backend="inax",
-            schedule="lpt", prefetch=True, overlap=True,
+            schedule="lpt", prefetch=True,
         )
         row = manifest.to_dict()
         assert row["schedule"] == "lpt"
         assert row["prefetch"] is True
-        assert row["overlap"] is True
 
     def test_pipeline_defaults_are_paper_baseline(self):
         manifest = RunManifest()
         assert manifest.schedule == "arrival"
         assert manifest.prefetch is False
-        assert manifest.overlap is False
 
 
 class TestFabricAttribution:
@@ -94,3 +92,32 @@ class TestFabricAttribution:
         assert manifest.migration_interval == 0
         assert manifest.migration_size == 0
         assert manifest.supervisor == {}
+
+
+class TestApiRunAttribution:
+    def test_e3_and_island_runs_record_the_backend_pipeline(self):
+        """API drivers build their own manifest; it must carry the
+        pipeline the backend actually ran, not the paper defaults."""
+        from repro.core.platform import E3
+        from repro.fabric.islands import IslandModel
+        from repro.fabric.topology import FarmTopology
+        from repro.inax.pipeline import PipelineConfig
+        from repro.neat.config import NEATConfig
+        from repro.obs.monitor import run_attribution
+        from repro.telemetry import TelemetrySession
+
+        pipeline = PipelineConfig(schedule="lpt", prefetch=True)
+        neat_config = NEATConfig(population_size=20)
+        single, farm = TelemetrySession(), TelemetrySession()
+        E3(
+            "cartpole", backend="inax", neat_config=neat_config, seed=3,
+            pipeline=pipeline, telemetry=single,
+        ).run(max_generations=1)
+        IslandModel(
+            "cartpole", FarmTopology(devices=2, islands=2),
+            neat_config=neat_config, seed=3, pipeline=pipeline,
+            telemetry=farm,
+        ).run(max_generations=1)
+        for session in (single, farm):
+            run = run_attribution(session.manifest.to_dict())
+            assert (run["schedule"], run["prefetch"]) == ("lpt", True)
