@@ -21,7 +21,12 @@ run "evaluate":
   episodes run in one lock-step pass on the compiled engine and each
   device wave replays its cycle accounting from the episode lengths;
   otherwise the device steps each wave through the closed CPU<->FPGA
-  loop.
+  loop.  Its dispatch loop is the only one: it drains per-device wave
+  queues over a farm of one device, asking overridable hooks where the
+  waves go, whether a device answers its probe, whether a faulted
+  device is evicted and which report closes the generation, and the
+  ``fabric`` backend (:mod:`repro.fabric.backend`) answers them for N
+  devices.
 
 :class:`CompiledCPUBackend` and :class:`INAXBackend` share one compile
 cache plumbing and one lock-step episode helper
@@ -52,6 +57,7 @@ import hashlib
 import math
 import multiprocessing
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -74,7 +80,7 @@ from repro.inax.compiler import HWNetConfig, compile_genome
 from repro.inax.heuristics import choose_num_pes
 from repro.inax.pipeline import PipelineConfig, pack_waves, predict_costs
 from repro.inax.pu import BufferOverflowError
-from repro.inax.timing import CycleReport
+from repro.inax.timing import CycleReport, utilization
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
 from repro.neat.network import FeedForwardNetwork
@@ -92,7 +98,7 @@ from repro.resilience.injectors import (
 )
 from repro.resilience.quarantine import DEFAULT_PENALTY, quarantine_nonfinite
 from repro.resilience.supervisor import ShardSupervisor, SupervisorConfig
-from repro.telemetry.metrics import get_metrics
+from repro.telemetry.metrics import MetricsRegistry, get_metrics
 from repro.telemetry.spans import span as _span
 
 __all__ = [
@@ -310,6 +316,18 @@ class EvaluationBackend:
         :attr:`repro.neat.population.Population.stat_sources`)."""
         return {"quarantined": float(self.quarantine_count)}
 
+    def publish_run_gauges(self, registry: MetricsRegistry) -> None:
+        """Set the run's end-of-run backend gauges in ``registry``.
+
+        Every run driver (:class:`~repro.core.platform.E3`,
+        :class:`~repro.fabric.islands.IslandModel`) calls this once, at
+        run end; each backend class adds its own statistics.
+        """
+        if self.quarantine_count:
+            registry.gauge("resilience.quarantined_genomes").set(
+                self.quarantine_count
+            )
+
     def resilience_log(self) -> list[dict]:
         """Backend + fault-plan events as comparable dicts (replay tests)."""
         events = [event.to_dict() for event in self.resilience_events]
@@ -465,8 +483,16 @@ class _CompiledBackend(EvaluationBackend):
                 built += 1
         return built
 
-    def _publish_compile_gauges(self) -> None:
-        registry = get_metrics()
+    def publish_run_gauges(self, registry: MetricsRegistry) -> None:
+        super().publish_run_gauges(registry)
+        self._publish_compile_gauges(registry)
+
+    def _publish_compile_gauges(
+        self, registry: MetricsRegistry | None = None
+    ) -> None:
+        """The ``compile.cache.*`` gauges, into ``registry`` or else the
+        installed one."""
+        registry = registry if registry is not None else get_metrics()
         if registry is None:
             return
         info = self.compile_cache_info()
@@ -1015,6 +1041,9 @@ class INAXBackend(_CompiledBackend):
     with the device's per-PU :meth:`~repro.inax.accelerator.INAX.step`
     as the inference function.  Both produce the same fitness bits,
     cycle reports and device spans.
+
+    The device is a farm of one (:attr:`farm`), so :meth:`_evaluate`
+    is the one dispatch loop the ``fabric`` farm runs too.
     """
 
     name = "inax"
@@ -1072,12 +1101,9 @@ class INAXBackend(_CompiledBackend):
             quarantine_penalty=quarantine_penalty,
             pipeline=pipeline,
         )
-        injector = (
-            DeviceFaultInjector(fault_plan)
-            if fault_plan is not None and has_device_faults(fault_plan)
-            else None
-        )
-        self.device = INAX(inax_config, fault_injector=injector)
+        #: the devices the dispatch loop drives; ``inax`` is a farm of
+        #: one, with no injector site or span track prefix
+        self.farm = [self._make_device()]
         self.oversize_policy = oversize_policy
         self.oversize_penalty = oversize_penalty
         self.oversize_count = 0
@@ -1088,10 +1114,28 @@ class INAXBackend(_CompiledBackend):
         # functional pass is live (see _functional_pass)
         self._pass_records: dict[int, list[EpisodeRecord]] | None = None
 
+    def _make_device(
+        self, site_prefix: str = "", track_prefix: str = ""
+    ) -> INAX:
+        """One INAX of the farm, armed with the plan's device faults.
+
+        ``site_prefix`` namespaces its injector's fault sites and
+        ``track_prefix`` its span tracks.
+        """
+        plan = self.fault_plan
+        injector = (
+            DeviceFaultInjector(plan, site_prefix=site_prefix)
+            if plan is not None and has_device_faults(plan)
+            else None
+        )
+        device = INAX(self.inax_config, fault_injector=injector)
+        device.track_prefix = track_prefix
+        return device
+
     def reset_run_state(self, base_seed: int | None = None) -> None:
         super().reset_run_state(base_seed=base_seed)
-        # the device itself carries no cross-generation run state (its
-        # report resets per wave batch); only the gate/fallback tallies do
+        # the devices carry no cross-generation run state (their
+        # reports reset per generation); only the gate/fallback tallies do
         self.oversize_count = 0
         self.fallback_waves = 0
         self.fallback_genomes = 0
@@ -1156,13 +1200,26 @@ class INAXBackend(_CompiledBackend):
         return runnable, configs, entries
 
     def _evaluate(self, genomes: list[Genome]) -> None:
+        """The one device dispatch loop, over per-device wave queues.
+
+        The generation's waves are packed once, then :meth:`_assign`
+        queues them on the farm's devices, and the queues drain in
+        device order, one wave-episode at a time.  A device must answer
+        :meth:`_probe` before each wave-episode; a device fault aborts
+        the wave, and the device is either evicted (:meth:`_evict`) or
+        the wave-episode falls back to software (:meth:`_fall_back`).
+        An eviction re-packs the device's queue onto the survivors,
+        which may refill a queue already drained, so the scan repeats
+        until every queue is dry.
+        """
         assert self.inax_config is not None
+        generation = self._generation
+        self._begin_generation(generation)
         # buffer-capacity gate (§IV-D: finite weight/value buffers)
         runnable, configs, entries = self._gate_oversize(genomes)
 
         lengths = [0] * len(runnable)
         rewards = [0.0] * len(runnable)
-        num_pus = self.inax_config.num_pus
         keys = [g.key for g in runnable]
 
         with self._functional_pass(runnable, entries):
@@ -1174,27 +1231,49 @@ class INAXBackend(_CompiledBackend):
                     predicted
                     if predicted is not None
                     else [None] * len(runnable),
-                    num_pus,
+                    self.inax_config.num_pus,
                     self.pipeline.schedule,
                 )
+            for device in self.farm:
+                device.reset_report()
 
-            self.device.reset_report()
-            dispatched = 0
-            for indices in waves:
-                wave_genomes = [runnable[i] for i in indices]
-                wave_configs = [configs[i] for i in indices]
-                for episode in range(self.episodes_per_genome):
-                    prefetched = self.pipeline.prefetch and dispatched > 0
-                    self._run_wave_episode(
-                        indices,
-                        wave_genomes,
-                        wave_configs,
-                        episode,
-                        lengths,
-                        rewards,
-                        prefetched=prefetched,
-                    )
-                    dispatched += 1
+            queues = self._assign(waves, predicted)
+            dispatched = [0] * len(self.farm)
+            while any(queues.values()):
+                for device in sorted(queues):
+                    queue = queues[device]
+                    while queue:
+                        ordinal, episode = queue[0]
+                        if not self._probe(generation, device, queues):
+                            break
+                        indices = waves[ordinal]
+                        wave = [runnable[i] for i in indices]
+                        prefetched = (
+                            self.pipeline.prefetch and dispatched[device] > 0
+                        )
+                        try:
+                            records = self._device_wave_episode(
+                                self.farm[device],
+                                wave,
+                                [configs[i] for i in indices],
+                                episode,
+                                prefetched=prefetched,
+                            )
+                        except (DeviceFault, BufferOverflowError) as error:
+                            self.farm[device].abort_wave()
+                            if self._evict(generation, device, error, queues):
+                                break
+                            records = self._fall_back(
+                                error, indices, wave, episode
+                            )
+                        dispatched[device] += 1
+                        for slot, record in enumerate(records):
+                            rewards[indices[slot]] += record.total_reward
+                            lengths[indices[slot]] += record.steps
+                        if episode + 1 < self.episodes_per_genome:
+                            queue[0] = (ordinal, episode + 1)
+                        else:
+                            queue.popleft()
 
         for genome, reward in zip(runnable, rewards):
             genome.fitness = reward / self.episodes_per_genome
@@ -1203,10 +1282,46 @@ class INAXBackend(_CompiledBackend):
             lengths,
             keys=keys,
             predicted_costs=predicted,
-            cycle_report=self.device.report,
+            cycle_report=self._finish_generation(generation),
         )
         self._publish_cycle_gauges(record.cycle_report)
         self._publish_compile_gauges()
+
+    # The dispatch loop's questions to the farm.  A farm of one answers
+    # "device 0, in packing order", "yes", "no" and "device 0's
+    # report", so no probe, eviction or re-pack can fire;
+    # ``FabricINAXBackend`` answers them from its supervisor.
+    def _begin_generation(self, generation: int) -> None:
+        """Farm upkeep before the generation's oversize gate."""
+
+    def _assign(
+        self, waves: list[list[int]], predicted: list[float | None] | None
+    ) -> dict[int, deque[tuple[int, int]]]:
+        """Each device's queue of ``(wave ordinal, next episode)``."""
+        return {0: deque((ordinal, 0) for ordinal in range(len(waves)))}
+
+    def _probe(
+        self, generation: int, device: int, queues: dict[int, deque]
+    ) -> bool:
+        """Does ``device`` answer before its next wave-episode?  False:
+        it was evicted and its queue re-packed into ``queues``."""
+        return True
+
+    def _evict(
+        self,
+        generation: int,
+        device: int,
+        error: Exception,
+        queues: dict[int, deque],
+    ) -> bool:
+        """Is ``device``, faulted mid-wave by ``error``, evicted?  True:
+        its queue, from the faulted episode on, was re-packed into
+        ``queues``; False: the wave-episode falls back to software."""
+        return False
+
+    def _finish_generation(self, generation: int) -> CycleReport:
+        """The cycle report that closes the generation's record."""
+        return self.farm[0].report
 
     @contextmanager
     def _functional_pass(self, genomes: list[Genome], entries: list):
@@ -1220,7 +1335,7 @@ class INAXBackend(_CompiledBackend):
         Otherwise nothing runs here and the devices step every wave.
         The records never outlive the block.
         """
-        if self.device.replayable:
+        if self.farm[0].replayable:
             self._pass_records = {
                 id(genome): records
                 for genome, records in zip(
@@ -1244,6 +1359,13 @@ class INAXBackend(_CompiledBackend):
             report.prefetch_hidden_cycles
         )
 
+    def publish_run_gauges(self, registry: MetricsRegistry) -> None:
+        super().publish_run_gauges(registry)
+        if self.oversize_count:
+            registry.gauge("inax.oversize_genomes").set(self.oversize_count)
+        if self.fallback_waves:
+            registry.gauge("inax.fallback_waves").set(self.fallback_waves)
+
     def _publish_oversize(self) -> None:
         registry = get_metrics()
         if registry is not None:
@@ -1252,10 +1374,14 @@ class INAXBackend(_CompiledBackend):
     def reporter_columns(self) -> dict[str, float]:
         columns = super().reporter_columns()
         columns["oversize"] = float(self.oversize_count)
-        # count-based wave occupancy of the generation just evaluated —
-        # the knob the LPT packer moves (the device report was reset at
-        # the top of this generation's _evaluate, so this is per-gen)
-        columns["pack_eff"] = self.device.report.packing_efficiency
+        # count-based wave occupancy of the generation just evaluated,
+        # over the whole farm — the knob the LPT packer moves (the
+        # device reports were reset at the top of this generation's
+        # _evaluate, so this is per-gen)
+        columns["pack_eff"] = utilization(
+            sum(device.report.live_slot_steps for device in self.farm),
+            sum(device.report.slot_steps_provisioned for device in self.farm),
+        )
         if self.fallback is not None:
             columns["fallback_waves"] = float(self.fallback_waves)
         return columns
@@ -1319,8 +1445,8 @@ class INAXBackend(_CompiledBackend):
         and ``device`` replays the wave from their lengths; otherwise
         ``device`` steps the wave in lock-step.  The fresh-env +
         per-(genome, episode) seed discipline makes either way, on any
-        device (the single INAX or any fabric farm member), produce
-        bit-identical episode records for the same wave.
+        device of the farm, produce bit-identical episode records for
+        the same wave.
         """
         if self._pass_records is not None:
             records = [self._pass_records[id(g)][episode] for g in genomes]
@@ -1334,30 +1460,6 @@ class INAXBackend(_CompiledBackend):
         episode_records = run_lockstep(envs, device.step, seeds=seeds)
         device.end_wave()
         return episode_records
-
-    def _run_wave_episode(
-        self,
-        indices: list[int],
-        genomes: list[Genome],
-        configs: list[HWNetConfig],
-        episode: int,
-        lengths: list[int],
-        rewards: list[float],
-        prefetched: bool = False,
-    ) -> None:
-        """Run one wave's episode; ``indices`` maps wave slot ->
-        population index, so any packing order lands results on the
-        right individual."""
-        try:
-            episode_records = self._device_wave_episode(
-                self.device, genomes, configs, episode, prefetched=prefetched
-            )
-        except (DeviceFault, BufferOverflowError) as error:
-            self.device.abort_wave()
-            episode_records = self._fall_back(error, indices, genomes, episode)
-        for slot, record in enumerate(episode_records):
-            rewards[indices[slot]] += record.total_reward
-            lengths[indices[slot]] += record.steps
 
 
 def _interpreted_infer(nets: list[FeedForwardNetwork]) -> InferFn:

@@ -260,7 +260,7 @@ class E3:
                 # land in this session's trace
                 self.health.finalize()
             if session is not None:
-                self._publish_backend_telemetry(session)
+                self.backend.publish_run_gauges(session.metrics)
                 session.uninstall()
         return E3RunResult(
             env_name=self.env_name,
@@ -275,28 +275,6 @@ class E3:
             phases=dict(self.population.phases),
             telemetry=session,
         )
-
-    def _publish_backend_telemetry(self, session: TelemetrySession) -> None:
-        """Publish end-of-run backend statistics into the session."""
-        registry = session.metrics
-        backend = self.backend
-        if hasattr(backend, "compile_cache_info"):
-            info = backend.compile_cache_info()
-            registry.gauge("compile.cache.hits").set(info["hits"])
-            registry.gauge("compile.cache.misses").set(info["misses"])
-            registry.gauge("compile.cache.size").set(info["size"])
-        if getattr(backend, "oversize_count", 0):
-            registry.gauge("inax.oversize_genomes").set(backend.oversize_count)
-        if getattr(backend, "quarantine_count", 0):
-            registry.gauge("resilience.quarantined_genomes").set(
-                backend.quarantine_count
-            )
-        if getattr(backend, "fallback_waves", 0):
-            registry.gauge("inax.fallback_waves").set(backend.fallback_waves)
-        fabric = getattr(backend, "fabric", None)
-        if fabric is not None:
-            for name, value in fabric.counters().items():
-                registry.gauge(f"fabric.{name}").set(value)
 
 
 # bottom import, deliberately: registering the fabric backend pulls in

@@ -380,15 +380,11 @@ class IslandModel:
         return index, genome
 
     def _publish_telemetry(self, session: TelemetrySession) -> None:
-        """End-of-run farm statistics into the session registry."""
+        """End-of-run farm statistics into the session registry: the
+        backend's run gauges plus the migration counters."""
         registry = session.metrics
-        for name, value in self.backend.fabric.counters().items():
-            registry.gauge(f"fabric.{name}").set(value)
+        self.backend.publish_run_gauges(registry)
         registry.gauge("fabric.migrations").set(float(self.migrations))
         registry.gauge("fabric.migrations_skipped").set(
             float(self.migrations_skipped)
         )
-        if self.backend.fallback_waves:
-            registry.gauge("inax.fallback_waves").set(
-                self.backend.fallback_waves
-            )

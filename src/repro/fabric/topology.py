@@ -8,7 +8,7 @@ farm (ROADMAP item 1; PAPERS.md's distributed-FPGA neuroevolution ran
   exactly as on one device — the farm never changes wave composition,
   only wave *placement*;
 * :func:`assign_waves` LPT-assigns those waves onto the currently-alive
-  devices.
+  devices, at the costs :func:`wave_costs` gives them.
 
 Both are pure functions of their inputs, so re-running
 :func:`assign_waves` over the survivor set after an eviction *is* the
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-__all__ = ["FarmTopology", "assign_waves"]
+__all__ = ["FarmTopology", "assign_waves", "wave_costs"]
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,23 @@ class FarmTopology:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def wave_costs(
+    predicted: Sequence[float | None] | None,
+    waves: Sequence[Sequence[int]],
+) -> list[float]:
+    """Each wave's assignment cost: its heaviest member's prediction.
+
+    A missing prediction prices as one unit, so without predictions
+    (arrival schedule, or a cold first LPT generation) every wave costs
+    the same and :func:`assign_waves` balances wave *counts* instead of
+    piling the whole generation onto one device.  The farm's dispatch
+    and its analytic twin both price waves here.
+    """
+    if predicted is None:
+        return [1.0] * len(waves)
+    return [max((predicted[i] or 1.0) for i in indices) for indices in waves]
 
 
 def assign_waves(

@@ -4,7 +4,9 @@ The farm's recovery contract, asserted end-to-end on CartPole:
 
 * **placement transparency** — a clean N-device farm is fitness
   bit-identical to the single-device INAX backend (the per-(genome,
-  episode) seeding contract makes device placement invisible);
+  episode) seeding contract makes device placement invisible), and a
+  one-device farm records exactly what ``inax`` records, while only the
+  farm emits farm output;
 * **fault transparency** — killing a device mid-generation recovers
   through eviction + deterministic re-pack and still finishes fitness
   bit-identical to the clean run;
@@ -12,15 +14,20 @@ The farm's recovery contract, asserted end-to-end on CartPole:
   same structured resilience log, byte for byte.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.backends import INAXBackend
+from repro.core.platform import E3
 from repro.fabric.backend import FabricINAXBackend
 from repro.inax.accelerator import INAXConfig
+from repro.inax.pipeline import PipelineConfig
 from repro.neat.config import NEATConfig
 from repro.neat.innovation import InnovationTracker
 from repro.resilience.faults import DeviceFault, FaultPlan
+from repro.telemetry import TelemetrySession
 
 from tests.conftest import evolved_genome
 
@@ -64,6 +71,63 @@ def _fitness(backend):
     return [g.fitness for g in genomes]
 
 
+def _records(env, backend, pipeline):
+    """Every record field of three evolved one-device generations."""
+    e3 = E3(
+        env,
+        backend=backend,
+        neat_config=NEATConfig(population_size=60),
+        seed=7,
+        pipeline=pipeline,
+        devices=1,
+    )
+    result = e3.run(max_generations=3, fitness_threshold=float("inf"))
+    return [
+        (
+            record.episode_lengths,
+            record.configs,
+            record.predicted_costs,
+            dataclasses.asdict(record.cycle_report),
+        )
+        for record in result.records
+    ]
+
+
+#: the reporter columns only a farm adds
+FARM_COLUMNS = {
+    "devices_up", "device_evictions", "device_readmissions", "repacked_waves"
+}
+
+
+def _farm_surface(backend):
+    """Which farm outputs a traced one-device run emits, under a plan
+    whose PU stalls fire without aborting a wave."""
+    session = TelemetrySession()
+    e3 = E3(
+        "cartpole",
+        backend=backend,
+        neat_config=NEATConfig(population_size=20),
+        seed=3,
+        telemetry=session,
+        fault_plan=FaultPlan.parse("seed=7,inax.pu_stall@0.2:50"),
+        fallback="cpu-fast",
+        devices=1,
+    )
+    e3.run(max_generations=2)
+    spans = session.tracer.spans
+    names = [s.name for s in spans] + list(session.metrics.snapshot())
+    sites = [s.attrs["site"] for s in spans if "site" in s.attrs]
+    tracks = {s.track for s in spans}
+    assert sites, "the plan fired no fault"
+    return {
+        "fabric names": any(name.startswith("fabric.") for name in names),
+        "dev= sites": any("dev=" in site for site in sites),
+        "dev tracks": any(track.startswith("dev") for track in tracks),
+        "pu tracks": any(track.startswith("pu") for track in tracks),
+        "columns": set(e3.backend.reporter_columns()),
+    }
+
+
 class TestPlacementTransparency:
     def test_clean_farm_matches_single_device_bitwise(self):
         single = _fitness(
@@ -76,6 +140,33 @@ class TestPlacementTransparency:
         )
         for devices in (1, 2, 3):
             assert _fitness(_fabric(devices=devices)) == single
+        # a one-device farm dispatches exactly like the single device
+        for env in ("cartpole", "lunar_lander"):
+            for pipeline in (
+                PipelineConfig(),
+                PipelineConfig(schedule="lpt", prefetch=True),
+            ):
+                assert _records(env, "fabric", pipeline) == _records(
+                    env, "inax", pipeline
+                )
+
+    def test_only_the_fabric_emits_farm_output(self):
+        # inax is a farm of one with no site or track prefix (sites feed
+        # the fault hashes) and no fabric spans, gauges or columns
+        inax = _farm_surface("inax")
+        assert inax == {
+            "fabric names": False,
+            "dev= sites": False,
+            "dev tracks": False,
+            "pu tracks": True,
+            "columns": {
+                "quarantined", "oversize", "pack_eff", "fallback_waves"
+            },
+        }
+        fabric = _farm_surface("fabric")
+        assert fabric["fabric names"] and fabric["dev= sites"]
+        assert fabric["dev tracks"] and not fabric["pu tracks"]
+        assert fabric["columns"] == inax["columns"] | FARM_COLUMNS
 
     def test_farm_walls_cover_every_device(self):
         backend = _fabric(devices=2)

@@ -164,3 +164,32 @@ class TestResult:
         }
         assert result.phases == counters
         assert all(pop.phases is model.phases for pop in model.islands)
+
+    def test_run_end_gauges_include_quarantine_and_oversize(self):
+        # NaN rewards quarantine genomes and a 12-word weight buffer
+        # turns some away: the island driver publishes the same run-end
+        # backend gauges as a single-population E3 run
+        session = TelemetrySession()
+        model = IslandModel(
+            "cartpole",
+            FarmTopology(devices=2, islands=2),
+            neat_config=NEATConfig(population_size=24),
+            inax_config=INAXConfig(
+                num_pus=4, num_pes_per_pu=2, weight_buffer_capacity=12
+            ),
+            seed=3,
+            telemetry=session,
+            fault_plan=FaultPlan.parse("seed=9,env.reward_nan@0.05"),
+            fallback="cpu-fast",
+        )
+        model.run(max_generations=2)
+        backend = model.backend
+        assert backend.quarantine_count > 0 and backend.oversize_count > 0
+        gauges = session.metrics.snapshot()
+        assert (
+            gauges["resilience.quarantined_genomes"]["value"]
+            == backend.quarantine_count
+        )
+        assert (
+            gauges["inax.oversize_genomes"]["value"] == backend.oversize_count
+        )

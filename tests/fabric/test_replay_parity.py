@@ -40,10 +40,6 @@ def _genomes(env, seed, mutations, n=10):
     return cfg, genomes
 
 
-def _devices(backend):
-    return getattr(backend, "farm", [backend.device])
-
-
 def _run(kind, env, episodes, seed, mutations, stepped):
     """Two generations of one population: the first packs cold, the
     second by LPT from the first's lengths."""
@@ -59,7 +55,7 @@ def _run(kind, env, episodes, seed, mutations, stepped):
         devices=2,
     )
     if stepped:
-        for device in _devices(backend):
+        for device in backend.farm:
             device.fault_injector = DeviceFaultInjector(FaultPlan(seed=0))
     fitness = []
     try:
@@ -70,7 +66,7 @@ def _run(kind, env, episodes, seed, mutations, stepped):
         backend.close()
     nodes = sum(
         pe.nodes_computed
-        for device in _devices(backend)
+        for device in backend.farm
         for pu in device.pus
         for pe in pu.pes
     )
