@@ -23,6 +23,10 @@ Pieces:
 * :class:`CompiledStructure` — one topology signature's compiled plan
   (reuses :class:`~repro.neat.vectorized._NetPlan`) plus the recipes
   that fill any same-shape genome's weights/biases into plan layout;
+* :class:`ShapeCost` — a structure's weight-independent cost: the
+  sizes a workload records, the INAX buffer words and the memoized
+  static per-inference timing, which pricing and recording read once
+  per shape;
 * :class:`CompileCache` — cross-generation LRU keyed by shape key,
   warmable from a restored checkpoint population;
 * :class:`CompiledPopulationEvaluator` — lock-step inference over a
@@ -37,10 +41,11 @@ into the evaluation loop.
 
 from repro.compile.cache import CompileCache
 from repro.compile.evaluator import CompiledPopulationEvaluator
-from repro.compile.structure import CompiledStructure
+from repro.compile.structure import CompiledStructure, ShapeCost
 
 __all__ = [
     "CompiledStructure",
+    "ShapeCost",
     "CompileCache",
     "CompiledPopulationEvaluator",
 ]

@@ -9,6 +9,12 @@ block per plan layer, without re-running ``CreateNet``.  The contract
 is pinned by :meth:`repro.neat.genome.Genome.shape_key`: two genomes
 with equal shape keys decode to identical structure, so they may share
 one compiled plan and differ only in the parameter tensors.
+
+Its :class:`ShapeCost` is what the shape costs, whatever its weights:
+the sizes a workload records, the buffer words the device gates on and
+the static per-inference timing, so pricing and recording a generation
+read one descriptor per shape instead of walking every genome's
+configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.inax.compiler import HWNetConfig
+from repro.inax.accelerator import INAXConfig, _static_pe_active
+from repro.inax.compiler import ConfigWords, HWNetConfig
+from repro.inax.pu import _static_step_cycles
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
 from repro.neat.network import FeedForwardNetwork, NodeEval
@@ -26,7 +34,7 @@ from repro.neat.network import FeedForwardNetwork, NodeEval
 # arithmetic implementation means one bit-identity proof obligation
 from repro.neat.vectorized import _NetPlan
 
-__all__ = ["CompiledStructure"]
+__all__ = ["CompiledStructure", "ShapeCost"]
 
 
 @dataclass(frozen=True)
@@ -39,6 +47,69 @@ class _RowRecipe:
     #: ingress source keys in plan term order (sorted; weight-independent)
     sources: tuple[int, ...]
 
+    @property
+    def fan_in(self) -> int:
+        return len(self.sources)
+
+
+class ShapeCost(ConfigWords):
+    """What one shape costs on INAX and in a workload, whatever its weights.
+
+    Built once per shape from its recipes, which list each node's
+    fan-in in the order the HW configuration does.  It holds the sizes
+    :class:`~repro.hw.workload.IndividualWork` records, under the names
+    :class:`~repro.inax.compiler.HWNetConfig` gives them, and the buffer
+    words the device's oversize gate reads (:class:`ConfigWords`), and
+    :meth:`timing` memoizes the static per-inference timing computed by
+    the device's own ``_static_step_cycles`` and ``_static_pe_active``.
+    It holds no weights and no execution plan, so a generation record
+    may keep it after the compile cache evicts its structure.
+    """
+
+    __slots__ = (
+        "layers",
+        "num_inputs",
+        "num_outputs",
+        "num_nodes",
+        "num_connections",
+        "num_layers",
+        "_timed_for",
+        "_timing",
+    )
+
+    def __init__(
+        self,
+        num_inputs: int,
+        num_outputs: int,
+        layers: tuple[tuple[_RowRecipe, ...], ...],
+    ):
+        self.layers = layers
+        self.num_inputs = num_inputs
+        self.num_outputs = num_outputs
+        self.num_nodes = sum(len(layer) for layer in layers)
+        self.num_connections = sum(
+            recipe.fan_in for layer in layers for recipe in layer
+        )
+        self.num_layers = len(layers)
+        self._timed_for: INAXConfig | None = None
+        self._timing = (0, 0)
+
+    def timing(self, hw: INAXConfig) -> tuple[int, int]:
+        """``(cycles, PE-active cycles)`` of one inference under ``hw``.
+
+        Memoized for the last configuration asked: a backend asks with
+        its one INAX configuration for every genome of the shape.
+        """
+        if hw is not self._timed_for:
+            self._timing = (
+                _static_step_cycles(
+                    self, hw.num_pes_per_pu, hw.pe_costs, hw.pu_costs
+                ),
+                _static_pe_active(self, hw.pe_costs),
+            )
+            self._timed_for = hw
+        return self._timing
+
 
 class CompiledStructure:
     """Shared execution plan + parameter fill recipes for one shape.
@@ -46,7 +117,8 @@ class CompiledStructure:
     ``plan`` is ``None`` when the shape does not vectorize (exotic
     aggregation/activation); the recipes still work, so the HW config
     lowering stays cheap and the backend can fall back to the
-    interpreted path for those genomes.
+    interpreted path for those genomes.  ``cost`` is the shape's
+    :class:`ShapeCost`.
     """
 
     __slots__ = (
@@ -55,7 +127,9 @@ class CompiledStructure:
         "output_keys",
         "rows",
         "plan",
+        "cost",
         "_fill_plan",
+        "__weakref__",
     )
 
     def __init__(
@@ -71,6 +145,7 @@ class CompiledStructure:
         self.output_keys = output_keys
         self.rows = rows
         self.plan = plan
+        self.cost = ShapeCost(len(input_keys), len(output_keys), rows)
         self._fill_plan = None
 
     @classmethod

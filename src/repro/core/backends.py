@@ -48,7 +48,11 @@ CPU/GPU cost models) and, when an INAX configuration is attached, its
 cycle report (for E3-INAX pricing): the device backends record their
 device's own report, and the software backends price the generation
 inline with the closed-form :func:`schedule_generation` — this is what
-the Fig 9/10 benchmark harnesses consume.
+the Fig 9/10 benchmark harnesses consume.  The compiled backends price
+and record from each shape's
+:class:`~repro.compile.structure.ShapeCost`, and a ``cpu-compiled``
+generation builds no :class:`~repro.inax.compiler.HWNetConfig` unless
+its record's ``configs`` are read.
 """
 
 from __future__ import annotations
@@ -59,11 +63,15 @@ import multiprocessing
 import time
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from repro.compile import CompileCache, CompiledPopulationEvaluator
+from repro.compile import (
+    CompileCache,
+    CompiledPopulationEvaluator,
+    ShapeCost,
+)
 from repro.envs.base import Environment
 from repro.envs.registry import make
 from repro.envs.rollout import (
@@ -125,21 +133,58 @@ def default_inax_config(num_outputs: int, num_pus: int = 50) -> INAXConfig:
     )
 
 
-@dataclass
 class GenerationRecord:
-    """Everything recorded while evaluating one generation."""
+    """Everything recorded while evaluating one generation.
 
-    workload: GenerationWorkload
-    #: compiled individuals, aligned with workload.individuals
-    configs: list[HWNetConfig]
-    episode_lengths: list[int]
-    #: INAX cycles: the device's report on the device backends, the
-    #: closed-form pricing on the software backends (None when no INAX
-    #: config is attached)
-    cycle_report: CycleReport | None = None
-    #: the per-individual cost predictions the wave packer used
-    #: (``schedule="lpt"`` only), so the dispatch can be replayed
-    predicted_costs: list[float | None] | None = None
+    ``configs`` (the compiled individuals, aligned with
+    ``workload.individuals``) and ``workload`` are built on first read.
+    ``configs`` is given as a list or as a function that lowers the
+    evaluated genomes (evolution copies a genome before it changes one,
+    so a later read sees the evaluated networks); ``shapes`` holds one
+    object per individual with the sizes
+    :meth:`IndividualWork.from_config` reads: its
+    :class:`~repro.inax.compiler.HWNetConfig`, or its shape's
+    :class:`~repro.compile.structure.ShapeCost`.  A record never holds a
+    compiled structure, so the compile cache's eviction still frees a
+    shape's plan.
+    """
+
+    def __init__(
+        self,
+        shapes: list,
+        episode_lengths: list[int],
+        configs: list[HWNetConfig] | Callable[[], list[HWNetConfig]],
+        cycle_report: CycleReport | None = None,
+        predicted_costs: list[float | None] | None = None,
+    ):
+        self.episode_lengths = episode_lengths
+        #: INAX cycles: the device's report on the device backends, the
+        #: closed-form pricing on the software backends (None when no
+        #: INAX config is attached)
+        self.cycle_report = cycle_report
+        #: the per-individual cost predictions the wave packer used
+        #: (``schedule="lpt"`` only), so the dispatch can be replayed
+        self.predicted_costs = predicted_costs
+        self._shapes = shapes
+        self._configs = configs
+        self._workload: GenerationWorkload | None = None
+
+    @property
+    def configs(self) -> list[HWNetConfig]:
+        if callable(self._configs):
+            self._configs = self._configs()
+        return self._configs
+
+    @property
+    def workload(self) -> GenerationWorkload:
+        if self._workload is None:
+            self._workload = GenerationWorkload(
+                individuals=[
+                    IndividualWork.from_config(shape, steps)
+                    for shape, steps in zip(self._shapes, self.episode_lengths)
+                ]
+            )
+        return self._workload
 
 
 class EvaluationBackend:
@@ -335,68 +380,76 @@ class EvaluationBackend:
             events.extend(self.fault_plan.event_log())
         return events
 
+    def _timing_hooks(self) -> tuple[Callable | None, Callable | None]:
+        """:func:`schedule_generation`'s ``(step_cycles_fn,
+        pe_active_fn)`` for the shapes this backend records.  The base
+        backend records HW configs, which the closed form times on its
+        own default path."""
+        return None, None
+
     def _predict_costs(
-        self, configs: list[HWNetConfig], keys: list[int]
+        self, shapes: list, keys: list[int]
     ) -> list[float | None] | None:
         """LPT cost predictions from last-generation lengths (or None)."""
         if self.pipeline.schedule != "lpt" or self.inax_config is None:
             return None
         hw = self.inax_config
         return predict_costs(
-            configs,
+            shapes,
             keys,
             self._last_lengths,
             hw.num_pes_per_pu,
             hw.pe_costs,
             hw.pu_costs,
+            step_cycles_fn=self._timing_hooks()[0],
         )
 
     def _record(
         self,
-        configs: list[HWNetConfig],
+        shapes: list,
         episode_lengths: list[int],
-        keys: list[int] | None = None,
+        keys: list[int],
+        configs: list[HWNetConfig] | Callable[[], list[HWNetConfig]],
         predicted_costs: list[float | None] | None = None,
         cycle_report: CycleReport | None = None,
     ) -> GenerationRecord:
         """Record the generation with its cycle report.
 
-        ``keys`` (genome keys aligned with ``configs``) feed the LPT
-        cost predictor for the *next* generation.  The device backends
-        pass their device's ``cycle_report`` and the ``predicted_costs``
-        their packer used.  Without a report, a backend with an INAX
-        config prices the generation here with the closed-form
-        :func:`schedule_generation`.
+        ``shapes`` (HW configs, or the compiled backends' shape costs)
+        and ``keys`` (genome keys) align with the individuals; the keys
+        feed the LPT cost predictor for the *next* generation.
+        ``configs`` becomes the record's ``configs`` (see
+        :class:`GenerationRecord`).  The device backends pass their
+        device's ``cycle_report`` and the ``predicted_costs`` their
+        packer used.  Without a report, a backend with an INAX config
+        prices the generation here with the closed-form
+        :func:`schedule_generation`, timing ``shapes`` through
+        :meth:`_timing_hooks`.
         """
         if cycle_report is None and self.inax_config is not None:
             # software backends model the dispatch the device would run;
             # predictions must come from *pre-update* history, exactly
             # like the device packs before evaluating
-            if keys:
-                predicted_costs = self._predict_costs(configs, keys)
+            predicted_costs = self._predict_costs(shapes, keys)
+            step_cycles, pe_active = self._timing_hooks()
             cycle_report = schedule_generation(
                 self.inax_config,
-                configs,
+                shapes,
                 episode_lengths,
+                step_cycles_fn=step_cycles,
+                pe_active_fn=pe_active,
                 pipeline=self.pipeline,
                 predicted_costs=predicted_costs,
             )
-        workload = GenerationWorkload(
-            individuals=[
-                IndividualWork.from_config(cfg, steps)
-                for cfg, steps in zip(configs, episode_lengths)
-            ]
-        )
         record = GenerationRecord(
-            workload=workload,
-            configs=configs,
-            episode_lengths=episode_lengths,
+            shapes,
+            episode_lengths,
+            configs,
             cycle_report=cycle_report,
             predicted_costs=predicted_costs,
         )
-        if keys is not None:
-            for key, steps in zip(keys, episode_lengths):
-                self._last_lengths[key] = steps
+        for key, steps in zip(keys, episode_lengths):
+            self._last_lengths[key] = steps
         self.records.append(record)
         self._generation += 1
         return record
@@ -434,7 +487,7 @@ class CPUBackend(EvaluationBackend):
             configs.append(compile_genome(genome, self.neat_config))
             genome.fitness, steps = self._interpreted_fitness(genome)
             lengths.append(steps)
-        self._record(configs, lengths, keys=[g.key for g in genomes])
+        self._record(configs, lengths, [g.key for g in genomes], configs)
 
 
 class _CompiledBackend(EvaluationBackend):
@@ -442,11 +495,12 @@ class _CompiledBackend(EvaluationBackend):
 
     One cross-generation shape-keyed :class:`~repro.compile.CompileCache`
     (its statistics, resume warm-start, per-run counter reset and
-    ``compile.cache.*`` gauges), the HW-config lowering through the
-    shapes' fill recipes, and :meth:`_episode_records`, the one
-    lock-step episode loop.  Cached structures are keyed purely on
-    genome content, so they survive :meth:`reset_run_state` and a
-    reused backend stays bit-identical to a fresh one.
+    ``compile.cache.*`` gauges), pricing from the shapes'
+    :class:`~repro.compile.structure.ShapeCost` descriptors, and
+    :meth:`_episode_records`, the one lock-step episode loop.  Cached
+    structures are keyed purely on genome content, so they survive
+    :meth:`reset_run_state` and a reused backend stays bit-identical to
+    a fresh one.
     """
 
     def __init__(
@@ -500,22 +554,22 @@ class _CompiledBackend(EvaluationBackend):
         registry.gauge("compile.cache.misses").set(info["misses"])
         registry.gauge("compile.cache.size").set(info["size"])
 
-    def _lower(self, genomes: list[Genome]) -> tuple[list, list[HWNetConfig]]:
-        """Each genome's compiled structure and its HW configuration.
-
-        The configurations lower through the shapes' fill recipes —
-        equal to :func:`compile_genome` field for field, without
-        re-running ``CreateNet``.
-        """
+    def _lower(self, genomes: list[Genome]) -> tuple[list, list[ShapeCost]]:
+        """Each genome's compiled structure and its shape's cost."""
         with _span("compile.lookup", genomes=len(genomes)):
             entries = [
                 self._compile_cache.get(g, self.neat_config) for g in genomes
             ]
-        configs = [
-            entry.hw_config(genome)
-            for entry, genome in zip(entries, genomes)
-        ]
-        return entries, configs
+        return entries, [entry.cost for entry in entries]
+
+    def _timing_hooks(self) -> tuple[Callable, Callable]:
+        """Each shape's memoized ``(cycles, PE activity)`` under the
+        backend's INAX config."""
+        hw = self.inax_config
+        return (
+            lambda shape: shape.timing(hw)[0],
+            lambda shape: shape.timing(hw)[1],
+        )
 
     def _episode_records(
         self,
@@ -714,12 +768,14 @@ class CompiledCPUBackend(_CompiledBackend):
        seeding makes shard placement irrelevant to results.
 
     The engine accumulates in the interpreted path's term order with
-    the same activation kernels, and the HW configs lower through the
-    shapes' fill recipes to exactly what :func:`compile_genome`
-    produces, so fitness trajectories and workload records are
-    bit-identical to ``cpu``.  Non-vectorizable shapes (exotic
-    aggregations) fall back to the interpreted :func:`run_episode`
-    path, which produces the same bits by construction.
+    the same activation kernels, so fitness trajectories are
+    bit-identical to ``cpu``.  A generation is priced and its workload
+    recorded from the shapes' cost descriptors, which equal what the
+    ``cpu`` path reads off :func:`compile_genome`'s configurations; the
+    record lowers its ``configs`` through :func:`compile_genome` only
+    when they are read.  Non-vectorizable shapes (exotic aggregations)
+    fall back to the interpreted :func:`run_episode` path, which
+    produces the same bits by construction.
     """
 
     name = "cpu-compiled"
@@ -844,7 +900,7 @@ class CompiledCPUBackend(_CompiledBackend):
 
     # -------------------------------------------------------- evaluation
     def _evaluate(self, genomes: list[Genome]) -> None:
-        entries, configs = self._lower(genomes)
+        entries, shapes = self._lower(genomes)
         if self.workers > 1 and len(genomes) > 1:
             fitnesses, lengths = self._fitness_sharded(genomes)
         else:
@@ -852,7 +908,14 @@ class CompiledCPUBackend(_CompiledBackend):
         for genome, fitness in zip(genomes, fitnesses):
             genome.fitness = fitness
         self._publish_compile_gauges()
-        self._record(configs, lengths, keys=[g.key for g in genomes])
+        evaluated = list(genomes)
+        neat_config = self.neat_config
+        self._record(
+            shapes,
+            lengths,
+            [g.key for g in genomes],
+            lambda: [compile_genome(g, neat_config) for g in evaluated],
+        )
 
     def _fitness_for(
         self, genomes: list[Genome], entries=None
@@ -1101,9 +1164,6 @@ class INAXBackend(_CompiledBackend):
             quarantine_penalty=quarantine_penalty,
             pipeline=pipeline,
         )
-        #: the devices the dispatch loop drives; ``inax`` is a farm of
-        #: one, with no injector site or span track prefix
-        self.farm = [self._make_device()]
         self.oversize_policy = oversize_policy
         self.oversize_penalty = oversize_penalty
         self.oversize_count = 0
@@ -1113,6 +1173,17 @@ class INAXBackend(_CompiledBackend):
         # id(genome) -> its episode records, while a generation's
         # functional pass is live (see _functional_pass)
         self._pass_records: dict[int, list[EpisodeRecord]] | None = None
+        self._build_farm()
+
+    def _build_farm(self) -> None:
+        """Build :attr:`farm`, the devices the dispatch loop drives.
+
+        ``inax`` is a farm of one, with no injector site or span track
+        prefix.  :meth:`reset_run_state` rebuilds it too, so no device
+        state (the wave counter fault sites embed included) outlives a
+        run.
+        """
+        self.farm = [self._make_device()]
 
     def _make_device(
         self, site_prefix: str = "", track_prefix: str = ""
@@ -1134,49 +1205,51 @@ class INAXBackend(_CompiledBackend):
 
     def reset_run_state(self, base_seed: int | None = None) -> None:
         super().reset_run_state(base_seed=base_seed)
-        # the devices carry no cross-generation run state (their
-        # reports reset per generation); only the gate/fallback tallies do
+        self._build_farm()
         self.oversize_count = 0
         self.fallback_waves = 0
         self.fallback_genomes = 0
 
-    def _fits_buffers(self, config: HWNetConfig) -> bool:
+    def _fits_buffers(self, shape: ShapeCost) -> bool:
         limits = self.inax_config
         if (
             limits.weight_buffer_capacity is not None
-            and config.weight_buffer_words > limits.weight_buffer_capacity
+            and shape.weight_buffer_words > limits.weight_buffer_capacity
         ):
             return False
         if (
             limits.value_buffer_capacity is not None
-            and config.value_buffer_words > limits.value_buffer_capacity
+            and shape.value_buffer_words > limits.value_buffer_capacity
         ):
             return False
         return True
 
     def _gate_oversize(
         self, genomes: list[Genome]
-    ) -> tuple[list[Genome], list[HWNetConfig], list]:
-        """Lower and apply the buffer-capacity gate (§IV-D).
+    ) -> tuple[list[Genome], list[HWNetConfig], list[ShapeCost], list]:
+        """Apply the buffer-capacity gate (§IV-D) to the shapes' words.
 
-        Returns the runnable genomes with their HW configs and compiled
+        Returns the runnable genomes with their HW configs (lowered
+        here, for the devices to load), shape costs and compiled
         structures; oversized genomes are resolved here (software
         fallback or penalty) per ``oversize_policy``.
         """
-        all_entries, all_configs = self._lower(genomes)
+        all_entries, all_shapes = self._lower(genomes)
         runnable: list[Genome] = []
         configs: list[HWNetConfig] = []
+        shapes: list[ShapeCost] = []
         entries: list = []
-        for genome, config, entry in zip(genomes, all_configs, all_entries):
-            if self._fits_buffers(config):
+        for genome, shape, entry in zip(genomes, all_shapes, all_entries):
+            if self._fits_buffers(shape):
                 runnable.append(genome)
-                configs.append(config)
+                configs.append(entry.hw_config(genome))
+                shapes.append(shape)
                 entries.append(entry)
                 continue
             site = f"gen={self._generation}|genome={genome.key}"
             if self.oversize_policy == "raise" and self.fallback is None:
                 raise BufferOverflowError(
-                    f"genome {genome.key} needs {config.weight_buffer_words} "
+                    f"genome {genome.key} needs {shape.weight_buffer_words} "
                     "weight-buffer words; raise the capacity or use "
                     "oversize_policy='penalize'"
                 )
@@ -1189,7 +1262,7 @@ class INAXBackend(_CompiledBackend):
                 self.fallback_genomes += 1
                 self._event(
                     "fallback.oversize", site,
-                    weight_words=config.weight_buffer_words,
+                    weight_words=shape.weight_buffer_words,
                 )
             else:
                 genome.fitness = self.oversize_penalty
@@ -1197,7 +1270,7 @@ class INAXBackend(_CompiledBackend):
                     "inax.oversize", site,
                     penalty=self.oversize_penalty,
                 )
-        return runnable, configs, entries
+        return runnable, configs, shapes, entries
 
     def _evaluate(self, genomes: list[Genome]) -> None:
         """The one device dispatch loop, over per-device wave queues.
@@ -1216,7 +1289,7 @@ class INAXBackend(_CompiledBackend):
         generation = self._generation
         self._begin_generation(generation)
         # buffer-capacity gate (§IV-D: finite weight/value buffers)
-        runnable, configs, entries = self._gate_oversize(genomes)
+        runnable, configs, shapes, entries = self._gate_oversize(genomes)
 
         lengths = [0] * len(runnable)
         rewards = [0.0] * len(runnable)
@@ -1226,7 +1299,7 @@ class INAXBackend(_CompiledBackend):
             # wave packing happens *before* evaluation, off last-generation
             # episode lengths — exactly what the analytic scheduler replays
             with _span("inax.pack", genomes=len(runnable)):
-                predicted = self._predict_costs(configs, keys)
+                predicted = self._predict_costs(shapes, keys)
                 waves = pack_waves(
                     predicted
                     if predicted is not None
@@ -1278,9 +1351,10 @@ class INAXBackend(_CompiledBackend):
         for genome, reward in zip(runnable, rewards):
             genome.fitness = reward / self.episodes_per_genome
         record = self._record(
-            configs,
+            shapes,
             lengths,
-            keys=keys,
+            keys,
+            configs,
             predicted_costs=predicted,
             cycle_report=self._finish_generation(generation),
         )

@@ -78,20 +78,27 @@ class FabricINAXBackend(INAXBackend):
         config the shard supervisor reads, recorded in the run
         manifest).  Every other option goes to :class:`INAXBackend`.
         """
-        super().__init__(env_name, neat_config, **options)
         if devices < 1:
             raise ValueError(f"devices must be >= 1, got {devices}")
         self.num_devices = devices
-        # one INAX per device, each with its own injector namespace —
-        # two devices probing the same (wave, step) site must draw
-        # independently, and their span tracks must stay distinct
-        self.farm = [
-            self._make_device(f"dev={index}|", f"dev{index}.")
-            for index in range(devices)
-        ]
         self.supervisor_config = (
             supervisor if supervisor is not None else SupervisorConfig()
         )
+        super().__init__(env_name, neat_config, **options)
+
+    def _build_farm(self) -> None:
+        """The N devices, their supervisor and the farm's accounting.
+
+        One INAX per device, each with its own injector namespace — two
+        devices probing the same (wave, step) site must draw
+        independently, and their span tracks must stay distinct.
+        :meth:`reset_run_state` rebuilds all of it, so no eviction,
+        heartbeat event or wall-clock outlives a run.
+        """
+        self.farm = [
+            self._make_device(f"dev={index}|", f"dev{index}.")
+            for index in range(self.num_devices)
+        ]
         fault_plan = self.fault_plan
         farm_injector = (
             DeviceFaultInjector(fault_plan)
@@ -99,7 +106,9 @@ class FabricINAXBackend(INAXBackend):
             else None
         )
         self.fabric = FabricSupervisor(
-            devices, config=self.supervisor_config, injector=farm_injector
+            self.num_devices,
+            config=self.supervisor_config,
+            injector=farm_injector,
         )
         #: the generation's per-wave assignment costs (the re-pack's
         #: load measure)

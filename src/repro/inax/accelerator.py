@@ -691,7 +691,8 @@ def _suffix(values: list[int], combine=operator.add) -> list[int]:
 
 
 def _static_pe_active(net: HWNetConfig, pe_costs: PECosts) -> int:
-    """Sum of PE-active cycles for one inference of ``net``."""
+    """Sum of PE-active cycles for one inference of ``net`` (like
+    ``_static_step_cycles``, it reads only layers and fan-ins)."""
     return sum(
         pe_costs.node_cycles(plan.fan_in)
         for layer in net.layers

@@ -15,11 +15,50 @@ from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
 from repro.neat.network import FeedForwardNetwork, NodeEval
 
-__all__ = ["HWNetConfig", "compile_network", "compile_genome", "compile_mlp"]
+__all__ = [
+    "ConfigWords",
+    "HWNetConfig",
+    "compile_network",
+    "compile_genome",
+    "compile_mlp",
+]
+
+
+class ConfigWords:
+    """Weight-channel and buffer word counts from a network's sizes.
+
+    Shared by a weighted :class:`HWNetConfig` and a shape's
+    weight-independent cost (:class:`repro.compile.structure.ShapeCost`),
+    so the sizing rules live once.  Subclasses provide ``num_inputs``,
+    ``num_nodes`` and ``num_connections``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def config_words(self) -> int:
+        """Weight-channel words for the set-up phase.
+
+        One word per connection (weight + packed ids) plus two words per
+        node (bias, activation/aggregation selectors + layer tag).
+        """
+        return self.num_connections + 2 * self.num_nodes
+
+    @property
+    def weight_buffer_words(self) -> int:
+        """Words resident in the PU's weight buffer after decode."""
+        return self.config_words
+
+    @property
+    def value_buffer_words(self) -> int:
+        """Value-buffer footprint: every intermediate activation may be
+        consumed by any later layer (§IV-D), so all node values plus the
+        inputs stay resident."""
+        return self.num_inputs + self.num_nodes
 
 
 @dataclass(frozen=True)
-class HWNetConfig:
+class HWNetConfig(ConfigWords):
     """One individual's configuration as shipped to a PU."""
 
     input_keys: tuple[int, ...]
@@ -57,28 +96,6 @@ class HWNetConfig:
         return max(
             (plan.fan_in for layer in self.layers for plan in layer), default=0
         )
-
-    # -------------------------------------------------------- DMA sizing
-    @property
-    def config_words(self) -> int:
-        """Weight-channel words for the set-up phase.
-
-        One word per connection (weight + packed ids) plus two words per
-        node (bias, activation/aggregation selectors + layer tag).
-        """
-        return self.num_connections + 2 * self.num_nodes
-
-    @property
-    def weight_buffer_words(self) -> int:
-        """Words resident in the PU's weight buffer after decode."""
-        return self.config_words
-
-    @property
-    def value_buffer_words(self) -> int:
-        """Value-buffer footprint: every intermediate activation may be
-        consumed by any later layer (§IV-D), so all node values plus the
-        inputs stay resident."""
-        return self.num_inputs + self.num_nodes
 
     def layer_sizes(self) -> list[int]:
         """Width per layer, inputs included."""

@@ -266,7 +266,12 @@ def _static_step_cycles(
     pe_costs: PECosts,
     pu_costs: PUCosts,
 ) -> int:
-    """Closed-form per-inference latency of a configuration on n PEs."""
+    """Closed-form per-inference latency of a configuration on n PEs.
+
+    Reads only ``config.layers`` and each node plan's ``fan_in``, so a
+    shape's weight-independent :class:`~repro.compile.structure.ShapeCost`
+    is timed here too.
+    """
     cycles = pu_costs.input_load_cycles
     for raw_layer in config.layers:
         layer = _schedule_layer(raw_layer, pu_costs.schedule)

@@ -8,17 +8,26 @@ spans, and stay bit-identical for non-vectorizable shapes and sharded
 runs.
 """
 
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.compile import CompiledStructure
 from repro.core.backends import (
     ALIASES,
     BACKENDS,
+    COMPILE_CACHE_SIZE,
     CompiledCPUBackend,
     CPUBackend,
     create_backend,
+    default_inax_config,
 )
-from repro.inax.compiler import compile_genome
+from repro.core.platform import E3, effective_neat_config
+from repro.inax.compiler import HWNetConfig, compile_genome
+from repro.inax.pipeline import PipelineConfig
 from repro.neat.config import NEATConfig
 from repro.neat.innovation import InnovationTracker
 from repro.telemetry.metrics import MetricsRegistry, set_metrics
@@ -192,3 +201,92 @@ class TestObservability:
         assert "compile.cache.hits" in snapshot
         assert "compile.cache.misses" in snapshot
         assert "compile.cache.size" in snapshot
+
+
+class TestRecords:
+    """``cpu-compiled`` prices and records from shape descriptors; its
+    records must equal the ``cpu`` oracle's, field for field."""
+
+    PIPELINE = PipelineConfig(schedule="lpt", prefetch=True)
+    CONFIG = effective_neat_config(
+        "lunar_lander", NEATConfig(population_size=30)
+    )
+
+    def _run(self, backend):
+        """Three evolved generations, then the next generation evaluated
+        twice: reproduction re-keys every genome, so only a repeated
+        key gives the LPT predictor a last length to price."""
+        e3 = E3(
+            "lunar_lander",
+            backend=backend,
+            neat_config=self.CONFIG,
+            seed=4,
+            pipeline=self.PIPELINE,
+        )
+        e3.run(max_generations=3, fitness_threshold=float("inf"))
+        for _ in range(2):
+            e3.backend.evaluate([g.copy() for g in e3.population.population])
+        e3.backend.close()
+        return e3.backend.records
+
+    def _compiled(self, cache_size=COMPILE_CACHE_SIZE):
+        return CompiledCPUBackend(
+            "lunar_lander",
+            self.CONFIG,
+            base_seed=4,
+            inax_config=default_inax_config(self.CONFIG.num_outputs),
+            pipeline=self.PIPELINE,
+            cache_size=cache_size,
+        )
+
+    def test_records_equal_the_oracle(self, monkeypatch):
+        oracle = self._run("cpu")
+        built = []
+        original_init = HWNetConfig.__init__
+
+        def counting_init(config, *args, **kwargs):
+            built.append(config)
+            original_init(config, *args, **kwargs)
+
+        monkeypatch.setattr(HWNetConfig, "__init__", counting_init)
+        compiled = self._run(self._compiled())
+        # a cpu-compiled run lowers nothing until its configs are read
+        assert built == []
+        assert len(compiled) == len(oracle) == 5
+        assert None not in compiled[-1].predicted_costs
+        # every generation's configs are read only now, after later
+        # generations evolved from its genomes
+        for expected, record in zip(oracle, compiled):
+            assert dataclasses.asdict(record.cycle_report) == (
+                dataclasses.asdict(expected.cycle_report)
+            )
+            assert record.predicted_costs == expected.predicted_costs
+            assert record.episode_lengths == expected.episode_lengths
+            assert record.workload == expected.workload
+            assert record.configs == expected.configs
+
+    def test_evicted_structure_is_freed_while_records_live(
+        self, monkeypatch
+    ):
+        structures = []
+        from_genome = CompiledStructure.from_genome.__func__
+
+        def tracked(cls, genome, config):
+            structure = from_genome(cls, genome, config)
+            structures.append(weakref.ref(structure))
+            return structure
+
+        monkeypatch.setattr(
+            CompiledStructure, "from_genome", classmethod(tracked)
+        )
+        backend = self._compiled(cache_size=2)
+        records = self._run(backend)
+        gc.collect()
+        cached = list(backend._compile_cache._entries.values())
+        alive = [ref() for ref in structures if ref() is not None]
+        assert len(structures) > len(cached) == 2
+        assert len(alive) == 2
+        assert all(any(s is c for c in cached) for s in alive)
+        # the records still price and lower every generation
+        for record in records:
+            assert record.workload.population_size == len(record.configs)

@@ -1,12 +1,24 @@
 """BackendPool leasing, reuse, reset, and bit-identity guarantees."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.backends import create_backend
 from repro.core.platform import E3, effective_neat_config
 from repro.neat.config import NEATConfig
+from repro.resilience.faults import FaultPlan
 from repro.serve.pool import BackendPool, PoolExhausted
 
 CONFIG = NEATConfig(population_size=8)
+
+#: device backend -> (fault plan, options) of the reset-leak probes:
+#: device evictions on a 4-device farm, and PU stalls whose fault sites
+#: embed the device's wave counter
+CHAOS = {
+    "fabric": ("seed=5,fabric.device_drop@0.9", {"devices": 4}),
+    "inax": ("seed=7,inax.pu_stall@0.2:50", {}),
+}
 
 
 def run_fitness_history(backend_or_name, seed: int) -> list[float]:
@@ -188,6 +200,51 @@ class TestResetRunState:
         assert (info["hits"], info["misses"]) == (0, 0)
         assert info["size"] > 0  # compiled structures stay warm
         assert run_fitness_history(again.backend, seed=3) == fresh
+
+    @pytest.mark.parametrize("name", sorted(CHAOS))
+    def test_reset_device_backend_replays_a_fresh_run(self, name):
+        """After ``reset_run_state`` a device backend's farm (devices,
+        wave counters, fabric supervisor and walls) is rebuilt, so a
+        chaos run on it equals the same run on a fresh backend."""
+        plan, options = CHAOS[name]
+        config = effective_neat_config(
+            "cartpole", NEATConfig(population_size=24)
+        )
+
+        def build():
+            return create_backend(
+                name,
+                "cartpole",
+                config,
+                base_seed=3,
+                fault_plan=FaultPlan.parse(plan),
+                **options,
+            )
+
+        def chaos_run(backend):
+            E3("cartpole", backend=backend, neat_config=config, seed=3).run(
+                max_generations=2, fitness_threshold=float("inf")
+            )
+            fabric = getattr(backend, "fabric", None)
+            return {
+                "reports": [
+                    dataclasses.asdict(record.cycle_report)
+                    for record in backend.records
+                ],
+                "columns": backend.reporter_columns(),
+                "events": [e.to_dict() for e in backend.resilience_events],
+                "fabric": (
+                    [e.to_dict() for e in fabric.events]
+                    if fabric is not None
+                    else None
+                ),
+            }
+
+        fresh = chaos_run(build())
+        reused = build()
+        chaos_run(reused)
+        reused.reset_run_state(base_seed=3)
+        assert chaos_run(reused) == fresh
 
     def test_close_closes_idle_backends(self):
         pool = BackendPool(max_leases=2)
