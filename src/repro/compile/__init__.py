@@ -26,7 +26,8 @@ Pieces:
 * :class:`ShapeCost` — a structure's weight-independent cost: the
   sizes a workload records, the INAX buffer words and the memoized
   static per-inference timing, which pricing and recording read once
-  per shape;
+  per shape, and the lowering of a member from its compact parameters
+  (:func:`hw_configs` lowers a generation of them);
 * :class:`CompileCache` — cross-generation LRU keyed by shape key,
   warmable from a restored checkpoint population;
 * :class:`CompiledPopulationEvaluator` — lock-step inference over a
@@ -41,11 +42,12 @@ into the evaluation loop.
 
 from repro.compile.cache import CompileCache
 from repro.compile.evaluator import CompiledPopulationEvaluator
-from repro.compile.structure import CompiledStructure, ShapeCost
+from repro.compile.structure import CompiledStructure, ShapeCost, hw_configs
 
 __all__ = [
     "CompiledStructure",
     "ShapeCost",
+    "hw_configs",
     "CompileCache",
     "CompiledPopulationEvaluator",
 ]

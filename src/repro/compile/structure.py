@@ -14,11 +14,14 @@ Its :class:`ShapeCost` is what the shape costs, whatever its weights:
 the sizes a workload records, the buffer words the device gates on and
 the static per-inference timing, so pricing and recording a generation
 read one descriptor per shape instead of walking every genome's
-configuration.
+configuration.  What a member adds to its shape is its
+:meth:`CompiledStructure.parameters`, from which
+:meth:`ShapeCost.hw_config` lowers it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +37,7 @@ from repro.neat.network import FeedForwardNetwork, NodeEval
 # arithmetic implementation means one bit-identity proof obligation
 from repro.neat.vectorized import _NetPlan
 
-__all__ = ["CompiledStructure", "ShapeCost"]
+__all__ = ["CompiledStructure", "ShapeCost", "hw_configs"]
 
 
 @dataclass(frozen=True)
@@ -63,10 +66,13 @@ class ShapeCost(ConfigWords):
     :meth:`timing` memoizes the static per-inference timing computed by
     the device's own ``_static_step_cycles`` and ``_static_pe_active``.
     It holds no weights and no execution plan, so a generation record
-    may keep it after the compile cache evicts its structure.
+    may keep it, with its members' parameters, after the compile cache
+    evicts its structure.
     """
 
     __slots__ = (
+        "input_keys",
+        "output_keys",
         "layers",
         "num_inputs",
         "num_outputs",
@@ -79,13 +85,15 @@ class ShapeCost(ConfigWords):
 
     def __init__(
         self,
-        num_inputs: int,
-        num_outputs: int,
+        input_keys: tuple[int, ...],
+        output_keys: tuple[int, ...],
         layers: tuple[tuple[_RowRecipe, ...], ...],
     ):
+        self.input_keys = input_keys
+        self.output_keys = output_keys
         self.layers = layers
-        self.num_inputs = num_inputs
-        self.num_outputs = num_outputs
+        self.num_inputs = len(input_keys)
+        self.num_outputs = len(output_keys)
         self.num_nodes = sum(len(layer) for layer in layers)
         self.num_connections = sum(
             recipe.fan_in for layer in layers for recipe in layer
@@ -110,6 +118,48 @@ class ShapeCost(ConfigWords):
             self._timed_for = hw
         return self._timing
 
+    def hw_config(self, parameters: Sequence[float]) -> HWNetConfig:
+        """The HW configuration of the member with these ``parameters``
+        (:meth:`CompiledStructure.parameters`: biases, then weights)."""
+        biases = iter(parameters)
+        weights = iter(parameters[self.num_nodes :])
+        layers = tuple(
+            tuple(
+                NodeEval(
+                    key=recipe.key,
+                    bias=next(biases),
+                    activation=recipe.activation,
+                    aggregation=recipe.aggregation,
+                    ingress=tuple(
+                        (src, next(weights)) for src in recipe.sources
+                    ),
+                )
+                for recipe in layer
+            )
+            for layer in self.layers
+        )
+        return HWNetConfig(
+            input_keys=self.input_keys,
+            output_keys=self.output_keys,
+            layers=layers,
+        )
+
+
+def hw_configs(
+    shapes: list[ShapeCost], parameters: np.ndarray
+) -> list[HWNetConfig]:
+    """The HW configurations of a generation stored compactly: each
+    individual's shape, and every individual's
+    :meth:`CompiledStructure.parameters` back to back in one array."""
+    values = parameters.tolist()
+    configs = []
+    start = 0
+    for shape in shapes:
+        end = start + shape.num_nodes + shape.num_connections
+        configs.append(shape.hw_config(values[start:end]))
+        start = end
+    return configs
+
 
 class CompiledStructure:
     """Shared execution plan + parameter fill recipes for one shape.
@@ -128,6 +178,8 @@ class CompiledStructure:
         "rows",
         "plan",
         "cost",
+        "_bias_keys",
+        "_conn_keys",
         "_fill_plan",
         "__weakref__",
     )
@@ -145,7 +197,17 @@ class CompiledStructure:
         self.output_keys = output_keys
         self.rows = rows
         self.plan = plan
-        self.cost = ShapeCost(len(input_keys), len(output_keys), rows)
+        self.cost = ShapeCost(input_keys, output_keys, rows)
+        # recipe keys in plan order: node biases, then ingress weights
+        self._bias_keys = tuple(
+            recipe.key for layer in rows for recipe in layer
+        )
+        self._conn_keys = tuple(
+            (src, recipe.key)
+            for layer in rows
+            for recipe in layer
+            for src in recipe.sources
+        )
         self._fill_plan = None
 
     @classmethod
@@ -181,6 +243,15 @@ class CompiledStructure:
         )
 
     # -------------------------------------------------------- parameters
+    def parameters(self, genome: Genome) -> list[float]:
+        """``genome``'s biases, then its weights, in recipe order: all a
+        same-shape genome adds to the shape."""
+        nodes = genome.nodes
+        connections = genome.connections
+        values = [nodes[key].bias for key in self._bias_keys]
+        values += [connections[key].weight for key in self._conn_keys]
+        return values
+
     def parameter_blocks(
         self, genomes: list[Genome]
     ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -190,8 +261,8 @@ class CompiledStructure:
         ``(B, rows)`` bias block per plan layer, row ``b`` holding
         ``genomes[b]``.  Padded terms stay weight ``0.0``, just like
         ``_NetPlan`` builds them, so evaluating a row is bit-identical
-        to decoding its genome.  The recipes are walked once per
-        distinct genome; a genome listed several times (one per episode
+        to decoding its genome.  :meth:`parameters` reads each distinct
+        genome once; a genome listed several times (one per episode
         slot) has its rows copied.
         """
         plan = self.plan
@@ -201,67 +272,52 @@ class CompiledStructure:
             )
         if self._fill_plan is None:
             self._fill_plan = self._make_fill_plan()
-        bias_keys, conn_keys, layers = self._fill_plan
         distinct: dict[int, int] = {}
-        bias_rows: list[list[float]] = []
-        weight_rows: list[list[float]] = []
+        rows: list[list[float]] = []
         member_rows: list[int] = []
         for genome in genomes:
             row = distinct.get(id(genome))
             if row is None:
-                row = distinct[id(genome)] = len(bias_rows)
-                nodes = genome.nodes
-                connections = genome.connections
-                bias_rows.append([nodes[key].bias for key in bias_keys])
-                weight_rows.append(
-                    [connections[key].weight for key in conn_keys]
-                )
+                row = distinct[id(genome)] = len(rows)
+                rows.append(self.parameters(genome))
             member_rows.append(row)
-        bias_values = np.array(bias_rows, dtype=np.float64)
-        weight_values = np.array(weight_rows, dtype=np.float64)
-        if len(bias_rows) < len(genomes):
-            bias_values = bias_values[member_rows]
-            weight_values = weight_values[member_rows]
+        values = np.array(rows, dtype=np.float64)
+        if len(rows) < len(genomes):
+            values = values[member_rows]
         weights: list[np.ndarray] = []
         biases: list[np.ndarray] = []
         for base, (bias_span, conn_span, row_index, term_index) in zip(
-            plan.layers, layers
+            plan.layers, self._fill_plan
         ):
             block = np.zeros((len(genomes),) + base.weights.shape)
-            block[:, row_index, term_index] = weight_values[:, conn_span]
+            block[:, row_index, term_index] = values[:, conn_span]
             weights.append(block)
-            biases.append(bias_values[:, bias_span])
+            biases.append(values[:, bias_span])
         return weights, biases
 
     def _make_fill_plan(self):
-        """Recipe keys in plan order, with each layer's index plan.
-
-        Bias and connection keys run over every layer in one list each,
-        so a genome's parameters read out in two comprehensions; per
-        layer, the spans into those lists and the ``(row, term)`` plan
-        position of each connection.
-        """
-        bias_keys: list[int] = []
-        conn_keys: list[tuple[int, int]] = []
+        """Each layer's spans into :meth:`parameters` and the
+        ``(row, term)`` plan position of each of its connections."""
         layers = []
+        bias_start, conn_start = 0, len(self._bias_keys)
         for layer_rows in self.rows:
-            bias_start, conn_start = len(bias_keys), len(conn_keys)
             rows, terms = [], []
             for row, recipe in enumerate(layer_rows):
-                bias_keys.append(recipe.key)
-                for term, src in enumerate(recipe.sources):
-                    conn_keys.append((src, recipe.key))
+                for term in range(recipe.fan_in):
                     rows.append(row)
                     terms.append(term)
+            bias_end = bias_start + len(layer_rows)
+            conn_end = conn_start + len(rows)
             layers.append(
                 (
-                    slice(bias_start, len(bias_keys)),
-                    slice(conn_start, len(conn_keys)),
+                    slice(bias_start, bias_end),
+                    slice(conn_start, conn_end),
                     np.array(rows, dtype=np.intp),
                     np.array(terms, dtype=np.intp),
                 )
             )
-        return tuple(bias_keys), tuple(conn_keys), layers
+            bias_start, conn_start = bias_end, conn_end
+        return layers
 
     # --------------------------------------------------------- HW config
     def hw_config(self, genome: Genome) -> HWNetConfig:
@@ -272,26 +328,4 @@ class CompiledStructure:
         sorted by source key, which the recipes preserve — but skips
         the per-genome ``CreateNet`` decode entirely.
         """
-        nodes = genome.nodes
-        connections = genome.connections
-        layers = tuple(
-            tuple(
-                NodeEval(
-                    key=recipe.key,
-                    bias=nodes[recipe.key].bias,
-                    activation=recipe.activation,
-                    aggregation=recipe.aggregation,
-                    ingress=tuple(
-                        (src, connections[(src, recipe.key)].weight)
-                        for src in recipe.sources
-                    ),
-                )
-                for recipe in layer_rows
-            )
-            for layer_rows in self.rows
-        )
-        return HWNetConfig(
-            input_keys=self.input_keys,
-            output_keys=self.output_keys,
-            layers=layers,
-        )
+        return self.cost.hw_config(self.parameters(genome))

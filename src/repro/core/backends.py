@@ -52,7 +52,8 @@ the Fig 9/10 benchmark harnesses consume.  The compiled backends price
 and record from each shape's
 :class:`~repro.compile.structure.ShapeCost`, and a ``cpu-compiled``
 generation builds no :class:`~repro.inax.compiler.HWNetConfig` unless
-its record's ``configs`` are read.
+its record's ``configs`` are read; until then the record keeps only the
+generation's parameters, in one array.
 """
 
 from __future__ import annotations
@@ -71,6 +72,7 @@ from repro.compile import (
     CompileCache,
     CompiledPopulationEvaluator,
     ShapeCost,
+    hw_configs,
 )
 from repro.envs.base import Environment
 from repro.envs.registry import make
@@ -139,8 +141,8 @@ class GenerationRecord:
     ``configs`` (the compiled individuals, aligned with
     ``workload.individuals``) and ``workload`` are built on first read.
     ``configs`` is given as a list or as a function that lowers the
-    evaluated genomes (evolution copies a genome before it changes one,
-    so a later read sees the evaluated networks); ``shapes`` holds one
+    individuals from values copied at evaluation time, never from the
+    genomes, so a record keeps no genome alive; ``shapes`` holds one
     object per individual with the sizes
     :meth:`IndividualWork.from_config` reads: its
     :class:`~repro.inax.compiler.HWNetConfig`, or its shape's
@@ -290,7 +292,8 @@ class EvaluationBackend:
         The serve-layer :class:`~repro.serve.pool.BackendPool` leases
         backends across jobs; this resets everything a run accumulates
         — generation records, the generation counter, LPT cost history,
-        quarantine/resilience accounting — while deliberately keeping
+        quarantine/resilience accounting, the fault plan's fired
+        events — while deliberately keeping
         the *structural* caches (compiled shapes, live worker pools).
         Those are keyed purely on genome content and cannot change
         fitness bits, so a reused backend is bit-identical to a fresh
@@ -303,6 +306,8 @@ class EvaluationBackend:
         self._last_lengths = {}
         self.quarantine_count = 0
         self.resilience_events = []
+        if self.fault_plan is not None:
+            self.fault_plan.events = []
         if base_seed is not None:
             self.base_seed = base_seed
 
@@ -401,7 +406,6 @@ class EvaluationBackend:
             hw.num_pes_per_pu,
             hw.pe_costs,
             hw.pu_costs,
-            step_cycles_fn=self._timing_hooks()[0],
         )
 
     def _record(
@@ -772,8 +776,9 @@ class CompiledCPUBackend(_CompiledBackend):
     bit-identical to ``cpu``.  A generation is priced and its workload
     recorded from the shapes' cost descriptors, which equal what the
     ``cpu`` path reads off :func:`compile_genome`'s configurations; the
-    record lowers its ``configs`` through :func:`compile_genome` only
-    when they are read.  Non-vectorizable shapes (exotic aggregations)
+    record keeps the generation's parameters in one array and lowers
+    its ``configs`` from them, through each shape's recipes, only when
+    they are read.  Non-vectorizable shapes (exotic aggregations)
     fall back to the interpreted :func:`run_episode` path, which
     produces the same bits by construction.
     """
@@ -908,13 +913,21 @@ class CompiledCPUBackend(_CompiledBackend):
         for genome, fitness in zip(genomes, fitnesses):
             genome.fitness = fitness
         self._publish_compile_gauges()
-        evaluated = list(genomes)
-        neat_config = self.neat_config
+        # the record lowers its configs, if they are read, from the
+        # shapes and these values, copied now: it keeps no genome alive
+        parameters = np.array(
+            [
+                value
+                for entry, genome in zip(entries, genomes)
+                for value in entry.parameters(genome)
+            ],
+            dtype=np.float64,
+        )
         self._record(
             shapes,
             lengths,
             [g.key for g in genomes],
-            lambda: [compile_genome(g, neat_config) for g in evaluated],
+            lambda: hw_configs(shapes, parameters),
         )
 
     def _fitness_for(

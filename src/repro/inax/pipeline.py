@@ -93,7 +93,6 @@ def predict_costs(
     num_pes_per_pu: int,
     pe_costs,
     pu_costs,
-    step_cycles_fn=None,
 ) -> list[float | None]:
     """Predicted per-individual evaluation cost for wave packing.
 
@@ -103,18 +102,16 @@ def predict_costs(
     without history predict ``None`` (packed in arrival order).  Both
     the device dispatch and the analytic :func:`schedule_generation`
     must see the *same* predictions for the two paths to stay
-    cycle-exact.  ``step_cycles_fn`` overrides the latency model, as
-    in :func:`schedule_generation`; the compiled backends pass their
-    shapes' memoized timing through it.
+    cycle-exact.
     """
-    if step_cycles_fn is None:
-        step_cycles_fn = lambda c: _static_step_cycles(  # noqa: E731
-            c, num_pes_per_pu, pe_costs, pu_costs
-        )
     costs: list[float | None] = []
     for key, net in zip(keys, net_configs):
         steps = last_lengths.get(key)
-        costs.append(
-            None if steps is None else float(steps) * step_cycles_fn(net)
-        )
+        if steps is None:
+            costs.append(None)
+        else:
+            costs.append(
+                float(steps)
+                * _static_step_cycles(net, num_pes_per_pu, pe_costs, pu_costs)
+            )
     return costs

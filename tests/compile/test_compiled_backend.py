@@ -290,3 +290,23 @@ class TestRecords:
         # the records still price and lower every generation
         for record in records:
             assert record.workload.population_size == len(record.configs)
+
+    def test_records_keep_no_genome_alive(self):
+        """A record keeps its generation's parameters, not its genomes,
+        so a run's records do not pin every genome it evaluated."""
+        backend = self._compiled()
+        evaluated = []
+        evaluate = backend.evaluate
+
+        def tracking(genomes):
+            evaluated.extend(weakref.ref(genome) for genome in genomes)
+            evaluate(genomes)
+
+        backend.evaluate = tracking
+        records = self._run(backend)
+        gc.collect()
+        assert len(evaluated) == 5 * 30
+        assert [ref for ref in evaluated if ref() is not None] == []
+        # ... and still lower every generation on first read
+        for record in records:
+            assert len(record.configs) == record.workload.population_size

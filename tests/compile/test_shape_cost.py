@@ -8,12 +8,15 @@ ingress, non-``sum`` aggregations that leave the shape without a plan —
 and generated INAX timing configurations, every number it carries must
 equal the one computed from :func:`~repro.inax.compiler.compile_genome`'s
 configuration: the sizes a workload records, the buffer words, and the
-device's own ``_static_step_cycles`` and ``_static_pe_active``.
+device's own ``_static_step_cycles`` and ``_static_pe_active``.  A
+genome's compact parameters, the form a ``cpu-compiled`` record keeps,
+lower through the descriptor to that same configuration.
 """
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.compile import CompileCache
+from repro.compile import CompileCache, hw_configs
 from repro.hw.workload import IndividualWork
 from repro.inax.accelerator import INAXConfig, _static_pe_active
 from repro.inax.compiler import compile_genome
@@ -98,8 +101,11 @@ timing_configs = st.builds(
 @settings(max_examples=80, deadline=None)
 @given(genome=genomes(), configs=st.lists(timing_configs, min_size=1, max_size=3))
 def test_descriptor_equals_the_compiled_config(genome, configs):
-    cost = CompileCache(4).get(genome, CONFIG).cost
+    structure = CompileCache(4).get(genome, CONFIG)
+    cost = structure.cost
     hw = compile_genome(genome, CONFIG)
+    parameters = np.array(structure.parameters(genome), dtype=np.float64)
+    assert hw_configs([cost], parameters) == [hw]
     assert {name: getattr(cost, name) for name in SIZES} == {
         name: getattr(hw, name) for name in SIZES
     }

@@ -204,8 +204,10 @@ class TestResetRunState:
     @pytest.mark.parametrize("name", sorted(CHAOS))
     def test_reset_device_backend_replays_a_fresh_run(self, name):
         """After ``reset_run_state`` a device backend's farm (devices,
-        wave counters, fabric supervisor and walls) is rebuilt, so a
-        chaos run on it equals the same run on a fresh backend."""
+        wave counters, fabric supervisor and walls) is rebuilt and its
+        fault plan's fired events are cleared, so a chaos run on it
+        equals the same run on a fresh backend, resilience log
+        included."""
         plan, options = CHAOS[name]
         config = effective_neat_config(
             "cartpole", NEATConfig(population_size=24)
@@ -233,6 +235,7 @@ class TestResetRunState:
                 ],
                 "columns": backend.reporter_columns(),
                 "events": [e.to_dict() for e in backend.resilience_events],
+                "log": backend.resilience_log(),
                 "fabric": (
                     [e.to_dict() for e in fabric.events]
                     if fabric is not None
