@@ -1,18 +1,7 @@
 """Analysis: the profiling and topology statistics of §III and Fig 4."""
 
-from repro.analysis.complexity import (
-    ComplexityRow,
-    neat_average_complexity,
-    table5_row,
-)
-from repro.analysis.convergence import (
-    FitnessTrace,
-    normalize_fitness,
-    random_policy_baseline,
-    solve_summary,
-)
-from repro.analysis.species_stats import SpeciesHistory, SpeciesSnapshot
-from repro.analysis.render import render_histogram, render_network, sparkline
+from repro.analysis.convergence import normalize_fitness, random_policy_baseline
+from repro.analysis.render import render_network, sparkline
 from repro.analysis.timing_profile import (
     neat_profile,
     normalized_platform_breakdown,
@@ -28,25 +17,17 @@ from repro.analysis.topology import (
 )
 
 __all__ = [
-    "ComplexityRow",
     "DensityTrace",
-    "FitnessTrace",
     "TopologyStats",
     "degree_distribution",
     "layer_size_histogram",
-    "neat_average_complexity",
     "neat_profile",
     "normalize_fitness",
     "normalized_platform_breakdown",
     "population_density",
     "random_policy_baseline",
     "population_topology_stats",
-    "render_histogram",
     "render_network",
     "rl_profile",
-    "SpeciesHistory",
-    "SpeciesSnapshot",
-    "solve_summary",
     "sparkline",
-    "table5_row",
 ]

@@ -1,4 +1,4 @@
-"""Convergence analysis: normalized fitness and solve statistics (Fig 2).
+"""Convergence analysis: normalized fitness (Fig 2).
 
 The paper normalizes each task's achieved fitness to [0, 1] — "when the
 algorithm achieves 1.0, it means it finishes the task" — so traces from
@@ -9,18 +9,14 @@ per task.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from repro.envs.registry import make, spec
+from repro.envs.registry import make
 from repro.envs.rollout import evaluate_policy
 
 __all__ = [
     "random_policy_baseline",
     "normalize_fitness",
-    "FitnessTrace",
-    "solve_summary",
 ]
 
 
@@ -46,69 +42,3 @@ def normalize_fitness(
         return 1.0 if fitness >= required else 0.0
     value = (fitness - baseline) / (required - baseline)
     return float(np.clip(value, 0.0, 1.0))
-
-
-@dataclass
-class FitnessTrace:
-    """An achieved-fitness trace for one (algorithm, task) pair."""
-
-    algorithm: str
-    env_name: str
-    #: (wall-clock seconds or generation index, raw fitness) points
-    points: list[tuple[float, float]] = field(default_factory=list)
-
-    def record(self, time_point: float, fitness: float) -> None:
-        self.points.append((float(time_point), float(fitness)))
-
-    @property
-    def best_fitness(self) -> float:
-        if not self.points:
-            return float("-inf")
-        return max(f for _, f in self.points)
-
-    def best_so_far(self) -> list[float]:
-        """The monotone best-so-far envelope of the raw trace."""
-        envelope: list[float] = []
-        best = float("-inf")
-        for _, fitness in self.points:
-            best = max(best, fitness)
-            envelope.append(best)
-        return envelope
-
-    def normalized(self, baseline: float | None = None) -> list[float]:
-        """Best-so-far envelope normalized against the task's required
-        fitness (the Fig 2 y-axis)."""
-        if baseline is None:
-            baseline = random_policy_baseline(self.env_name)
-        required = spec(self.env_name).required_fitness
-        return [
-            normalize_fitness(value, baseline, required)
-            for value in self.best_so_far()
-        ]
-
-    @property
-    def achieved(self) -> bool:
-        """Did the trace reach the task's required fitness?"""
-        return self.best_fitness >= spec(self.env_name).required_fitness
-
-
-def solve_summary(traces: list[FitnessTrace]) -> dict[str, dict[str, float]]:
-    """Per-algorithm completion statistics over a set of traces.
-
-    Returns ``{algorithm: {"tasks": n, "solved": k, "mean_normalized": m}}``
-    — the red-box accounting of Fig 2.
-    """
-    summary: dict[str, dict[str, float]] = {}
-    for trace in traces:
-        entry = summary.setdefault(
-            trace.algorithm,
-            {"tasks": 0, "solved": 0, "mean_normalized": 0.0},
-        )
-        entry["tasks"] += 1
-        entry["solved"] += int(trace.achieved)
-        normalized = trace.normalized()
-        entry["mean_normalized"] += normalized[-1] if normalized else 0.0
-    for entry in summary.values():
-        if entry["tasks"]:
-            entry["mean_normalized"] /= entry["tasks"]
-    return summary

@@ -7,18 +7,16 @@ fitness traces like Fig 2 — render as text:
 * :func:`render_network` draws the layered irregular topology with
   per-node fan-in annotations;
 * :func:`sparkline` compresses a numeric series into one line of block
-  characters;
-* :func:`render_histogram` prints a bar-chart of a counter (for the
-  Fig 4(e)/(f) distributions).
+  characters.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.neat.network import FeedForwardNetwork
 
-__all__ = ["render_network", "sparkline", "render_histogram", "to_dot"]
+__all__ = ["render_network", "sparkline", "to_dot"]
 
 _BLOCKS = "▁▂▃▄▅▆▇█"
 
@@ -83,23 +81,6 @@ def sparkline(values: Sequence[float], width: int | None = None) -> str:
         idx = int((value - lo) / span * (len(_BLOCKS) - 1))
         out.append(_BLOCKS[idx])
     return "".join(out)
-
-
-def render_histogram(
-    counts: Mapping[int, int],
-    max_bar: int = 40,
-    label: str = "value",
-) -> str:
-    """A horizontal bar chart of an integer-keyed histogram."""
-    if not counts:
-        return "(empty histogram)"
-    peak = max(counts.values())
-    lines = [f"{label:>8s}  count"]
-    for key in sorted(counts):
-        count = counts[key]
-        bar = "#" * max(1, round(count / peak * max_bar)) if count else ""
-        lines.append(f"{key:8d}  {count:5d} {bar}")
-    return "\n".join(lines)
 
 
 def to_dot(net: FeedForwardNetwork, name: str = "evolved") -> str:

@@ -226,8 +226,9 @@ class EvaluationBackend:
         self._generation = 0
         #: pipelining policies (wave packing / prefetch)
         self.pipeline = pipeline if pipeline is not None else PipelineConfig()
-        #: genome key -> total episode steps at its last evaluation (the
-        #: LPT packer's cost predictor)
+        #: genome key -> total episode steps in the last recorded
+        #: generation (the LPT packer's cost predictor); older keys are
+        #: dropped, so the history never outgrows one generation
         self._last_lengths: dict[int, int] = {}
 
     # ------------------------------------------------------------ hooks
@@ -452,8 +453,7 @@ class EvaluationBackend:
             cycle_report=cycle_report,
             predicted_costs=predicted_costs,
         )
-        for key, steps in zip(keys, episode_lengths):
-            self._last_lengths[key] = steps
+        self._last_lengths = dict(zip(keys, episode_lengths))
         self.records.append(record)
         self._generation += 1
         return record
@@ -863,10 +863,7 @@ class CompiledCPUBackend(_CompiledBackend):
         super().reset_run_state(base_seed=base_seed)
         self._shard_compile = {"hits": 0, "misses": 0}
         if self._supervisor is not None:
-            # per-run resilience accounting; the pool itself stays warm
-            self._supervisor.retries = 0
-            self._supervisor.degraded_shards = 0
-            self._supervisor.events = []
+            self._supervisor.reset_run_state()
 
     def compile_cache_info(self) -> dict[str, int]:
         """Compile-cache statistics, worker shards included.

@@ -40,10 +40,10 @@ def effective_neat_config(
     """``base`` with the env's I/O dimensions and fitness threshold
     applied — the exact config :class:`E3` runs with.
 
-    Factored out so the serve layer's :class:`~repro.serve.pool.
-    BackendPool` can key leased backends on the *same* config E3 will
-    use, guaranteeing a pooled backend and the job that leases it agree
-    on every decode-relevant field.
+    :class:`E3` builds its config here, and the serve layer's
+    :class:`~repro.serve.pool.BackendPool` keys leased backends on the
+    same call, so a pooled backend and the job that leases it agree on
+    every decode-relevant field.
     """
     env_spec = spec(env_name)
     env = make(env_name)
@@ -169,13 +169,7 @@ class E3:
                 )
             self.neat_config = adopted
         else:
-            base = neat_config or NEATConfig()
-            self.neat_config = replace(
-                base,
-                num_inputs=env.num_inputs,
-                num_outputs=env.num_outputs,
-                fitness_threshold=env_spec.required_fitness,
-            )
+            self.neat_config = effective_neat_config(env_name, neat_config)
         self.seed = seed
         self.telemetry = telemetry
 

@@ -23,16 +23,10 @@ from repro.envs.rollout import (
     run_episode,
 )
 from repro.envs.spaces import Box, Discrete, Space
-from repro.envs.wrappers import (
-    ActionRepeat,
-    ObservationNoise,
-    TimeLimitOverride,
-    Wrapper,
-)
+from repro.envs.wrappers import Wrapper
 
 __all__ = [
     "Acrobot",
-    "ActionRepeat",
     "BipedalWalker",
     "Box",
     "CartPole",
@@ -44,13 +38,11 @@ __all__ = [
     "LunarLander",
     "MountainCar",
     "MountainCarContinuous",
-    "ObservationNoise",
     "Pendulum",
     "Pong",
     "PolicyFn",
     "Space",
     "StepResult",
-    "TimeLimitOverride",
     "Wrapper",
     "decode_action",
     "evaluate_policy",

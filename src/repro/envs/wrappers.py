@@ -1,19 +1,10 @@
 """Environment wrappers.
 
-Small composable transforms over any :class:`~repro.envs.base.Environment`.
-They exist for the paper's robustness narrative — "the environment is
-full of variance" (§I) — and for experiment control:
-
-* :class:`ObservationNoise` — additive Gaussian sensor noise, the
-  cheapest model of a degraded edge sensor;
-* :class:`ActionRepeat` — hold each decision for ``k`` physics steps
-  (the classic Atari frame-skip, and a knob that divides the number of
-  network inferences per episode);
-* :class:`TimeLimitOverride` — change the episode cap without touching
-  the environment class;
-* :class:`FaultySensor` — deterministic seeded NaN/inf corruption for
-  chaos testing (:mod:`repro.resilience`): the broken-sensor model a
-  quarantine pipeline must survive.
+:class:`Wrapper` delegates the environment interface to a wrapped
+:class:`~repro.envs.base.Environment`.  :class:`FaultySensor` builds on
+it: deterministic seeded NaN/inf corruption for chaos testing
+(:mod:`repro.resilience`), the broken-sensor model a quarantine
+pipeline must survive.
 
 Wrappers duck-type the environment interface (reset/step/spaces/
 metadata) and delegate everything else to the wrapped instance.
@@ -28,13 +19,7 @@ import numpy as np
 
 from repro.envs.base import Environment, StepResult
 
-__all__ = [
-    "Wrapper",
-    "ObservationNoise",
-    "ActionRepeat",
-    "TimeLimitOverride",
-    "FaultySensor",
-]
+__all__ = ["Wrapper", "FaultySensor"]
 
 
 class Wrapper:
@@ -88,91 +73,6 @@ class Wrapper:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.env!r})"
-
-
-class ObservationNoise(Wrapper):
-    """Additive Gaussian noise on every observation.
-
-    Noise draws come from the wrapped environment's own RNG stream, so
-    a seeded episode stays fully reproducible.
-    """
-
-    def __init__(self, env: Environment, std: float = 0.05):
-        if std < 0:
-            raise ValueError("std must be >= 0")
-        super().__init__(env)
-        self.std = std
-
-    def _corrupt(self, obs: np.ndarray) -> np.ndarray:
-        if self.std == 0:
-            return obs
-        return obs + self.env.rng.normal(0.0, self.std, size=obs.shape)
-
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        return self._corrupt(self.env.reset(seed=seed))
-
-    def step(self, action: Any) -> StepResult:
-        obs, reward, done, info = self.env.step(action)
-        return self._corrupt(obs), reward, done, info
-
-
-class ActionRepeat(Wrapper):
-    """Hold each action for ``k`` underlying steps, summing rewards.
-
-    Terminates immediately when the inner episode ends mid-repeat.
-    From the accelerator's point of view this divides the number of
-    inferences per episode by ``k`` — a SW knob with the same effect as
-    a k-times-faster device.
-    """
-
-    def __init__(self, env: Environment, repeats: int = 2):
-        if repeats < 1:
-            raise ValueError("repeats must be >= 1")
-        super().__init__(env)
-        self.repeats = repeats
-
-    def step(self, action: Any) -> StepResult:
-        total = 0.0
-        obs, done, info = None, False, {}
-        for _ in range(self.repeats):
-            obs, reward, done, info = self.env.step(action)
-            total += reward
-            if done:
-                break
-        return obs, total, done, info
-
-
-class TimeLimitOverride(Wrapper):
-    """Replace the wrapped environment's episode cap.
-
-    Shortening always works; *extending* is bounded by the inner
-    environment's own limit (its TimeLimit fires first), so pass a cap
-    at or below ``env.max_episode_steps`` for exact control.
-    """
-
-    def __init__(self, env: Environment, max_episode_steps: int):
-        if max_episode_steps < 1:
-            raise ValueError("max_episode_steps must be >= 1")
-        super().__init__(env)
-        self._limit = max_episode_steps
-        self._steps = 0
-
-    @property
-    def max_episode_steps(self) -> int:
-        return self._limit
-
-    def reset(self, seed: int | None = None) -> np.ndarray:
-        self._steps = 0
-        return self.env.reset(seed=seed)
-
-    def step(self, action: Any) -> StepResult:
-        obs, reward, done, info = self.env.step(action)
-        self._steps += 1
-        if not done and self._steps >= self._limit:
-            done = True
-            info = dict(info)
-            info["truncated"] = True
-        return obs, reward, done, info
 
 
 class FaultySensor(Wrapper):

@@ -10,7 +10,7 @@ from repro.hw.bp_fpga_model import (
     BPAcceleratorSpec,
     estimate_bp_accelerator_resources,
 )
-from repro.hw.clan_model import CLANConfig, CLANModel, workers_needed_for_speedup
+from repro.hw.clan_model import CLANConfig, CLANModel
 from repro.hw.cpu_model import CPUModel, PhaseTimes
 from repro.hw.fpga_model import (
     FPGADevice,
@@ -41,5 +41,4 @@ __all__ = [
     "estimate_bp_accelerator_resources",
     "estimate_fpga_power",
     "estimate_inax_resources",
-    "workers_needed_for_speedup",
 ]

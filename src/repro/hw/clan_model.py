@@ -150,14 +150,3 @@ class CLANModel:
             out.append((workers, base / total))
             workers *= 2
         return out
-
-
-def workers_needed_for_speedup(
-    model: CLANModel, gen: GenerationWorkload, target_speedup: float
-) -> int | None:
-    """Smallest power-of-two worker count reaching ``target_speedup``,
-    or None if communication overhead caps the cluster below it."""
-    for workers, speedup in model.scaling_efficiency(gen, max_workers=1024):
-        if speedup >= target_speedup:
-            return workers
-    return None

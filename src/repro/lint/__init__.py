@@ -30,7 +30,6 @@ from repro.lint.engine import (
     default_rules,
     lint_paths,
     register,
-    registered_rules,
 )
 from repro.lint.report import render_json, render_text, to_json_dict
 
@@ -43,7 +42,6 @@ __all__ = [
     "default_rules",
     "lint_paths",
     "register",
-    "registered_rules",
     "render_json",
     "render_text",
     "to_json_dict",

@@ -42,7 +42,6 @@ __all__ = [
     "Rule",
     "RawFinding",
     "register",
-    "registered_rules",
     "default_rules",
     "lint_paths",
     "LintResult",
@@ -197,11 +196,6 @@ def register(rule_cls: type[Rule]) -> type[Rule]:
         raise ValueError(f"duplicate rule id {rule_cls.id}")
     _REGISTRY[rule_cls.id] = rule_cls
     return rule_cls
-
-
-def registered_rules() -> dict[str, type[Rule]]:
-    """Copy of the id -> rule-class registry."""
-    return dict(_REGISTRY)
 
 
 def default_rules() -> list[Rule]:

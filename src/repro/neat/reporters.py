@@ -9,7 +9,6 @@ line per generation for interactive runs, a CSV log for later analysis
 from __future__ import annotations
 
 import csv
-import io
 import os
 import warnings
 from typing import Protocol
@@ -216,12 +215,3 @@ class ReporterSet:
 
     def __len__(self) -> int:
         return len(self._reporters)
-
-
-def render_csv(history: list[GenerationStats]) -> str:
-    """Render a finished run's history as a CSV string."""
-    buffer = io.StringIO()
-    reporter = CSVReporter(buffer)
-    for stats in history:
-        reporter.on_generation(stats)
-    return buffer.getvalue()

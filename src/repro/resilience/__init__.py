@@ -57,7 +57,6 @@ from repro.resilience.injectors import (
     has_device_faults,
     has_env_faults,
     has_fabric_faults,
-    has_worker_faults,
     wrap_env,
 )
 from repro.resilience.quarantine import (
@@ -89,7 +88,6 @@ __all__ = [
     "has_device_faults",
     "has_env_faults",
     "has_fabric_faults",
-    "has_worker_faults",
     "QUARANTINE",
     "DEFAULT_PENALTY",
     "KNOWN_KINDS",

@@ -39,7 +39,6 @@ from repro.resilience.faults import (
     PU_STALL,
     VALUE_BITFLIP,
     WEIGHT_BITFLIP,
-    WORKER_KINDS,
     DeviceFault,
     FaultPlan,
     flip_float64_bit,
@@ -51,7 +50,6 @@ __all__ = [
     "has_device_faults",
     "has_env_faults",
     "has_fabric_faults",
-    "has_worker_faults",
 ]
 
 #: default extra cycles for ``inax.pu_stall`` when the spec has no param
@@ -70,10 +68,6 @@ def has_env_faults(plan: FaultPlan | None) -> bool:
 
 def has_fabric_faults(plan: FaultPlan | None) -> bool:
     return plan is not None and plan.has(*FABRIC_KINDS)
-
-
-def has_worker_faults(plan: FaultPlan | None) -> bool:
-    return plan is not None and plan.has(*WORKER_KINDS)
 
 
 def wrap_env(env: Any, plan: FaultPlan | None) -> Any:

@@ -105,6 +105,15 @@ class ShardSupervisor:
         self.pool_factory = pool_factory
         self.worker_fn = worker_fn
         self.config = config if config is not None else SupervisorConfig()
+        self._pool: Any = None
+        self.reset_run_state()
+
+    # ------------------------------------------------------------ lifecycle
+    def reset_run_state(self) -> None:
+        """Forget everything one run accumulated: events, counters and
+        the disabled latch.  A live pool stays warm; a supervisor that
+        disabled itself has already closed its pool, and the next
+        :meth:`run` spawns a fresh one."""
         self.events: list[ResilienceEvent] = []
         self.retries = 0
         self.timeouts = 0
@@ -115,9 +124,7 @@ class ShardSupervisor:
         self.consecutive_degraded = 0
         #: once True, the caller should stop sharding (see disable_after)
         self.disabled = False
-        self._pool: Any = None
 
-    # ------------------------------------------------------------ lifecycle
     def _ensure_pool(self) -> Any:
         if self._pool is None:
             self._pool = self.pool_factory()

@@ -3,8 +3,8 @@
 Regenerates the quantities behind Table IV ("analysis of overhead in
 algorithms": forward ops, backward ops, local memory for RL vs EA vs
 NEAT) and the RL rows of Table V (network complexity).  The NEAT rows of
-Table V come from :mod:`repro.analysis.complexity`, which averages over
-evolved populations.
+Table V average a run's per-generation ``mean_nodes`` and
+``mean_connections`` (:class:`~repro.neat.population.GenerationStats`).
 """
 
 from __future__ import annotations

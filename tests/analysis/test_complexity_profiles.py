@@ -1,61 +1,14 @@
-"""Unit tests for complexity rows (Table V) and timing profiles."""
+"""Unit tests for timing profiles."""
 
-import numpy as np
 import pytest
 
-from repro.analysis.complexity import (
-    neat_average_complexity,
-    table5_row,
-)
 from repro.analysis.timing_profile import (
     neat_profile,
     normalized_platform_breakdown,
     rl_profile,
 )
 from repro.hw.cpu_model import PhaseTimes
-from repro.neat.config import NEATConfig
-from repro.neat.innovation import InnovationTracker
 from repro.rl.base import TimeBreakdown
-
-from tests.conftest import evolved_genome
-
-
-def _populations(generations=3, n=5, seed=0):
-    cfg = NEATConfig(num_inputs=4, num_outputs=2)
-    tracker = InnovationTracker(2)
-    rng = np.random.default_rng(seed)
-    pops = []
-    for g in range(generations):
-        pops.append(
-            [
-                evolved_genome(cfg, tracker, rng, mutations=2 * g, key=10 * g + i)
-                for i in range(n)
-            ]
-        )
-    return cfg, pops
-
-
-class TestComplexity:
-    def test_average_over_generations(self):
-        cfg, pops = _populations()
-        nodes, conns = neat_average_complexity(pops, cfg)
-        assert nodes >= 6  # 4 inputs + 2 outputs minimum
-        assert conns > 0
-
-    def test_requires_genomes(self):
-        cfg, _ = _populations()
-        with pytest.raises(ValueError):
-            neat_average_complexity([[]], cfg)
-
-    def test_table5_row_shape(self):
-        cfg, pops = _populations()
-        row = table5_row("cartpole", 4, 2, pops, cfg)
-        assert row.small_nodes == 134
-        assert row.small_connections == 4480
-        assert row.large_connections > row.small_connections
-        # the paper's headline: evolved nets are orders smaller
-        assert row.neat_avg_connections < row.small_connections / 10
-        assert row.small_to_neat_connection_ratio > 10
 
 
 class TestProfiles:

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.analysis.convergence import (
-    FitnessTrace,
-    normalize_fitness,
-    random_policy_baseline,
-    solve_summary,
-)
+from repro.analysis.convergence import normalize_fitness, random_policy_baseline
 
 
 class TestRandomBaseline:
@@ -41,48 +36,3 @@ class TestNormalizeFitness:
     def test_degenerate_scale(self):
         assert normalize_fitness(5.0, 1.0, 1.0) == 1.0
         assert normalize_fitness(0.5, 1.0, 1.0) == 0.0
-
-
-class TestFitnessTrace:
-    def test_best_so_far_monotone(self):
-        trace = FitnessTrace("neat", "cartpole")
-        for t, f in [(0, 10.0), (1, 5.0), (2, 30.0), (3, 20.0)]:
-            trace.record(t, f)
-        assert trace.best_so_far() == [10.0, 10.0, 30.0, 30.0]
-        assert trace.best_fitness == 30.0
-
-    def test_empty_trace(self):
-        trace = FitnessTrace("neat", "cartpole")
-        assert trace.best_fitness == float("-inf")
-        assert trace.best_so_far() == []
-
-    def test_normalized_with_explicit_baseline(self):
-        trace = FitnessTrace("neat", "cartpole")  # required 475
-        trace.record(0, 0.0)
-        trace.record(1, 475.0)
-        normalized = trace.normalized(baseline=0.0)
-        assert normalized == [0.0, 1.0]
-
-    def test_achieved(self):
-        trace = FitnessTrace("neat", "cartpole")
-        trace.record(0, 500.0)
-        assert trace.achieved
-        weak = FitnessTrace("a2c", "cartpole")
-        weak.record(0, 100.0)
-        assert not weak.achieved
-
-
-class TestSolveSummary:
-    def test_counts_per_algorithm(self):
-        solved = FitnessTrace("neat", "cartpole")
-        solved.record(0, 500.0)
-        unsolved = FitnessTrace("neat", "cartpole")
-        unsolved.record(0, 50.0)
-        other = FitnessTrace("a2c", "cartpole")
-        other.record(0, 20.0)
-        summary = solve_summary([solved, unsolved, other])
-        assert summary["neat"]["tasks"] == 2
-        assert summary["neat"]["solved"] == 1
-        assert summary["a2c"]["tasks"] == 1
-        assert summary["a2c"]["solved"] == 0
-        assert 0.0 <= summary["neat"]["mean_normalized"] <= 1.0

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.analysis.render import render_histogram, render_network, sparkline
+from repro.analysis.render import render_network, sparkline
 from repro.neat.config import NEATConfig
 from repro.neat.network import FeedForwardNetwork
 
@@ -58,22 +58,6 @@ class TestSparkline:
     def test_extremes_hit_min_max_blocks(self):
         line = sparkline([0.0, 100.0])
         assert line[0] == "▁" and line[1] == "█"
-
-
-class TestRenderHistogram:
-    def test_empty(self):
-        assert render_histogram({}) == "(empty histogram)"
-
-    def test_bars_scale_with_counts(self):
-        text = render_histogram({1: 10, 2: 5, 3: 1}, max_bar=10)
-        lines = text.splitlines()
-        bar_lengths = [line.count("#") for line in lines[1:]]
-        assert bar_lengths[0] > bar_lengths[1] > bar_lengths[2] >= 1
-
-    def test_sorted_by_key(self):
-        text = render_histogram({3: 1, 1: 1, 2: 1})
-        keys = [int(line.split()[0]) for line in text.splitlines()[1:]]
-        assert keys == [1, 2, 3]
 
 
 class TestToDot:

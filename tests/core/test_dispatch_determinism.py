@@ -173,3 +173,36 @@ class TestQuarantinedCostPrediction:
             backend.close()
         assert predicted is not None
         assert all(cost is not None for cost in predicted)
+
+
+class TestLengthHistory:
+    """The LPT length history holds the last recorded generation only.
+
+    Reproduction gives every child, elites included, a fresh key, so a
+    history that kept older keys would grow by a population per
+    generation without ever serving a prediction.
+    """
+
+    @pytest.mark.parametrize("name", ["cpu-compiled", "inax"])
+    def test_history_holds_the_last_generation_only(self, name):
+        cfg = _cfg("cartpole")
+        backend = create_backend(
+            name,
+            "cartpole",
+            cfg,
+            base_seed=1,
+            pipeline=PipelineConfig(schedule="lpt", prefetch=True),
+        )
+        first = _genomes(cfg)
+        second = [genome.copy(new_key=genome.key + 100) for genome in first]
+        try:
+            backend.evaluate(first)
+            backend.evaluate(second)
+        finally:
+            backend.close()
+        assert backend._last_lengths == dict(
+            zip(
+                [genome.key for genome in second],
+                backend.records[1].episode_lengths,
+            )
+        )

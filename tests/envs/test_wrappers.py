@@ -1,17 +1,10 @@
 """Unit tests for environment wrappers."""
 
 import numpy as np
-import pytest
 
 from repro.envs.cartpole import CartPole
-from repro.envs.pendulum import Pendulum
 from repro.envs.rollout import run_episode
-from repro.envs.wrappers import (
-    ActionRepeat,
-    ObservationNoise,
-    TimeLimitOverride,
-    Wrapper,
-)
+from repro.envs.wrappers import Wrapper
 
 
 class TestWrapperDelegation:
@@ -34,115 +27,6 @@ class TestWrapperDelegation:
         assert wrapped.elapsed_steps == 1
 
     def test_rollout_helpers_accept_wrappers(self):
-        env = ObservationNoise(CartPole(seed=0), std=0.01)
+        env = Wrapper(CartPole(seed=0))
         rec = run_episode(env, lambda o: np.zeros(2), seed=1)
         assert rec.steps >= 1
-
-
-class TestObservationNoise:
-    def test_invalid_std(self):
-        with pytest.raises(ValueError):
-            ObservationNoise(CartPole(), std=-1)
-
-    def test_zero_std_is_identity(self):
-        base = CartPole()
-        noisy = ObservationNoise(CartPole(), std=0.0)
-        a = base.reset(seed=5)
-        b = noisy.reset(seed=5)
-        assert np.array_equal(a, b)
-
-    def test_noise_changes_observations(self):
-        base = CartPole()
-        noisy = ObservationNoise(CartPole(), std=0.5)
-        a = base.reset(seed=5)
-        b = noisy.reset(seed=5)
-        assert not np.array_equal(a, b)
-
-    def test_noise_is_reproducible_under_seed(self):
-        a = ObservationNoise(CartPole(), std=0.1)
-        b = ObservationNoise(CartPole(), std=0.1)
-        assert np.array_equal(a.reset(seed=2), b.reset(seed=2))
-        ra, rb = a.step(0), b.step(0)
-        assert np.array_equal(ra[0], rb[0])
-
-    def test_rewards_untouched(self):
-        noisy = ObservationNoise(CartPole(), std=1.0)
-        noisy.reset(seed=0)
-        _, reward, _, _ = noisy.step(0)
-        assert reward == 1.0
-
-
-class TestActionRepeat:
-    def test_invalid_repeats(self):
-        with pytest.raises(ValueError):
-            ActionRepeat(CartPole(), repeats=0)
-
-    def test_rewards_summed(self):
-        env = ActionRepeat(Pendulum(seed=0), repeats=3)
-        env.reset(seed=1)
-        # a pendulum step reward is strictly negative; three summed
-        # steps must be more negative than one
-        single = Pendulum(seed=0)
-        single.reset(seed=1)
-        _, r1, _, _ = single.step(np.array([0.0]))
-        _, r3, _, _ = env.step(np.array([0.0]))
-        assert r3 < r1 < 0
-
-    def test_inner_steps_advance(self):
-        env = ActionRepeat(CartPole(seed=0), repeats=4)
-        env.reset(seed=2)
-        env.step(0)
-        assert env.elapsed_steps == 4  # inner env stepped 4 times
-
-    def test_early_termination_stops_repeat(self):
-        env = ActionRepeat(CartPole(seed=0), repeats=1000)
-        env.reset(seed=2)
-        _, _, done, _ = env.step(0)  # constant push ends the episode
-        assert done
-        assert env.elapsed_steps < 1000
-
-
-class TestTimeLimitOverride:
-    def test_invalid_limit(self):
-        with pytest.raises(ValueError):
-            TimeLimitOverride(CartPole(), max_episode_steps=0)
-
-    def test_shortened_limit_truncates(self):
-        env = TimeLimitOverride(Pendulum(seed=0), max_episode_steps=5)
-        env.reset(seed=1)
-        done = False
-        steps = 0
-        while not done:
-            _, _, done, info = env.step(np.array([0.0]))
-            steps += 1
-        assert steps == 5
-        assert info["truncated"]
-
-    def test_limit_property_reflects_override(self):
-        env = TimeLimitOverride(Pendulum(), max_episode_steps=7)
-        assert env.max_episode_steps == 7
-
-    def test_reset_restarts_counter(self):
-        env = TimeLimitOverride(Pendulum(seed=0), max_episode_steps=3)
-        env.reset(seed=1)
-        for _ in range(3):
-            env.step(np.array([0.0]))
-        env.reset(seed=2)
-        _, _, done, _ = env.step(np.array([0.0]))
-        assert not done
-
-
-class TestComposition:
-    def test_stacked_wrappers(self):
-        env = TimeLimitOverride(
-            ObservationNoise(ActionRepeat(Pendulum(seed=0), repeats=2), 0.01),
-            max_episode_steps=4,
-        )
-        obs = env.reset(seed=9)
-        assert obs.shape == (3,)
-        done = False
-        decisions = 0
-        while not done:
-            _, _, done, _ = env.step(np.array([0.0]))
-            decisions += 1
-        assert decisions == 4  # outer limit counts decisions, not frames

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.hw.clan_model import (
-    CLANConfig,
-    CLANModel,
-    workers_needed_for_speedup,
-)
+from repro.hw.clan_model import CLANConfig, CLANModel
 from repro.hw.workload import GenerationWorkload, IndividualWork
 from repro.inax.synthetic import synthetic_population
 
@@ -79,19 +75,3 @@ class TestCLANModel:
         power_small = small.energy_joules(t_small) / t_small.total
         power_large = large.energy_joules(t_large) / t_large.total
         assert power_large > power_small
-
-
-class TestWorkersNeeded:
-    def test_reachable_speedup(self):
-        gen = _generation()
-        workers = workers_needed_for_speedup(CLANModel(), gen, 4.0)
-        assert workers is not None
-        assert workers >= 4  # cannot beat ideal linear scaling
-
-    def test_unreachable_speedup(self):
-        gen = _generation(n=8, steps=2)
-        # tiny workload + huge latency: communication-bound cluster
-        model = CLANModel(
-            CLANConfig(num_workers=1, network_latency_seconds=1.0)
-        )
-        assert workers_needed_for_speedup(model, gen, 1000.0) is None

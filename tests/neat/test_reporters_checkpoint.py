@@ -17,7 +17,6 @@ from repro.neat.reporters import (
     CSVReporter,
     ConsoleReporter,
     ReporterSet,
-    render_csv,
 )
 
 
@@ -115,10 +114,6 @@ class TestReporters:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2  # header + one row: old history gone
         assert lines[1].split(",")[0] == "5"
-
-    def test_render_csv(self):
-        text = render_csv([_stats(0), _stats(1)])
-        assert text.count("\n") == 3
 
     def test_reporter_set_fans_out(self):
         received = []

@@ -8,6 +8,7 @@ from repro.core.backends import create_backend
 from repro.core.platform import E3, effective_neat_config
 from repro.neat.config import NEATConfig
 from repro.resilience.faults import FaultPlan
+from repro.resilience.supervisor import SupervisorConfig
 from repro.serve.pool import BackendPool, PoolExhausted
 
 CONFIG = NEATConfig(population_size=8)
@@ -248,6 +249,59 @@ class TestResetRunState:
         chaos_run(reused)
         reused.reset_run_state(base_seed=3)
         assert chaos_run(reused) == fresh
+
+    def test_reset_sharded_backend_replays_a_fresh_run(self):
+        """After ``reset_run_state`` the shard supervisor forgets the
+        run, its disabled latch included, so a chaos run that disables
+        sharding replays on the reused backend as on a fresh one: the
+        same degraded shards and ``supervisor.disabled`` event."""
+        config = effective_neat_config(
+            "cartpole", NEATConfig(population_size=24)
+        )
+
+        def build():
+            return create_backend(
+                "cpu-compiled",
+                "cartpole",
+                config,
+                base_seed=3,
+                workers=2,
+                fault_plan=FaultPlan.parse("seed=5,worker.error@0.6"),
+                supervisor=SupervisorConfig(
+                    max_retries=0, disable_after=2, backoff_base=0.0
+                ),
+            )
+
+        def chaos_run(backend):
+            E3("cartpole", backend=backend, neat_config=config, seed=3).run(
+                max_generations=3, fitness_threshold=float("inf")
+            )
+            return {
+                "reports": [
+                    dataclasses.asdict(record.cycle_report)
+                    for record in backend.records
+                ],
+                "columns": backend.reporter_columns(),
+                "log": backend.resilience_log(),
+            }
+
+        backend = build()
+        try:
+            fresh = chaos_run(backend)
+        finally:
+            backend.close()
+        # the plan must disable sharding for the replay to discriminate
+        assert fresh["columns"]["shard_degraded"] > 0
+        assert any(
+            event["kind"] == "supervisor.disabled" for event in fresh["log"]
+        )
+        reused = build()
+        try:
+            chaos_run(reused)
+            reused.reset_run_state(base_seed=3)
+            assert chaos_run(reused) == fresh
+        finally:
+            reused.close()
 
     def test_close_closes_idle_backends(self):
         pool = BackendPool(max_leases=2)

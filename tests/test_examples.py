@@ -27,7 +27,7 @@ def _load(path: pathlib.Path):
 def test_examples_exist():
     names = {p.stem for p in EXAMPLE_FILES}
     assert "quickstart" in names
-    assert len(names) >= 3  # the deliverable floor; we ship ten
+    assert len(names) >= 3  # the deliverable floor; we ship nine
 
 
 @pytest.mark.parametrize(
