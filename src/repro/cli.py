@@ -284,7 +284,8 @@ def _add_fabric_args(command) -> None:
     command.add_argument(
         "--islands", type=int, default=1,
         help="evolve this many independent island sub-populations over "
-        "the farm (island i is homed on device i %% devices)",
+        "the farm (island i is homed on device i %% devices; >1 "
+        "auto-upgrades --backend inax to fabric)",
     )
     command.add_argument(
         "--migration-interval", type=int, default=0, metavar="G",
@@ -301,9 +302,11 @@ def _add_pipeline_args(command) -> None:
     command.add_argument(
         "--schedule", default="arrival", choices=("arrival", "lpt"),
         help="wave-packing policy: 'arrival' (paper baseline, population "
-        "order) or 'lpt' (pack by predicted cost from last-generation "
-        "episode lengths, longest first); fitness is bit-identical "
-        "either way",
+        "order) or 'lpt' (pack by predicted cost from each genome key's "
+        "episode lengths in the previous generation, longest first); "
+        "reproduction gives every child, elites included, a fresh key, "
+        "so in an evolving run lpt has no predictions and packs in "
+        "arrival order; fitness is bit-identical either way",
     )
     command.add_argument(
         "--prefetch", default=False,
@@ -518,21 +521,39 @@ def _print_cache_summary(backend) -> None:
 
 
 def _check_devices(args) -> bool:
-    """Apply ``--devices`` to ``args.backend``; False (after printing
-    why) when the backend cannot take it.
+    """Apply ``--devices`` and ``--islands`` to ``args.backend``; False
+    (after printing why) when the backend cannot take them.
 
-    More than one device upgrades ``inax`` to ``fabric`` — a farm of
-    one kind of device is still the inax path, just the distributed
-    flavour of it — and is an error for every other backend.
+    More than one device or island upgrades ``inax`` to ``fabric`` — a
+    farm of one kind of device is still the inax path, just the
+    distributed flavour of it — and is an error for every other backend.
     """
-    if args.devices > 1 and args.backend == "inax":
-        args.backend = "fabric"
-    if args.devices > 1 and args.backend != "fabric":
-        print(
-            f"error: --devices needs the fabric backend, not {args.backend!r}"
-        )
-        return False
+    for flag, value in (
+        ("--devices", args.devices),
+        ("--islands", getattr(args, "islands", 1)),
+    ):
+        if value > 1 and args.backend == "inax":
+            args.backend = "fabric"
+        if value > 1 and args.backend != "fabric":
+            print(
+                f"error: {flag} needs the fabric backend, "
+                f"not {args.backend!r}"
+            )
+            return False
     return True
+
+
+def _topology(args):
+    """The run's :class:`~repro.fabric.topology.FarmTopology` from the
+    ``--devices``/``--islands``/``--migration-*`` flags."""
+    from repro.fabric.topology import FarmTopology
+
+    return FarmTopology(
+        devices=max(args.devices, 1),
+        islands=max(getattr(args, "islands", 1), 1),
+        migration_interval=getattr(args, "migration_interval", 0),
+        migration_size=getattr(args, "migration_size", 0),
+    )
 
 
 # ---------------------------------------------------------------- commands
@@ -572,8 +593,12 @@ def _cmd_run(args) -> int:
 
     if not _check_devices(args):
         return 2
-    if args.islands > 1:
-        return _cmd_run_islands(args)
+    topology = _topology(args)
+    if args.checkpoint and topology.islands > 1:
+        # island state is K populations + migration counters; the
+        # single-population checkpoint format cannot represent it
+        print("error: --checkpoint is not supported with --islands > 1")
+        return 2
     session = _telemetry_session(args, "run")
     monitor = _health_monitor(args)
     platform = E3(
@@ -584,16 +609,16 @@ def _cmd_run(args) -> int:
         workers=args.workers,
         telemetry=session,
         health=monitor,
-        devices=args.devices,
+        topology=topology,
         **_pipeline_kwargs(args),
         **_resilience_kwargs(args),
     )
     if not args.quiet:
-        platform.population.reporters.add(ConsoleReporter())
+        platform.reporters.add(ConsoleReporter())
     csv_reporter = None
     if args.csv:
         csv_reporter = CSVReporter(args.csv)
-        platform.population.reporters.add(csv_reporter)
+        platform.reporters.add(csv_reporter)
 
     result = platform.run(max_generations=args.generations)
     platform.backend.close()
@@ -609,86 +634,29 @@ def _cmd_run(args) -> int:
         print(f"checkpoint written to {args.checkpoint}")
 
     champion = result.best_network()
+    where = (
+        f" [island {result.best_island} of {topology.islands}, "
+        f"{topology.devices} device(s)]"
+        if topology.islands > 1
+        else ""
+    )
     print(
         f"\n{args.env}: solved={result.solved} "
         f"best={result.best_fitness:.1f} "
         f"(required {platform.required_fitness}) "
-        f"in {result.generations} generations"
+        f"in {result.generations} generations{where}"
     )
     print(
         f"champion: {champion.num_evaluated_nodes} nodes, "
         f"{champion.num_macs} connections"
     )
+    if platform.migrations or platform.migrations_skipped:
+        print(
+            f"migration: {platform.migrations} edges exchanged, "
+            f"{platform.migrations_skipped} skipped"
+        )
     _print_cache_summary(platform.backend)
     _print_resilience_summary(platform.backend)
-    _write_health(monitor, args, "run")
-    _export_telemetry(session, args)
-    return 0 if result.solved else 2
-
-
-def _cmd_run_islands(args) -> int:
-    """The ``run --islands K`` path: island-model NEAT over the farm."""
-    from repro.fabric import FarmTopology, IslandModel
-    from repro.neat.config import NEATConfig
-    from repro.neat.network import FeedForwardNetwork
-    from repro.neat.reporters import ConsoleReporter, CSVReporter
-
-    if args.checkpoint:
-        # island state is K populations + migration counters; the
-        # single-population checkpoint format cannot represent it
-        print("error: --checkpoint is not supported with --islands > 1")
-        return 2
-    topology = FarmTopology(
-        devices=max(args.devices, 1),
-        islands=args.islands,
-        migration_interval=args.migration_interval,
-        migration_size=args.migration_size,
-    )
-    session = _telemetry_session(args, "run")
-    monitor = _health_monitor(args)
-    model = IslandModel(
-        args.env,
-        topology,
-        neat_config=NEATConfig(population_size=args.population),
-        seed=args.seed,
-        telemetry=session,
-        health=monitor,
-        **_pipeline_kwargs(args),
-        **_resilience_kwargs(args),
-    )
-    if not args.quiet:
-        model.reporters.add(ConsoleReporter())
-    csv_reporter = None
-    if args.csv:
-        csv_reporter = CSVReporter(args.csv)
-        model.reporters.add(csv_reporter)
-
-    result = model.run(max_generations=args.generations)
-    model.backend.close()
-    if csv_reporter is not None:
-        csv_reporter.close()
-
-    champion = FeedForwardNetwork.create(
-        result.best_genome, model.neat_config
-    )
-    print(
-        f"\n{args.env}: solved={result.solved} "
-        f"best={result.best_fitness:.1f} "
-        f"(required {model.required_fitness}) "
-        f"in {result.generations} generations "
-        f"[island {result.best_island} of {topology.islands}, "
-        f"{topology.devices} device(s)]"
-    )
-    print(
-        f"champion: {champion.num_evaluated_nodes} nodes, "
-        f"{champion.num_macs} connections"
-    )
-    if model.migrations or model.migrations_skipped:
-        print(
-            f"migration: {model.migrations} edges exchanged, "
-            f"{model.migrations_skipped} skipped"
-        )
-    _print_resilience_summary(model.backend)
     _write_health(monitor, args, "run")
     _export_telemetry(session, args)
     return 0 if result.solved else 2
@@ -737,7 +705,7 @@ def _cmd_resume(args) -> int:
         population=population,
         seed=args.seed,
         workers=args.workers,
-        devices=args.devices,
+        topology=_topology(args),
         telemetry=session,
         health=monitor,
         **_pipeline_kwargs(args),
@@ -751,13 +719,13 @@ def _cmd_resume(args) -> int:
     if warmed and not args.quiet:
         print(f"warmed structural caches from checkpoint: {warmed} entries")
     if not args.quiet:
-        population.reporters.add(ConsoleReporter())
+        platform.reporters.add(ConsoleReporter())
     csv_reporter = None
     if args.csv:
         # append so a resumed run extends the original history instead
         # of truncating it
         csv_reporter = CSVReporter(args.csv, append=True)
-        population.reporters.add(csv_reporter)
+        platform.reporters.add(csv_reporter)
 
     start_generation = population.generation
     result = platform.run(

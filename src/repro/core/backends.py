@@ -76,14 +76,7 @@ from repro.compile import (
 )
 from repro.envs.base import Environment
 from repro.envs.registry import make
-from repro.envs.rollout import (
-    EpisodeRecord,
-    InferFn,
-    check_observations,
-    check_slots,
-    run_episode,
-    run_lockstep,
-)
+from repro.envs.rollout import EpisodeRecord, run_episode, run_lockstep
 from repro.hw.workload import GenerationWorkload, IndividualWork
 from repro.inax.accelerator import INAX, INAXConfig, schedule_generation
 from repro.inax.compiler import HWNetConfig, compile_genome
@@ -370,9 +363,8 @@ class EvaluationBackend:
     def publish_run_gauges(self, registry: MetricsRegistry) -> None:
         """Set the run's end-of-run backend gauges in ``registry``.
 
-        Every run driver (:class:`~repro.core.platform.E3`,
-        :class:`~repro.fabric.islands.IslandModel`) calls this once, at
-        run end; each backend class adds its own statistics.
+        :class:`~repro.core.platform.E3` calls this once, at run end;
+        each backend class adds its own statistics.
         """
         if self.quarantine_count:
             registry.gauge("resilience.quarantined_genomes").set(
@@ -667,12 +659,14 @@ def _fastcpu_worker_init(
     env_name: str,
     neat_config: NEATConfig,
     episodes_per_genome: int,
-    base_seed: int,
     env_kwargs: dict,
     cache_size: int,
     fault_plan: FaultPlan | None = None,
     backend_cls: "type[CompiledCPUBackend] | None" = None,
 ) -> None:
+    """Build the worker's backend from what the pool's whole life
+    shares; the run seed, which a reused backend rebinds, rides with
+    each shard task instead."""
     global _WORKER_STATE
     # workers run the parent's own class, minus sharding — classes
     # pickle by reference
@@ -682,7 +676,6 @@ def _fastcpu_worker_init(
             env_name,
             neat_config,
             episodes_per_genome=episodes_per_genome,
-            base_seed=base_seed,
             env_kwargs=env_kwargs,
             workers=0,
             cache_size=cache_size,
@@ -692,7 +685,7 @@ def _fastcpu_worker_init(
 
 
 def _fastcpu_worker_evaluate(
-    task: tuple[list[Genome], bool, str],
+    task: tuple[list[Genome], bool, str, int],
 ) -> tuple[list[tuple[int, float, int]], dict]:
     """Evaluate one shard; returns (per-genome rows, shard telemetry).
 
@@ -705,12 +698,14 @@ def _fastcpu_worker_evaluate(
     ``task`` also carries the shard's fault site
     (``gen=G|shard=I|attempt=A``): any armed ``worker.*`` fault fires
     here, *before* evaluation — the attempt index is part of the draw,
-    so a supervised retry of a crashed shard gets a fresh chance.
+    so a supervised retry of a crashed shard gets a fresh chance — and
+    the run seed the shard's episodes draw from.
     """
-    genomes, want_metrics, fault_site = task
+    genomes, want_metrics, fault_site, base_seed = task
     state = _WORKER_STATE
     assert state is not None, "worker pool not initialized"
     backend = state.backend
+    backend.base_seed = base_seed
     maybe_fail_worker(backend.fault_plan, fault_site)
     from repro.telemetry.metrics import MetricsRegistry, set_metrics
 
@@ -956,7 +951,6 @@ class CompiledCPUBackend(_CompiledBackend):
                 self.env_name,
                 self.neat_config,
                 self.episodes_per_genome,
-                self.base_seed,
                 self.env_kwargs,
                 self._compile_cache.capacity,
                 self.fault_plan,
@@ -1022,7 +1016,7 @@ class CompiledCPUBackend(_CompiledBackend):
 
         def build_task(index: int, attempt: int):
             site = f"gen={generation}|shard={index}|attempt={attempt}"
-            return (shards[index], want_metrics, site)
+            return (shards[index], want_metrics, site, self.base_seed)
 
         def fallback(index: int):
             return self._shard_fallback(
@@ -1487,7 +1481,9 @@ class INAXBackend(_CompiledBackend):
         produced (the backend-parity contract), no matter how far the
         faulted wave got.  ``fallback="cpu-fast"`` runs it through the
         backend's own compile cache and :meth:`_episode_records`;
-        ``fallback="cpu"`` runs the interpreted per-node path.
+        ``fallback="cpu"`` runs each genome's episode through
+        :meth:`_interpreted_records`, the interpreted oracle's one
+        episode loop.
         """
         if self.fallback is None:
             raise error
@@ -1506,13 +1502,10 @@ class INAXBackend(_CompiledBackend):
                     genomes, episodes=[episode]
                 )
             ]
-        envs = [self._make_env() for _ in genomes]
-        seeds = [self._episode_seed(genome, episode) for genome in genomes]
-        nets = [
-            FeedForwardNetwork.create(genome, self.neat_config)
+        return [
+            self._interpreted_records(genome, [episode])[0]
             for genome in genomes
         ]
-        return run_lockstep(envs, _interpreted_infer(nets), seeds=seeds)
 
     def _device_wave_episode(
         self,
@@ -1544,20 +1537,6 @@ class INAXBackend(_CompiledBackend):
         episode_records = run_lockstep(envs, device.step, seeds=seeds)
         device.end_wave()
         return episode_records
-
-
-def _interpreted_infer(nets: list[FeedForwardNetwork]) -> InferFn:
-    """The interpreted per-node networks as one lock-step InferFn."""
-    num_inputs = len(nets[0].input_keys)
-
-    def infer(slots: list[int], obs: np.ndarray) -> np.ndarray:
-        check_slots(slots, len(nets))
-        obs = check_observations(obs, len(slots), num_inputs)
-        return np.array(
-            [nets[slot].activate(row) for slot, row in zip(slots, obs)]
-        )
-
-    return infer
 
 
 #: backend name -> class.  Every entry is a real class whose ``name``

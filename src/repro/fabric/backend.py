@@ -44,9 +44,8 @@ from collections import deque
 from repro.core.backends import BACKENDS, INAXBackend
 from repro.fabric.supervisor import FabricSupervisor
 from repro.fabric.topology import assign_waves, wave_costs
-from repro.inax.accelerator import INAXConfig, schedule_waves
-from repro.inax.pipeline import PipelineConfig, pack_waves
-from repro.inax.pu import _static_step_cycles
+from repro.inax.accelerator import INAXConfig, pack_generation, schedule_waves
+from repro.inax.pipeline import PipelineConfig
 from repro.inax.timing import CycleReport
 from repro.neat.config import NEATConfig
 from repro.resilience.injectors import DeviceFaultInjector, has_fabric_faults
@@ -254,7 +253,8 @@ def price_farm(
 ) -> dict:
     """Analytic farm pricing: the scaling-bench twin of the farm.
 
-    Packs the workload into waves exactly like one device, LPT-assigns
+    Packs the workload into waves by :func:`schedule_generation`'s rule
+    (:func:`~repro.inax.accelerator.pack_generation`), LPT-assigns
     them across ``devices`` healthy devices, and prices each device's
     subset through :func:`~repro.inax.accelerator.schedule_waves` — so
     the multi-device scaling numbers use the identical per-wave cycle
@@ -262,19 +262,9 @@ def price_farm(
     (they run in parallel in the cycle domain).
     """
     pipeline = pipeline if pipeline is not None else PipelineConfig()
-    step_fn = lambda c: _static_step_cycles(  # noqa: E731
-        c, inax_config.num_pes_per_pu, inax_config.pe_costs,
-        inax_config.pu_costs,
+    pack_costs, waves = pack_generation(
+        inax_config, net_configs, episode_lengths, pipeline.schedule
     )
-    pack_costs: list
-    if pipeline.schedule == "arrival":
-        pack_costs = [None] * len(net_configs)
-    else:
-        pack_costs = [
-            float(length) * step_fn(config)
-            for config, length in zip(net_configs, episode_lengths)
-        ]
-    waves = pack_waves(pack_costs, inax_config.num_pus, pipeline.schedule)
     assignment = assign_waves(
         wave_costs(pack_costs, waves), list(range(devices))
     )

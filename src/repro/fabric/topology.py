@@ -14,14 +14,36 @@ Both are pure functions of their inputs, so re-running
 :func:`assign_waves` over the survivor set after an eviction *is* the
 deterministic re-pack rule — recovery is a function of
 ``(seed, farm topology, FaultPlan)``, never of host timing.
+
+The topology's islands are :class:`~repro.core.platform.E3`'s
+populations.  With more than one, island ``i`` seeds from
+:func:`island_seed` and numbers its genomes from ``i * KEY_STRIDE``.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-__all__ = ["FarmTopology", "assign_waves", "wave_costs"]
+__all__ = [
+    "FarmTopology",
+    "KEY_STRIDE",
+    "assign_waves",
+    "island_seed",
+    "wave_costs",
+]
+
+#: genome-key stride between islands: far above any single island's
+#: key consumption, so key spaces (and episode seeds) stay disjoint
+KEY_STRIDE = 1 << 20
+
+
+def island_seed(seed: int, island: int) -> int:
+    """Derived per-island RNG seed (pure function of the run seed)."""
+    payload = f"{seed}|island|{island}".encode()
+    digest = hashlib.sha256(payload).digest()
+    return int.from_bytes(digest[:8], "little") >> 1
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,7 @@ from repro.telemetry.spans import get_tracer
 __all__ = [
     "INAXConfig",
     "INAX",
+    "pack_generation",
     "schedule_generation",
     "schedule_waves",
     "waves_required",
@@ -555,25 +556,51 @@ def schedule_generation(
         raise ValueError("need one predicted cost per individual")
     report = CycleReport()
     report.individuals = len(net_configs)
-    num_pus = config.num_pus
-
-    costs: list[float | None]
-    if pipeline.schedule == "arrival":
-        costs = [None] * len(net_configs)
-    elif predicted_costs is not None:
-        costs = list(predicted_costs)
-    else:
-        costs = [
-            float(length) * step_cycles_fn(c)
-            for c, length in zip(net_configs, episode_lengths)
-        ]
-    waves = pack_waves(costs, num_pus, pipeline.schedule)
+    _, waves = pack_generation(
+        config, net_configs, episode_lengths, pipeline.schedule,
+        step_cycles_fn, predicted_costs,
+    )
     schedule_waves(
         config, net_configs, episode_lengths, waves, report,
         step_cycles_fn=step_cycles_fn, pe_active_fn=pe_active_fn,
         prefetch=pipeline.prefetch,
     )
     return report
+
+
+def pack_generation(
+    config: INAXConfig,
+    net_configs: list[HWNetConfig],
+    episode_lengths: list[int],
+    schedule: str,
+    step_cycles_fn=None,
+    predicted_costs: list[float | None] | None = None,
+) -> tuple[list[float | None], list[list[int]]]:
+    """``(costs, waves)``: a generation's packing costs and waves.
+
+    The one packing rule of the analytic schedules
+    (:func:`schedule_generation`, and the farm's
+    :func:`~repro.fabric.backend.price_farm`).  ``"arrival"`` packs in
+    population order, with no costs.  ``"lpt"`` packs by
+    ``predicted_costs`` when given; otherwise each individual costs its
+    actual episode length times its per-inference latency
+    (``step_cycles_fn``, INAX's by default).
+    """
+    costs: list[float | None]
+    if schedule == "arrival":
+        costs = [None] * len(net_configs)
+    elif predicted_costs is not None:
+        costs = list(predicted_costs)
+    else:
+        if step_cycles_fn is None:
+            step_cycles_fn = lambda c: _static_step_cycles(  # noqa: E731
+                c, config.num_pes_per_pu, config.pe_costs, config.pu_costs
+            )
+        costs = [
+            float(length) * step_cycles_fn(c)
+            for c, length in zip(net_configs, episode_lengths)
+        ]
+    return costs, pack_waves(costs, config.num_pus, schedule)
 
 
 def schedule_waves(

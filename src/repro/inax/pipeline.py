@@ -6,11 +6,15 @@ loop and "as fast as the hardware allows":
 * **wave packing** (``schedule``) — which individuals share a dispatch
   wave.  ``"arrival"`` is the paper's baseline (§IV-C2: rigid chunks of
   ``num_pus`` in population order).  ``"lpt"`` packs by *predicted
-  cost* — the individual's last-generation episode length times its
-  per-inference latency — longest first, so long episodes share a wave
-  instead of each pinning a mostly-drained wave open (§V-B2's idle-PU
-  effect).  Genomes never evaluated before have no prediction and keep
-  arrival order at the tail.
+  cost* — the episode length the same genome key ran in the previous
+  generation, times its per-inference latency — longest first, so long
+  episodes share a wave instead of each pinning a mostly-drained wave
+  open (§V-B2's idle-PU effect).  Genome keys never evaluated before
+  have no prediction and keep arrival order at the tail.  Reproduction
+  gives every child, elites included, a fresh key, so in an evolving
+  :class:`~repro.core.platform.E3` run no genome has a prediction and
+  ``"lpt"`` packs in arrival order; the predictions act only when the
+  same keys are evaluated again.
 * **prefetch** — double-buffered DMA/decode: wave N+1's configuration
   words stream over the weight channel while wave N computes, so only
   ``max(0, setup − prev_compute)`` of each later wave's set-up is

@@ -189,10 +189,10 @@ class Population:
     def observe_evaluated(self) -> Genome:
         """Book the just-evaluated generation; returns its best genome.
 
-        The first half of :meth:`advance`, exposed so drivers that
-        evaluate several populations together (the island model) can
-        observe each population between the shared evaluate call and
-        the per-population :meth:`evolve`.
+        The first half of :meth:`advance`, exposed so
+        :class:`~repro.core.platform.E3`, which evaluates every island's
+        population in one call, can observe each population between the
+        shared evaluate call and the per-population :meth:`evolve`.
         """
         missing = [g.key for g in self.population if g.fitness is None]
         if missing:
@@ -213,7 +213,8 @@ class Population:
 
     def evolve(self) -> None:
         """Run the evolve phase alone (the second half of
-        :meth:`advance`); island drivers call this after migration."""
+        :meth:`advance`); :class:`~repro.core.platform.E3` calls this
+        after migration."""
         self._evolve()
 
     # --------------------------------------------------------- migration

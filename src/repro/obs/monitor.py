@@ -1,6 +1,6 @@
 """The streaming health monitor (the live half of the watchtower).
 
-:class:`HealthMonitor` is a population reporter: every generation it
+:class:`HealthMonitor` is a run reporter: every generation it
 assembles a :class:`~repro.obs.detectors.GenerationSample` from the
 ``GenerationStats`` feed plus cheap backend probes (cache counters,
 the last cycle report), runs the detector registry over it, and —
@@ -20,7 +20,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.neat.population import GenerationStats, Population
+from repro.neat.population import GenerationStats
 from repro.obs.detectors import (
     GenerationSample,
     HealthConfig,
@@ -139,7 +139,7 @@ class HealthMonitor:
     Usage (the platform does this for you via ``E3(..., health=...)``)::
 
         monitor = HealthMonitor()
-        monitor.attach(population, backend)
+        monitor.attach(e3, e3.backend)
         ...            # run as usual; detectors fire per generation
         monitor.write("health.json")
     """
@@ -157,10 +157,11 @@ class HealthMonitor:
         self._finalized = False
 
     # ------------------------------------------------------------ wiring
-    def attach(
-        self, population: Population, backend: Any = None
-    ) -> "HealthMonitor":
-        """Register as a reporter and remember the backend to probe.
+    def attach(self, source: Any, backend: Any = None) -> "HealthMonitor":
+        """Register in ``source.reporters`` and remember the backend to
+        probe.  ``source`` hands the monitor its per-generation rows: an
+        :class:`~repro.core.platform.E3`, or a bare
+        :class:`~repro.neat.population.Population`.
 
         Idempotent *and re-arming*: attaching the same monitor again (a
         resumed or re-submitted job) neither double-registers the
@@ -172,7 +173,7 @@ class HealthMonitor:
         """
         self._backend = backend
         self._finalized = False
-        population.reporters.add(self)
+        source.reporters.add(self)
         return self
 
     # -------------------------------------------------------- observation

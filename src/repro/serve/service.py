@@ -57,7 +57,7 @@ def percentiles(
 
 
 class _GenerationReporter:
-    """Per-job population reporter: progress, events, mid-run
+    """Per-job run reporter: progress, events, mid-run
     checkpoints.  Runs on the job's worker thread; everything that
     must be loop-owned is marshalled via ``call_soon_threadsafe``."""
 
@@ -417,9 +417,7 @@ class EvolutionService:
                 telemetry=session,
                 population=population,
             )
-            e3.population.reporters.add(
-                _GenerationReporter(self, job, e3.population)
-            )
+            e3.reporters.add(_GenerationReporter(self, job, e3.population))
             if population is not None:
                 # a restored population has no cache state; warm the
                 # structural caches exactly like `repro resume` does

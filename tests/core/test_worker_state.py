@@ -31,14 +31,15 @@ def worker_init() -> None:
         env_name="cartpole",
         neat_config=CONFIG,
         episodes_per_genome=1,
-        base_seed=0,
         env_kwargs={},
         cache_size=128,
     )
 
 
 def evaluate_once(genomes) -> dict:
-    _, telemetry = _fastcpu_worker_evaluate((genomes, False, "gen=0|shard=0"))
+    _, telemetry = _fastcpu_worker_evaluate(
+        (genomes, False, "gen=0|shard=0", 0)
+    )
     return telemetry
 
 

@@ -22,6 +22,7 @@ import pytest
 from repro.core.backends import INAXBackend
 from repro.core.platform import E3
 from repro.fabric.backend import FabricINAXBackend
+from repro.fabric.topology import FarmTopology
 from repro.inax.accelerator import INAXConfig
 from repro.inax.pipeline import PipelineConfig
 from repro.neat.config import NEATConfig
@@ -79,7 +80,7 @@ def _records(env, backend, pipeline):
         neat_config=NEATConfig(population_size=60),
         seed=7,
         pipeline=pipeline,
-        devices=1,
+        topology=FarmTopology(devices=1),
     )
     result = e3.run(max_generations=3, fitness_threshold=float("inf"))
     return [
@@ -111,7 +112,7 @@ def _farm_surface(backend):
         telemetry=session,
         fault_plan=FaultPlan.parse("seed=7,inax.pu_stall@0.2:50"),
         fallback="cpu-fast",
-        devices=1,
+        topology=FarmTopology(devices=1),
     )
     e3.run(max_generations=2)
     spans = session.tracer.spans

@@ -112,6 +112,8 @@ class TestIslandRun:
         assert "migration:" in out
         manifest = _manifest(_read_trace(trace))
         assert manifest["command"] == "run"
+        # the farm flags upgrade the default inax backend
+        assert manifest["backend"] == "fabric"
         assert manifest["islands"] == 2
         assert manifest["migration_interval"] == 1
 
@@ -121,6 +123,17 @@ class TestIslandRun:
         )
         assert code == 2
         assert "--checkpoint is not supported" in capsys.readouterr().out
+
+    def test_islands_rejected_for_software_backends(self, capsys):
+        # --islands follows the --devices rule: an island run needs the
+        # farm, and a software backend is refused, not replaced
+        code = main(
+            ["run", "--env", "cartpole", "--backend", "cpu-compiled",
+             "--islands", "2", "--quiet"]
+        )
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "--islands needs the fabric backend, not 'cpu-compiled'" in out
 
 
 class TestDoctorOnFabricTrace:

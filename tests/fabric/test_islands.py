@@ -1,17 +1,27 @@
-"""Island-model determinism: migration, device loss, key disjointness."""
+"""Island-model determinism: migration, device loss, key disjointness.
 
-from repro.fabric.islands import KEY_STRIDE, IslandModel, island_seed
-from repro.fabric.topology import FarmTopology
+Island runs are :class:`~repro.core.platform.E3` runs whose topology has
+more than one island.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.backends import create_backend
+from repro.core.platform import E3
+from repro.fabric.topology import KEY_STRIDE, FarmTopology, island_seed
 from repro.inax.accelerator import INAXConfig
 from repro.neat.config import NEATConfig
+from repro.neat.population import Population
 from repro.resilience.faults import FaultPlan
 from repro.telemetry import TelemetrySession
 
 
 def _model(topology, plan_text=None, seed=3, population=12, generations=None):
-    return IslandModel(
+    return E3(
         "cartpole",
-        topology,
+        backend="fabric",
+        topology=topology,
         neat_config=NEATConfig(population_size=population),
         inax_config=INAXConfig(num_pus=3, num_pes_per_pu=2),
         seed=seed,
@@ -76,10 +86,10 @@ class TestMigration:
         model.run(max_generations=4)
         assert model.migrations == 0
         assert model.migrations_skipped > 0
-        events = [e for e in model.events
-                  if e.kind == "fabric.migration_skip"]
+        events = [e for e in model.resilience_log()
+                  if e["kind"] == "fabric.migration_skip"]
         assert events
-        assert all(e.details["reason"] == "corrupt" for e in events)
+        assert all(e["details"]["reason"] == "corrupt" for e in events)
 
     def test_skipped_migration_equals_no_migration(self):
         """Skips never perturb island RNG streams: a run whose every
@@ -108,9 +118,9 @@ class TestMidMigrationDeviceLoss:
         assert model.migrations == 0
         assert model.migrations_skipped == 2 * result.generations
         skip_reasons = {
-            e.details["reason"]
-            for e in model.events
-            if e.kind == "fabric.migration_skip"
+            e["details"]["reason"]
+            for e in model.resilience_log()
+            if e["kind"] == "fabric.migration_skip"
         }
         assert skip_reasons == {"device_down"}
         assert result.best_fitness > 0
@@ -134,8 +144,9 @@ class TestResult:
     def test_result_carries_per_island_histories(self):
         model = _model(FarmTopology(devices=2, islands=3))
         result = model.run(max_generations=2)
-        assert len(result.island_histories) == 3
-        assert all(history for history in result.island_histories)
+        island_histories = [island.history for island in model.islands]
+        assert len(island_histories) == 3
+        assert all(history for history in island_histories)
         assert 0 <= result.best_island < 3
         champion = max(
             (g for pop in model.islands for g in pop.population
@@ -146,9 +157,10 @@ class TestResult:
 
     def test_phases_cover_the_farm_and_match_the_counters(self):
         session = TelemetrySession()
-        model = IslandModel(
+        model = E3(
             "cartpole",
-            FarmTopology(devices=2, islands=2),
+            backend="fabric",
+            topology=FarmTopology(devices=2, islands=2),
             neat_config=NEATConfig(population_size=24),
             seed=1,
             telemetry=session,
@@ -170,9 +182,10 @@ class TestResult:
         # turns some away: the island driver publishes the same run-end
         # backend gauges as a single-population E3 run
         session = TelemetrySession()
-        model = IslandModel(
+        model = E3(
             "cartpole",
-            FarmTopology(devices=2, islands=2),
+            backend="fabric",
+            topology=FarmTopology(devices=2, islands=2),
             neat_config=NEATConfig(population_size=24),
             inax_config=INAXConfig(
                 num_pus=4, num_pes_per_pu=2, weight_buffer_capacity=12
@@ -193,3 +206,73 @@ class TestResult:
         assert (
             gauges["inax.oversize_genomes"]["value"] == backend.oversize_count
         )
+
+
+class TestOneRunLoop:
+    def test_islands_need_the_fabric_backend(self):
+        with pytest.raises(ValueError, match="need the fabric backend"):
+            E3(
+                "cartpole",
+                backend="inax",
+                topology=FarmTopology(islands=2),
+                neat_config=NEATConfig(population_size=12),
+            )
+
+    def test_adopted_population_is_one_island(self):
+        single = _model(FarmTopology())
+        with pytest.raises(ValueError, match="single island"):
+            E3(
+                "cartpole",
+                backend="fabric",
+                topology=FarmTopology(devices=2, islands=2),
+                population=single.population,
+            )
+
+    def test_one_island_is_the_single_population_run(self):
+        """A one-island run seeds, evaluates and reports exactly as
+        ``Population.run`` over the same backend does."""
+        e3 = E3(
+            "cartpole",
+            backend="inax",
+            neat_config=NEATConfig(population_size=12),
+            seed=3,
+        )
+        result = e3.run(max_generations=3, fitness_threshold=float("inf"))
+        backend = create_backend(
+            "inax", "cartpole", e3.neat_config, base_seed=3
+        )
+        population = Population(e3.neat_config, seed=3)
+        population.stat_sources.append(backend.reporter_columns)
+        expected = population.run(
+            backend.evaluate, max_generations=3, fitness_threshold=float("inf")
+        )
+        assert result.history == expected.history
+        assert (result.best_island, result.best_genome.key) == (
+            0, expected.best_genome.key
+        )
+        with pytest.raises(AttributeError):
+            _model(FarmTopology(devices=2, islands=2)).population
+
+    def test_pooled_row_covers_every_island(self):
+        model = _model(FarmTopology(devices=2, islands=3), population=13)
+        rows = []
+
+        class Probe:
+            def on_generation(self, stats):
+                genomes = [g for pop in model.islands for g in pop.population]
+                rows.append((stats, genomes))
+
+        model.reporters.add(Probe())
+        result = model.run(max_generations=2)
+        assert [stats for stats, _ in rows] == result.history
+        for stats, genomes in rows:
+            assert stats.population_size == 13
+            assert stats.mean_nodes == float(
+                np.mean([g.num_nodes(model.neat_config) for g in genomes])
+            )
+            assert stats.mean_connections == float(
+                np.mean([g.num_enabled_connections for g in genomes])
+            )
+            assert stats.mean_nodes > 0
+            assert stats.best_fitness == max(g.fitness for g in genomes)
+            assert "migrations" in stats.extras

@@ -1,8 +1,31 @@
-"""Unit tests for farm topology and the wave-to-device LPT assigner."""
+"""Unit tests for farm topology, the wave-to-device LPT assigner, and
+the farm's analytic pricer."""
+
+import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.fabric.backend import price_farm
 from repro.fabric.topology import FarmTopology, assign_waves
+from repro.inax.accelerator import INAXConfig, schedule_generation
+from repro.inax.pipeline import PipelineConfig
+from repro.inax.synthetic import synthetic_population
+
+#: generated networks of one to three hidden layers
+POOL = [
+    config
+    for layers, seed in ((1, 3), (2, 4), (3, 5))
+    for config in synthetic_population(
+        num_individuals=4,
+        num_inputs=4,
+        num_outputs=2,
+        num_hidden=7,
+        sparsity=0.5,
+        num_hidden_layers=layers,
+        seed=seed,
+    )
+]
 
 
 class TestFarmTopology:
@@ -79,3 +102,37 @@ class TestAssignWaves:
     def test_no_alive_devices_raises(self):
         with pytest.raises(ValueError):
             assign_waves([1.0], [])
+
+
+class TestPriceFarm:
+    @settings(max_examples=48, deadline=None)
+    @given(
+        num_pus=st.integers(1, 6),
+        num_pes=st.integers(1, 4),
+        picks=st.lists(st.integers(0, len(POOL) - 1), min_size=1, max_size=18),
+        data=st.data(),
+        schedule=st.sampled_from(["arrival", "lpt"]),
+        prefetch=st.booleans(),
+    )
+    def test_one_device_equals_schedule_generation(
+        self, num_pus, num_pes, picks, data, schedule, prefetch
+    ):
+        """On one healthy device the farm packs and prices a generation
+        exactly as the closed-form single-device schedule does."""
+        config = INAXConfig(num_pus=num_pus, num_pes_per_pu=num_pes)
+        nets = [POOL[i] for i in picks]
+        # a narrow range forces length ties; a wide one long horizons
+        lengths = data.draw(
+            st.lists(
+                st.one_of(st.integers(1, 3), st.integers(1, 80)),
+                min_size=len(nets),
+                max_size=len(nets),
+            )
+        )
+        pipeline = PipelineConfig(schedule=schedule, prefetch=prefetch)
+        farm = price_farm(config, nets, lengths, devices=1, pipeline=pipeline)
+        single = schedule_generation(config, nets, lengths, pipeline=pipeline)
+        assert dataclasses.asdict(farm["per_device"][0]) == (
+            dataclasses.asdict(single)
+        )
+        assert farm["wall_cycles"] == single.total_cycles

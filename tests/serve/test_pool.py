@@ -161,16 +161,27 @@ class TestResetRunState:
 
     def test_reused_backend_is_bit_identical_to_fresh(self):
         # the acceptance contract: a leased backend that already ran a
-        # different job produces the same bits a fresh backend would
+        # different job produces the same bits a fresh backend would,
+        # in-process and sharded (a warm worker pool must seed episodes
+        # from the new job's seed, not from the one it was spawned with)
         fresh = run_fitness_history("cpu-fast", seed=3)
-        pool = BackendPool(max_leases=2)
         config = effective_neat_config("cartpole", CONFIG)
-        lease = pool.lease("cartpole", "cpu-fast", config, base_seed=11)
-        run_fitness_history(lease.backend, seed=11)  # pollute with job A
-        lease.release()
-        again = pool.lease("cartpole", "cpu-fast", config, base_seed=3)
-        reused = run_fitness_history(again.backend, seed=3)
-        assert reused == fresh
+        for workers in (0, 2):
+            pool = BackendPool(max_leases=2)
+            lease = pool.lease(
+                "cartpole", "cpu-fast", config, workers=workers, base_seed=11
+            )
+            run_fitness_history(lease.backend, seed=11)  # pollute with job A
+            lease.release()
+            again = pool.lease(
+                "cartpole", "cpu-fast", config, workers=workers, base_seed=3
+            )
+            try:
+                reused = run_fitness_history(again.backend, seed=3)
+            finally:
+                again.release()
+                pool.close()
+            assert reused == fresh, f"workers={workers}"
 
     def test_compiled_backend_reset(self):
         pool = BackendPool(max_leases=2)

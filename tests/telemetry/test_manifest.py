@@ -99,7 +99,6 @@ class TestApiRunAttribution:
         """API drivers build their own manifest; it must carry the
         pipeline the backend actually ran, not the paper defaults."""
         from repro.core.platform import E3
-        from repro.fabric.islands import IslandModel
         from repro.fabric.topology import FarmTopology
         from repro.inax.pipeline import PipelineConfig
         from repro.neat.config import NEATConfig
@@ -113,8 +112,9 @@ class TestApiRunAttribution:
             "cartpole", backend="inax", neat_config=neat_config, seed=3,
             pipeline=pipeline, telemetry=single,
         ).run(max_generations=1)
-        IslandModel(
-            "cartpole", FarmTopology(devices=2, islands=2),
+        E3(
+            "cartpole", backend="fabric",
+            topology=FarmTopology(devices=2, islands=2),
             neat_config=neat_config, seed=3, pipeline=pipeline,
             telemetry=farm,
         ).run(max_generations=1)

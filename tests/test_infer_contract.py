@@ -4,18 +4,17 @@
 ascending live slots and a ``(len(slots), num_inputs)`` observation
 block.  The compiled population evaluator (``cpu-compiled``'s engine,
 and the flattened engine the ``inax`` backend's one lock-step pass runs
-before its device replays the cycles), the INAX device's per-PU step
-and the interpreted fallback must all reject anything else — a short
-observation in particular must fail, never broadcast across a
-network's inputs — and answer a well-formed call with the interpreted
-network's outputs bit for bit.
+before its device replays the cycles) and the INAX device's per-PU
+step must all reject anything else — a short observation in particular
+must fail, never broadcast across a network's inputs — and answer a
+well-formed call with the interpreted network's outputs bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from repro.compile import CompileCache, CompiledPopulationEvaluator
-from repro.core.backends import INAXBackend, _interpreted_infer
+from repro.core.backends import INAXBackend
 from repro.inax.accelerator import INAX, INAXConfig
 from repro.inax.compiler import compile_genome
 from repro.neat.config import NEATConfig
@@ -63,18 +62,11 @@ def _device(genomes):
     return device.step
 
 
-def _interpreted(genomes):
-    return _interpreted_infer(
-        [FeedForwardNetwork.create(genome, CFG) for genome in genomes]
-    )
-
-
 #: name -> (InferFn builder, live slots of a well-formed call)
 INFER_FNS = {
     "cpu-compiled": (_compiled, [0]),
     "inax-per-pu": (_device, list(range(WIDTH))),
     "inax-flattened": (_inax_pass, list(range(WIDTH))),
-    "fallback": (_interpreted, [0]),
 }
 
 
