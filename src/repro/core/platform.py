@@ -396,6 +396,7 @@ class E3:
             else self._pooled_stats(generation, genomes, bests)
         )
         self.history.append(stats)
+        stats.publish()
         self.reporters.on_generation(stats)
         if self.topology.migrates(generation):
             self._migrate(generation)

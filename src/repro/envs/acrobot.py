@@ -51,11 +51,13 @@ class Acrobot(Environment):
 
     TORQUES = (-1.0, 0.0, 1.0)
 
+    _high = np.array([1.0, 1.0, 1.0, 1.0, MAX_VEL_1, MAX_VEL_2])
+    observation_space = Box(-_high, _high)
+    action_space = Discrete(3)
+    del _high
+
     def __init__(self, seed: int | None = None):
         super().__init__(seed)
-        high = np.array([1.0, 1.0, 1.0, 1.0, self.MAX_VEL_1, self.MAX_VEL_2])
-        self.observation_space = Box(-high, high)
-        self.action_space = Discrete(3)
         # internal state: (theta1, theta2, dtheta1, dtheta2)
         self._state = np.zeros(4)
 

@@ -16,22 +16,39 @@ Each environment also publishes the metadata the rest of the system needs:
 * ``reward_threshold`` — the paper's "required fitness" per task; a NEAT
   or RL run stops once the averaged episode reward reaches it.
 
-An environment may also carry a *structure-of-arrays step kernel*: a
-twin of ``_step`` that advances many instances of the same physics in
-one NumPy pass, repeating the scalar arithmetic operation for operation
-so every row's result is bit-identical to stepping that instance alone.
-A kernel class sets :attr:`Environment.BATCH_PARAMS` and implements
-``_gather_batch`` / ``_step_batch`` / ``_scatter_batch``;
-:func:`repro.envs.rollout.run_lockstep` uses it for whole waves (see
-:meth:`Environment.batch_key` and :meth:`Environment.step_batch`).
+A registered environment's spaces depend only on its class constants,
+never on constructor arguments, so the class builds them once, as class
+attributes; a :class:`~repro.envs.spaces.Box`'s bounds are read-only.
+
+An environment may also carry a *structure-of-arrays kernel*: twins of
+``_reset`` and ``_step`` that reset and advance many instances of the
+same physics in one NumPy pass, repeating the scalar arithmetic
+operation for operation so every row's result is bit-identical to that
+instance alone.  A kernel class sets :attr:`Environment.BATCH_PARAMS`
+and :attr:`Environment.RESET_DRAWS` and implements:
+
+* ``_reset_batch(draws)``: ``_reset`` over rows of a fresh generator's
+  first ``RESET_DRAWS`` ``random()`` draws
+  (:func:`repro.envs.seeding.first_doubles`), returning ``(state rows,
+  observation rows)``; ``_reset`` may only draw through ``random()``
+  and ``uniform()`` (see :func:`repro.envs.seeding.uniform`);
+* ``_step_batch(state, actions)``: ``_step`` over the state rows;
+* ``_scatter_batch(row)``: hand one row back to its instance;
+* ``_gather_batch(envs)``: stack instances' episode state into rows,
+  which the kernel parity tests use to place arbitrary states.
+
+:func:`repro.envs.rollout.run_lockstep` uses the kernel for whole
+seeded waves (see :meth:`Environment.batch_key`,
+:meth:`Environment.reset_batch` and :meth:`Environment.step_batch`).
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
+from repro.envs.seeding import first_doubles
 from repro.envs.spaces import Space
 
 __all__ = ["Environment", "StepResult"]
@@ -59,8 +76,10 @@ class Environment:
     def __init__(self, seed: int | None = None):
         # no generator until one is needed: reset(seed) installs its
         # own, so one built here (from OS entropy when seed is None)
-        # would be thrown away
+        # would be thrown away.  The rng property builds it from _seed,
+        # advanced past _draws draws (which only reset_batch sets).
         self._seed = seed
+        self._draws = 0
         self._rng: np.random.Generator | None = None
         self._elapsed_steps = 0
         self._needs_reset = True
@@ -70,13 +89,9 @@ class Environment:
         """Start a new episode and return the initial observation.
 
         A ``seed`` starts a fresh generator; without one the episode
-        draws from the current generator, built from the constructor's
-        seed on first use.
+        draws from the current generator (see :attr:`rng`).
         """
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
-        elif self._rng is None:
-            self._rng = np.random.default_rng(self._seed)
+        self._rng = np.random.default_rng(seed) if seed is not None else self.rng
         self._elapsed_steps = 0
         self._needs_reset = False
         obs = self._reset()
@@ -109,6 +124,10 @@ class Environment:
     #: constants and thresholds); instances batch together only when all
     #: of them, and ``max_episode_steps``, are equal.
     BATCH_PARAMS: tuple[str, ...] = ()
+    #: ``random()`` draws ``_reset`` takes from a fresh generator (one
+    #: per ``random()`` or ``uniform()`` value); ``_reset_batch`` gets
+    #: them as rows.
+    RESET_DRAWS = 0
 
     def batch_key(self) -> tuple | None:
         """What decides whether instances can share one kernel pass.
@@ -123,6 +142,29 @@ class Environment:
             return None
         params = tuple(getattr(self, name) for name in self.BATCH_PARAMS)
         return (cls, self.max_episode_steps, params)
+
+    def reset_batch(
+        self, envs: Sequence["Environment"], seeds: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`reset` of each of ``envs`` with its seed, in one pass.
+
+        ``envs`` share this instance's :meth:`batch_key`, and ``seeds``
+        are integers in ``[0, 2**64)``.  Returns ``(state,
+        observations)``, one row per instance: the rows
+        :meth:`step_batch` takes and the observations :meth:`reset`
+        returns.  Each instance is marked reset, and its generator is
+        built on first use as ``default_rng(seed)`` advanced past the
+        reset's draws, so it ends as :meth:`reset` would leave it.
+        The episode state reaches the instance through
+        :meth:`leave_batch`.
+        """
+        draws = self.RESET_DRAWS
+        state, obs = self._reset_batch(first_doubles(seeds, draws))
+        for env, seed in zip(envs, seeds):
+            env._seed, env._draws, env._rng = seed, draws, None
+            env._elapsed_steps = 0
+            env._needs_reset = False
+        return state, obs
 
     def step_batch(
         self, state: np.ndarray, actions: np.ndarray, elapsed: int
@@ -159,6 +201,13 @@ class Environment:
         """Stack the instances' episode state into one row each."""
         raise NotImplementedError
 
+    def _reset_batch(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Kernel: ``(state, observations)`` after ``_reset``, one row
+        per row of ``draws``, the ``(rows, RESET_DRAWS)`` first draws of
+        each instance's fresh generator.  The observations may be the
+        state array itself where ``_reset`` returns its state."""
+        raise NotImplementedError
+
     def _step_batch(
         self, state: np.ndarray, actions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -180,8 +229,13 @@ class Environment:
 
     @property
     def rng(self) -> np.random.Generator:
+        """The episode generator.  Built on first use from the
+        constructor's seed, or after :meth:`reset_batch` from the
+        episode's seed, advanced past the draws the reset took."""
         if self._rng is None:
             self._rng = np.random.default_rng(self._seed)
+            if self._draws:  # taken by reset_batch
+                self._rng.random(self._draws)
         return self._rng
 
     # ------------------------------------------------- subclass extension

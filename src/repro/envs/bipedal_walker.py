@@ -62,11 +62,11 @@ class BipedalWalker(Environment):
     TRACK_LENGTH = 30.0
     TERRAIN_ROUGHNESS = 0.02
 
+    observation_space = Box(-np.inf, np.inf, shape=(24,))
+    action_space = Box(-1.0, 1.0, shape=(4,))
+
     def __init__(self, seed: int | None = None):
         super().__init__(seed)
-        high = np.array([np.inf] * 24)
-        self.observation_space = Box(-high, high)
-        self.action_space = Box(np.full(4, -1.0), np.full(4, 1.0))
         # joints: [hip1, knee1, hip2, knee2] angles and speeds
         self._joints = np.zeros(4)
         self._joint_speeds = np.zeros(4)

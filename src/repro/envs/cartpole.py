@@ -14,6 +14,7 @@ from typing import Any
 import numpy as np
 
 from repro.envs.base import Environment, StepResult
+from repro.envs.seeding import uniform
 from repro.envs.spaces import Box, Discrete
 
 __all__ = ["CartPole"]
@@ -35,6 +36,12 @@ class CartPole(Environment):
 
     X_THRESHOLD = 2.4
     THETA_THRESHOLD = 12 * 2 * math.pi / 360  # ~0.2095 rad
+
+    # the physics overrides below never change the spaces
+    _high = np.array([X_THRESHOLD * 2, np.inf, THETA_THRESHOLD * 2, np.inf])
+    observation_space = Box(-_high, _high)
+    action_space = Discrete(2)
+    del _high
 
     def __init__(
         self,
@@ -59,16 +66,6 @@ class CartPole(Environment):
             if force_mag <= 0:
                 raise ValueError("force_mag must be > 0")
             self.FORCE_MAG = force_mag
-        high = np.array(
-            [
-                self.X_THRESHOLD * 2,
-                np.inf,
-                self.THETA_THRESHOLD * 2,
-                np.inf,
-            ]
-        )
-        self.observation_space = Box(-high, high)
-        self.action_space = Discrete(2)
         self._state = np.zeros(4)
 
     def _reset(self) -> np.ndarray:
@@ -120,9 +117,16 @@ class CartPole(Environment):
         "THETA_THRESHOLD",
     )
 
+    RESET_DRAWS = 4
+
     @classmethod
     def _gather_batch(cls, envs: list[Environment]) -> np.ndarray:
         return np.array([env._state for env in envs], dtype=np.float64)
+
+    def _reset_batch(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_reset`` over rows of draws: ``uniform(-0.05, 0.05, size=4)``."""
+        state = uniform(draws, -0.05, 0.05)
+        return state, state
 
     def _step_batch(
         self, state: np.ndarray, actions: np.ndarray

@@ -25,6 +25,7 @@ from typing import Any
 import numpy as np
 
 from repro.envs.base import Environment, StepResult
+from repro.envs.seeding import uniform
 from repro.envs.spaces import Box, Discrete
 
 __all__ = ["LunarLander"]
@@ -52,11 +53,13 @@ class LunarLander(Environment):
 
     NOOP, LEFT_THRUSTER, MAIN_ENGINE, RIGHT_THRUSTER = range(4)
 
+    _high = np.array([1.5, 1.5, 5.0, 5.0, math.pi, 5.0, 1.0, 1.0])
+    observation_space = Box(-_high, _high)
+    action_space = Discrete(4)
+    del _high
+
     def __init__(self, seed: int | None = None):
         super().__init__(seed)
-        high = np.array([1.5, 1.5, 5.0, 5.0, math.pi, 5.0, 1.0, 1.0])
-        self.observation_space = Box(-high, high)
-        self.action_space = Discrete(4)
         # state: x, y, vx, vy, angle, angular velocity
         self._state = np.zeros(6)
         self._prev_shaping: float | None = None
@@ -173,6 +176,8 @@ class LunarLander(Environment):
     _FUEL_COST = np.array([0.0, 0.03, 0.30, 0.03])
     _FUEL_COST.flags.writeable = False
 
+    RESET_DRAWS = 4
+
     @classmethod
     def _gather_batch(cls, envs: list[Environment]) -> np.ndarray:
         """Rows ``(x, y, vx, vy, angle, omega, prev_shaping, has_prev)``."""
@@ -182,6 +187,26 @@ class LunarLander(Environment):
             if env._prev_shaping is not None:
                 row[6:] = env._prev_shaping, 1.0
         return state
+
+    def _reset_batch(self, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_reset`` over rows of draws, taken in ``_reset``'s order.
+
+        The leg contacts repeat ``_leg_contacts`` with ``np.sin`` for
+        ``math.sin`` (pinned in the float contract).
+        """
+        x = uniform(draws[:, 0], -0.3, 0.3)
+        vx = uniform(draws[:, 1], -0.4, 0.4)
+        vy = uniform(draws[:, 2], -0.4, 0.0)
+        angle = uniform(draws[:, 3], -0.1, 0.1)
+        y = np.full(len(draws), self.START_ALTITUDE)
+        zeros = np.zeros(len(draws))
+        drop = self.LEG_SPAN * np.sin(-angle)
+        left_leg = (y - drop <= 0.01).astype(np.float64)
+        right_leg = (y + drop <= 0.01).astype(np.float64)
+        # omega 0 and no previous shaping; one C-order row per instance
+        state = np.array((x, y, vx, vy, angle, zeros, zeros, zeros)).T.copy()
+        obs = np.array((x, y, vx, vy, angle, zeros, left_leg, right_leg)).T.copy()
+        return state, obs
 
     def _step_batch(
         self, state: np.ndarray, actions: np.ndarray

@@ -34,12 +34,13 @@ class MountainCar(Environment):
     FORCE = 0.001
     GRAVITY = 0.0025
 
+    observation_space = Box(
+        np.array([MIN_POSITION, -MAX_SPEED]), np.array([MAX_POSITION, MAX_SPEED])
+    )
+    action_space = Discrete(3)
+
     def __init__(self, seed: int | None = None):
         super().__init__(seed)
-        low = np.array([self.MIN_POSITION, -self.MAX_SPEED])
-        high = np.array([self.MAX_POSITION, self.MAX_SPEED])
-        self.observation_space = Box(low, high)
-        self.action_space = Discrete(3)
         self._state = np.zeros(2)
 
     def _reset(self) -> np.ndarray:
@@ -78,12 +79,13 @@ class MountainCarContinuous(Environment):
     POWER = 0.0015
     GRAVITY = 0.0025
 
+    observation_space = Box(
+        np.array([MIN_POSITION, -MAX_SPEED]), np.array([MAX_POSITION, MAX_SPEED])
+    )
+    action_space = Box(np.array([-1.0]), np.array([1.0]))
+
     def __init__(self, seed: int | None = None):
         super().__init__(seed)
-        low = np.array([self.MIN_POSITION, -self.MAX_SPEED])
-        high = np.array([self.MAX_POSITION, self.MAX_SPEED])
-        self.observation_space = Box(low, high)
-        self.action_space = Box(np.array([-1.0]), np.array([1.0]))
         self._state = np.zeros(2)
 
     def _reset(self) -> np.ndarray:

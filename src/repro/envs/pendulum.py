@@ -40,6 +40,12 @@ class Pendulum(Environment):
     MASS = 1.0
     LENGTH = 1.0
 
+    # the physics overrides below never change the spaces
+    _high = np.array([1.0, 1.0, MAX_SPEED])
+    observation_space = Box(-_high, _high)
+    action_space = Box(np.array([-MAX_TORQUE]), np.array([MAX_TORQUE]))
+    del _high
+
     def __init__(
         self,
         seed: int | None = None,
@@ -62,11 +68,6 @@ class Pendulum(Environment):
             self.LENGTH = length
         if gravity is not None:
             self.GRAVITY = gravity
-        high = np.array([1.0, 1.0, self.MAX_SPEED])
-        self.observation_space = Box(-high, high)
-        self.action_space = Box(
-            np.array([-self.MAX_TORQUE]), np.array([self.MAX_TORQUE])
-        )
         self._state = np.zeros(2)  # (theta, theta_dot)
 
     def _reset(self) -> np.ndarray:

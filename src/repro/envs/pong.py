@@ -47,11 +47,11 @@ class Pong(Environment):
 
     STAY, UP, DOWN = range(3)
 
+    observation_space = Box(-1.0, 1.0, shape=(6,))
+    action_space = Discrete(3)
+
     def __init__(self, seed: int | None = None):
         super().__init__(seed)
-        high = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
-        self.observation_space = Box(-high, high)
-        self.action_space = Discrete(3)
         self._ball = np.zeros(2)
         self._ball_v = np.zeros(2)
         self._own_y = 0.5

@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.envs import seeding
 from repro.envs.base import Environment
 from repro.envs.spaces import Box, Discrete
 from repro.telemetry.metrics import get_metrics
@@ -235,11 +236,13 @@ def run_lockstep(
 
     When every env is an instance of one class with a structure-of-
     arrays kernel and equal :meth:`~repro.envs.base.Environment.batch_key`
-    (same physics), the wave's envs step as rows of one NumPy pass, the
-    env-side twin of evaluating individuals on parallel PUs.  Once fewer
-    than :data:`BATCH_MIN_WIDTH` are alive the survivors go back to
-    their instances and step one by one.  Wrapped, mixed and kernel-less
-    env lists always step one by one.
+    (same physics), and every seed is an integer
+    :func:`repro.envs.seeding.first_doubles` takes, the wave's envs are
+    reset and stepped as rows of one NumPy pass, the env-side twin of
+    evaluating individuals on parallel PUs.  Once fewer than
+    :data:`BATCH_MIN_WIDTH` are alive the survivors go back to their
+    instances and step one by one.  Unseeded, wrapped, mixed and
+    kernel-less waves are reset and stepped one by one.
 
     Per-slot rewards accumulate in step order, and truncation follows
     :func:`run_episode`'s rule exactly, so a lock-step episode's record
@@ -249,10 +252,17 @@ def run_lockstep(
     if seeds is not None and len(seeds) != len(envs):
         raise ValueError("seeds, when given, must have one entry per env")
     n = len(envs)
-    observations: list[np.ndarray] = [
-        env.reset(seed=seeds[i] if seeds is not None else None)
-        for i, env in enumerate(envs)
-    ]
+    batched = seeds is not None and _batchable(envs) and seeding.accepts(seeds)
+    # a batched wave is reset in _run_batched, which fills in the
+    # observations of the episodes that outlast it
+    observations: list[np.ndarray | None] = (
+        [None] * n
+        if batched
+        else [
+            env.reset(seed=seeds[i] if seeds is not None else None)
+            for i, env in enumerate(envs)
+        ]
+    )
     limits = [
         max_steps if max_steps is not None else env.max_episode_steps
         for env in envs
@@ -265,10 +275,11 @@ def run_lockstep(
     ticks = 0
     inferences = 0
     with _span("rollout.lockstep", envs=n):
-        if _batchable(envs):
+        if batched:
             alive, ticks, inferences = _run_batched(
                 envs,
                 infer,
+                seeds,
                 observations,
                 limits[0],
                 totals,
@@ -334,27 +345,28 @@ def _batchable(envs: Sequence[Environment]) -> bool:
 def _run_batched(
     envs: Sequence[Environment],
     infer: InferFn,
-    observations: list[np.ndarray],
+    seeds: Sequence[int],
+    observations: list[np.ndarray | None],
     limit: int,
     totals: list[float],
     steps: list[int],
     truncated: list[bool],
     rewards: list[list[float]] | None,
 ) -> tuple[list[int], int, int]:
-    """The batched head of :func:`run_lockstep`, from freshly reset envs.
+    """The batched head of :func:`run_lockstep`.
 
-    Steps every live slot with one kernel call per tick until fewer
-    than :data:`BATCH_MIN_WIDTH` are alive, filling the per-slot lists
-    for every finished episode.  Each env gets its state back when its
+    Resets every env with its seed in one kernel call, then steps every
+    live slot with one kernel call per tick until fewer than
+    :data:`BATCH_MIN_WIDTH` are alive, filling the per-slot lists for
+    every finished episode.  Each env gets its state back when its
     episode ends or the batch hands over; for the survivors
     ``observations`` holds their latest observation.  Returns
     ``(survivors, ticks, inferences)``.
     """
     head = envs[0]
-    state = type(head)._gather_batch(list(envs))
+    state, obs = head.reset_batch(envs, seeds)
     alive = list(range(len(envs)))
     totals_alive = np.zeros(len(envs))
-    obs = np.array(observations, dtype=np.float64)
     tick = inferences = 0
     while True:
         inferences += len(alive)

@@ -38,14 +38,19 @@ class Space:
 
 
 class Box(Space):
-    """A bounded (possibly unbounded-componentwise) continuous vector space."""
+    """A bounded (possibly unbounded-componentwise) continuous vector space.
+
+    ``low`` and ``high`` are read-only copies: an environment class
+    shares one space between all its instances.
+    """
 
     def __init__(self, low, high, shape: tuple[int, ...] | None = None):
-        low = np.asarray(low, dtype=np.float64)
-        high = np.asarray(high, dtype=np.float64)
+        low = np.array(low, dtype=np.float64)
+        high = np.array(high, dtype=np.float64)
         if shape is not None:
             low = np.broadcast_to(low, shape).copy()
             high = np.broadcast_to(high, shape).copy()
+        low.flags.writeable = high.flags.writeable = False
         if low.shape != high.shape:
             raise ValueError(
                 f"low shape {low.shape} does not match high shape {high.shape}"

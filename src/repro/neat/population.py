@@ -55,6 +55,22 @@ class GenerationStats:
     population_size: int
     extras: dict[str, float] = field(default_factory=dict)
 
+    def publish(self) -> None:
+        """Count this generation and set the ``neat.*`` gauges from it.
+
+        The run's driver publishes the row it reports: one island's
+        own row under :meth:`Population.advance`, the row
+        :class:`~repro.core.platform.E3` hands its reporters (pooled
+        over the islands for K > 1) under ``E3``.
+        """
+        registry = get_metrics()
+        if registry is not None:
+            registry.counter("neat.generations").inc()
+            registry.gauge("neat.best_fitness").set(self.best_fitness)
+            registry.gauge("neat.mean_fitness").set(self.mean_fitness)
+            registry.gauge("neat.num_species").set(self.num_species)
+            registry.gauge("neat.population_size").set(self.population_size)
+
 
 @dataclass
 class RunResult:
@@ -183,6 +199,7 @@ class Population:
             evaluate(self.population)
 
         best = self.observe_evaluated()
+        self.history[-1].publish()
         self._evolve()
         return best
 
@@ -193,6 +210,8 @@ class Population:
         :class:`~repro.core.platform.E3`, which evaluates every island's
         population in one call, can observe each population between the
         shared evaluate call and the per-population :meth:`evolve`.
+        The generation's row is published by the driver (see
+        :meth:`GenerationStats.publish`).
         """
         missing = [g.key for g in self.population if g.fitness is None]
         if missing:
@@ -300,11 +319,4 @@ class Population:
             extras=extras,
         )
         self.history.append(stats)
-        registry = get_metrics()
-        if registry is not None:
-            registry.counter("neat.generations").inc()
-            registry.gauge("neat.best_fitness").set(stats.best_fitness)
-            registry.gauge("neat.mean_fitness").set(stats.mean_fitness)
-            registry.gauge("neat.num_species").set(stats.num_species)
-            registry.gauge("neat.population_size").set(stats.population_size)
         self.reporters.on_generation(stats)

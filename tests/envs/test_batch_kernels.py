@@ -1,10 +1,11 @@
-"""Structure-of-arrays env kernels against per-instance stepping.
+"""Structure-of-arrays env kernels against per-instance resets and steps.
 
-The kernels (``CartPole`` and ``LunarLander`` ``_step_batch``) and the
-batched head of :func:`run_lockstep` must be invisible: every row of a
-kernel step carries the bits of the same instance stepped alone, and
-every lock-step episode matches :func:`run_episode` on its own env.
-States and actions are generated; the terminal branches each physics
+The kernels (``CartPole`` and ``LunarLander`` ``_reset_batch`` and
+``_step_batch``) and the batched head of :func:`run_lockstep` must be
+invisible: every row of a kernel reset or step carries the bits of the
+same instance reset or stepped alone, and every lock-step episode
+matches :func:`run_episode` on its own env, generator included.  Seeds,
+states and actions are generated; the terminal branches each physics
 step can take are also pinned by hand-built states, so they are covered
 on every run and not only when generation happens to reach them.
 """
@@ -111,7 +112,12 @@ def _placed(env_cls, row, elapsed, kwargs):
 def _episode_state(env):
     while isinstance(env, FaultySensor):
         env = env.env
-    state = [env._state.tobytes(), env._elapsed_steps, env._needs_reset]
+    state = [
+        env._state.tobytes(),
+        env._elapsed_steps,
+        env._needs_reset,
+        env.rng.bit_generator.state,
+    ]
     if isinstance(env, LunarLander):
         prev = env._prev_shaping
         state.append(None if prev is None else (type(prev), float(prev).hex()))
@@ -160,6 +166,54 @@ class TestGeneratedKernelParity:
     @given(rows=cartpole_rows, elapsed=_elapsed(CartPole), kwargs=physics)
     def test_cartpole_physics_overrides(self, rows, elapsed, kwargs):
         _assert_kernel_matches_step(CartPole, rows, elapsed, kwargs)
+
+
+# ----------------------------------------------------- generated resets
+#: 63-bit seeds as the backends draw them, any seed the wave reset
+#: takes, and the edges where a seed's 32-bit word count changes
+reset_seeds = st.lists(
+    st.integers(0, 2**63 - 1)
+    | st.integers(0, 2**64 - 1)
+    | st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]),
+    min_size=1,
+    max_size=24,
+)
+
+
+def _assert_reset_batch_matches_reset(env_cls, seeds, kwargs=None):
+    """Reset each instance alone and all through the kernel; same bits."""
+    kwargs = kwargs or {}
+    alone = [env_cls(**kwargs) for _ in seeds]
+    observations = [env.reset(seed=seed) for env, seed in zip(alone, seeds)]
+
+    batch = [env_cls(**kwargs) for _ in seeds]
+    state, obs = batch[0].reset_batch(batch, seeds)
+    assert state.tobytes() == env_cls._gather_batch(alone).tobytes()
+    assert [row.tobytes() for row in obs] == [o.tobytes() for o in observations]
+    for env, row, reference in zip(batch, state, alone):
+        env.leave_batch(row, 0, False)
+        assert _episode_state(env) == _episode_state(reference)
+
+
+class TestGeneratedResetParity:
+    @settings(max_examples=100, deadline=None)
+    @given(seeds=reset_seeds)
+    def test_lunar_lander(self, seeds):
+        _assert_reset_batch_matches_reset(LunarLander, seeds)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seeds=reset_seeds, kwargs=physics)
+    def test_cartpole_physics_overrides(self, seeds, kwargs):
+        _assert_reset_batch_matches_reset(CartPole, seeds, kwargs)
+
+    @pytest.mark.parametrize("env_cls", [LunarLander, CartPole])
+    def test_unseeded_reset_after_a_wave_reset(self, env_cls):
+        """A later unseeded episode draws where the seeded one left off."""
+        alone, batched = env_cls(), env_cls()
+        alone.reset(seed=2**40 + 3)
+        batched.reset_batch([batched], [2**40 + 3])
+        assert batched.reset().tobytes() == alone.reset().tobytes()
+        assert _episode_state(batched) == _episode_state(alone)
 
 
 # ------------------------------------------------- every terminal branch

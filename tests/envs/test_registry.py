@@ -53,3 +53,23 @@ def test_spec_make_seeds():
     env2 = spec("pendulum").make(seed=5)
     obs_b = env2.reset()
     assert (obs_a == obs_b).all()
+
+
+#: physics overrides the model-tuning scenario passes, per env
+PHYSICS = {
+    "cartpole": dict(pole_mass=0.4, pole_half_length=0.8, force_mag=6.0),
+    "pendulum": dict(mass=1.4, length=1.2, gravity=9.0),
+}
+
+
+@pytest.mark.parametrize("name", registered_names())
+def test_instances_share_read_only_spaces(name):
+    a = make(name, seed=0)
+    b = make(name, seed=1, **PHYSICS.get(name, {}))
+    assert a.observation_space is b.observation_space
+    assert a.action_space is b.action_space
+    for space in (a.observation_space, a.action_space):
+        for bounds in (getattr(space, "low", None), getattr(space, "high", None)):
+            if bounds is not None:
+                with pytest.raises(ValueError, match="read-only"):
+                    bounds[0] = 0.0

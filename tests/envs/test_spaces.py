@@ -62,6 +62,14 @@ class TestBox:
         assert box.contains(box.clip(np.array([1e9])))
         assert box.contains(box.clip(np.array([-1e9])))
 
+    def test_box_bounds_are_read_only_copies(self):
+        low, high = np.array([-1.0, 0.0]), np.array([1.0, 2.0])
+        box = Box(low, high)
+        low[0] = -5.0  # the caller's arrays stay theirs, and writable
+        assert box.low[0] == -1.0
+        with pytest.raises(ValueError, match="read-only"):
+            box.high[1] = 3.0
+
 
 class TestDiscrete:
     def test_basic(self):

@@ -253,6 +253,41 @@ class TestOneRunLoop:
         with pytest.raises(AttributeError):
             _model(FarmTopology(devices=2, islands=2)).population
 
+    @pytest.mark.parametrize("islands", [1, 2])
+    def test_neat_metrics_describe_the_reported_row(self, islands):
+        """The ``neat.*`` metrics count the run's generations and hold
+        its last reported row: pooled over the islands for K > 1."""
+        session = TelemetrySession()
+        model = E3(
+            "cartpole",
+            backend="fabric",
+            topology=FarmTopology(
+                devices=2,
+                islands=islands,
+                migration_interval=1,
+                migration_size=1,
+            ),
+            neat_config=NEATConfig(population_size=24),
+            seed=3,
+            telemetry=session,
+        )
+        result = model.run(max_generations=2, fitness_threshold=float("inf"))
+        last = result.history[-1]
+        snapshot = session.metrics.snapshot()
+        assert snapshot["neat.generations"]["value"] == 2
+        published = {
+            field: snapshot[f"neat.{field}"]["value"]
+            for field in (
+                "best_fitness", "mean_fitness", "num_species", "population_size"
+            )
+        }
+        assert published == {
+            "best_fitness": last.best_fitness,
+            "mean_fitness": last.mean_fitness,
+            "num_species": float(last.num_species),
+            "population_size": 24.0,
+        }
+
     def test_pooled_row_covers_every_island(self):
         model = _model(FarmTopology(devices=2, islands=3), population=13)
         rows = []
