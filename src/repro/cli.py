@@ -337,7 +337,7 @@ def _add_resilience_args(command) -> None:
         "file written by FaultPlan.to_dict (see docs/resilience.md)",
     )
     command.add_argument(
-        "--fallback", default=None, choices=("cpu-fast", "cpu"),
+        "--fallback", default=None, choices=("cpu-fast",),
         help="inax backend only: degrade faulted/oversized waves to "
         "this bit-identical software path instead of aborting",
     )

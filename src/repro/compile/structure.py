@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.inax.accelerator import INAXConfig, _static_pe_active
+from repro.inax.accelerator import INAXConfig
 from repro.inax.compiler import ConfigWords, HWNetConfig
-from repro.inax.pu import _static_step_cycles
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
 from repro.neat.network import FeedForwardNetwork, NodeEval
@@ -63,8 +62,8 @@ class ShapeCost(ConfigWords):
     :class:`~repro.hw.workload.IndividualWork` records, under the names
     :class:`~repro.inax.compiler.HWNetConfig` gives them, and the buffer
     words the device's oversize gate reads (:class:`ConfigWords`), and
-    :meth:`timing` memoizes the static per-inference timing computed by
-    the device's own ``_static_step_cycles`` and ``_static_pe_active``.
+    :meth:`timing` memoizes :meth:`ConfigWords.timing`, the device's own
+    static per-inference timing.
     It holds no weights and no execution plan, so a generation record
     may keep it, with its members' parameters, after the compile cache
     evicts its structure.
@@ -109,12 +108,7 @@ class ShapeCost(ConfigWords):
         its one INAX configuration for every genome of the shape.
         """
         if hw is not self._timed_for:
-            self._timing = (
-                _static_step_cycles(
-                    self, hw.num_pes_per_pu, hw.pe_costs, hw.pu_costs
-                ),
-                _static_pe_active(self, hw.pe_costs),
-            )
+            self._timing = super().timing(hw)
             self._timed_for = hw
         return self._timing
 

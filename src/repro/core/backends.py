@@ -13,24 +13,25 @@ run "evaluate":
   :class:`~repro.compile.CompiledPopulationEvaluator`, and optionally
   shard the population across a ``multiprocessing`` pool.  Fitness
   trajectories are bit-identical to :class:`CPUBackend`;
-* :class:`INAXBackend` — the co-designed path (E3-INAX): lower each
-  genome to a HW configuration through the same shape-keyed cache,
-  dispatch the population in waves to the functional INAX device, and
-  account every wave's cycles until its last episode terminates.  When
-  nothing about the run can make the data matter, the generation's
-  episodes run in one lock-step pass on the compiled engine and each
-  device wave replays its cycle accounting from the episode lengths;
-  otherwise the device steps each wave through the closed CPU<->FPGA
-  loop.  Its dispatch loop is the only one: it drains per-device wave
-  queues over a farm of one device, asking overridable hooks where the
-  waves go, whether a device answers its probe, whether a faulted
-  device is evicted and which report closes the generation, and the
-  ``fabric`` backend (:mod:`repro.fabric.backend`) answers them for N
-  devices.
+* :class:`INAXBackend` — the co-designed path (E3-INAX): compile each
+  genome through the same shape-keyed cache, dispatch the population in
+  waves to the functional INAX device, and account every wave's cycles
+  until its last episode terminates.  When nothing about the run can
+  make the data matter, the generation's episodes run in one lock-step
+  pass on the compiled engine and each device wave is priced in closed
+  form from its shapes' costs and episode lengths; otherwise the
+  device loads each wave's HW configurations and steps it through the
+  closed CPU<->FPGA loop.  Its dispatch loop is the only one: it drains
+  per-device wave queues over a farm of one device, asking overridable
+  hooks where the waves go, whether a device answers its probe,
+  whether a faulted device is evicted and which report closes the
+  generation, and the ``fabric`` backend (:mod:`repro.fabric.backend`)
+  answers them for N devices.
 
 :class:`CompiledCPUBackend` and :class:`INAXBackend` share one compile
-cache plumbing and one lock-step episode helper
-(:meth:`_CompiledBackend._episode_records`).
+cache plumbing, one lock-step episode helper
+(:meth:`_CompiledBackend._episode_records`) and one compact record
+(:meth:`_CompiledBackend._record_compiled`).
 
 :func:`create_backend` is the one way to build a backend by name: it
 resolves :data:`ALIASES`, hands each class only the shared options its
@@ -47,12 +48,13 @@ Every backend also records the generation's *workload* (for the
 CPU/GPU cost models) and, when an INAX configuration is attached, its
 cycle report (for E3-INAX pricing): the device backends record their
 device's own report, and the software backends price the generation
-inline with the closed-form :func:`schedule_generation` — this is what
-the Fig 9/10 benchmark harnesses consume.  The compiled backends price
-and record from each shape's
+inline in closed form, wave-episode by wave-episode as the device
+dispatches it — this is what the Fig 9/10 benchmark harnesses consume.
+The compiled backends price and record from each shape's
 :class:`~repro.compile.structure.ShapeCost`, and a ``cpu-compiled``
-generation builds no :class:`~repro.inax.compiler.HWNetConfig` unless
-its record's ``configs`` are read; until then the record keeps only the
+generation, like a replayed ``inax`` or ``fabric`` one, builds no
+:class:`~repro.inax.compiler.HWNetConfig` unless its record's
+``configs`` are read; until then the record keeps only the
 generation's parameters, in one array.
 """
 
@@ -78,7 +80,13 @@ from repro.envs.base import Environment
 from repro.envs.registry import make
 from repro.envs.rollout import EpisodeRecord, run_episode, run_lockstep
 from repro.hw.workload import GenerationWorkload, IndividualWork
-from repro.inax.accelerator import INAX, INAXConfig, schedule_generation
+from repro.inax.accelerator import (
+    INAX,
+    INAXConfig,
+    pack_generation,
+    schedule_generation,
+    schedule_waves,
+)
 from repro.inax.compiler import HWNetConfig, compile_genome
 from repro.inax.heuristics import choose_num_pes
 from repro.inax.pipeline import PipelineConfig, pack_waves, predict_costs
@@ -334,13 +342,6 @@ class EvaluationBackend:
             for episode in episodes
         ]
 
-    def _interpreted_fitness(self, genome: Genome) -> tuple[float, int]:
-        """All of ``genome``'s episodes on the interpreted network.
-
-        Returns (fitness, total steps), summed by :func:`_fitness_of`.
-        """
-        return _fitness_of(self._interpreted_records(genome))
-
     def _make_env(self) -> Environment:
         env = make(self.env_name, **self.env_kwargs)
         # env-level faults apply identically on every backend (and inside
@@ -378,13 +379,6 @@ class EvaluationBackend:
             events.extend(self.fault_plan.event_log())
         return events
 
-    def _timing_hooks(self) -> tuple[Callable | None, Callable | None]:
-        """:func:`schedule_generation`'s ``(step_cycles_fn,
-        pe_active_fn)`` for the shapes this backend records.  The base
-        backend records HW configs, which the closed form times on its
-        own default path."""
-        return None, None
-
     def _predict_costs(
         self, shapes: list, keys: list[int]
     ) -> list[float | None] | None:
@@ -404,7 +398,7 @@ class EvaluationBackend:
     def _record(
         self,
         shapes: list,
-        episode_lengths: list[int],
+        steps: list[list[int]],
         keys: list[int],
         configs: list[HWNetConfig] | Callable[[], list[HWNetConfig]],
         predicted_costs: list[float | None] | None = None,
@@ -412,43 +406,71 @@ class EvaluationBackend:
     ) -> GenerationRecord:
         """Record the generation with its cycle report.
 
-        ``shapes`` (HW configs, or the compiled backends' shape costs)
-        and ``keys`` (genome keys) align with the individuals; the keys
+        ``shapes`` (HW configs, or the compiled backends' shape costs),
+        ``steps`` (each individual's steps, one entry per episode) and
+        ``keys`` (genome keys) align with the individuals; the keys
         feed the LPT cost predictor for the *next* generation.
         ``configs`` becomes the record's ``configs`` (see
         :class:`GenerationRecord`).  The device backends pass their
         device's ``cycle_report`` and the ``predicted_costs`` their
         packer used.  Without a report, a backend with an INAX config
-        prices the generation here with the closed-form
-        :func:`schedule_generation`, timing ``shapes`` through
-        :meth:`_timing_hooks`.
+        prices the generation here in closed form (:meth:`_price`).
         """
+        lengths = [sum(episodes) for episodes in steps]
         if cycle_report is None and self.inax_config is not None:
             # software backends model the dispatch the device would run;
             # predictions must come from *pre-update* history, exactly
             # like the device packs before evaluating
             predicted_costs = self._predict_costs(shapes, keys)
-            step_cycles, pe_active = self._timing_hooks()
-            cycle_report = schedule_generation(
-                self.inax_config,
-                shapes,
-                episode_lengths,
-                step_cycles_fn=step_cycles,
-                pe_active_fn=pe_active,
-                pipeline=self.pipeline,
-                predicted_costs=predicted_costs,
+            cycle_report = self._price(
+                shapes, steps, lengths, predicted_costs
             )
         record = GenerationRecord(
             shapes,
-            episode_lengths,
+            lengths,
             configs,
             cycle_report=cycle_report,
             predicted_costs=predicted_costs,
         )
-        self._last_lengths = dict(zip(keys, episode_lengths))
+        self._last_lengths = dict(zip(keys, lengths))
         self.records.append(record)
         self._generation += 1
         return record
+
+    def _price(
+        self,
+        shapes: list,
+        steps: list[list[int]],
+        lengths: list[int],
+        predicted_costs: list[float | None] | None,
+    ) -> CycleReport:
+        """The generation's cycles, priced as the device dispatches it.
+
+        The device packs its waves once, by ``predicted_costs``, and
+        dispatches each wave once per episode, in queue order ``(wave,
+        episode)``; with prefetch every wave-episode after the first
+        hides its set-up behind the one before.  With one episode per
+        genome that is :func:`schedule_generation` itself.
+        """
+        hw, pipeline = self.inax_config, self.pipeline
+        if self.episodes_per_genome == 1:
+            return schedule_generation(
+                hw, shapes, lengths,
+                pipeline=pipeline, predicted_costs=predicted_costs,
+            )
+        _, waves = pack_generation(
+            hw, shapes, lengths, pipeline.schedule,
+            predicted_costs=predicted_costs,
+        )
+        # individual i's episode e is entry e * n + i
+        n, episodes = len(shapes), range(self.episodes_per_genome)
+        return schedule_waves(
+            hw,
+            shapes * len(episodes),
+            [steps[i][e] for e in episodes for i in range(n)],
+            [[e * n + i for i in wave] for wave in waves for e in episodes],
+            prefetch=pipeline.prefetch,
+        )
 
 
 def _fitness_of(records: list[EpisodeRecord]) -> tuple[float, int]:
@@ -478,12 +500,13 @@ class CPUBackend(EvaluationBackend):
 
     def _evaluate(self, genomes: list[Genome]) -> None:
         configs: list[HWNetConfig] = []
-        lengths: list[int] = []
+        steps: list[list[int]] = []
         for genome in genomes:
             configs.append(compile_genome(genome, self.neat_config))
-            genome.fitness, steps = self._interpreted_fitness(genome)
-            lengths.append(steps)
-        self._record(configs, lengths, [g.key for g in genomes], configs)
+            records = self._interpreted_records(genome)
+            genome.fitness, _ = _fitness_of(records)
+            steps.append([record.steps for record in records])
+        self._record(configs, steps, [g.key for g in genomes], configs)
 
 
 class _CompiledBackend(EvaluationBackend):
@@ -558,13 +581,33 @@ class _CompiledBackend(EvaluationBackend):
             ]
         return entries, [entry.cost for entry in entries]
 
-    def _timing_hooks(self) -> tuple[Callable, Callable]:
-        """Each shape's memoized ``(cycles, PE activity)`` under the
-        backend's INAX config."""
-        hw = self.inax_config
-        return (
-            lambda shape: shape.timing(hw)[0],
-            lambda shape: shape.timing(hw)[1],
+    def _record_compiled(
+        self,
+        genomes: list[Genome],
+        entries: list,
+        steps: list[list[int]],
+        **device,
+    ) -> GenerationRecord:
+        """Record ``genomes`` from their compiled ``entries``: the
+        record keeps their shape costs and their parameters, copied now
+        into one array, and lowers its ``configs`` from them only when
+        they are read, so it keeps no genome alive.  ``device`` is the
+        device backends' report and predictions (:meth:`_record`)."""
+        parameters = np.array(
+            [
+                value
+                for entry, genome in zip(entries, genomes)
+                for value in entry.parameters(genome)
+            ],
+            dtype=np.float64,
+        )
+        shapes = [entry.cost for entry in entries]
+        return self._record(
+            shapes,
+            steps,
+            [g.key for g in genomes],
+            lambda: hw_configs(shapes, parameters),
+            **device,
         )
 
     def _episode_records(
@@ -686,7 +729,7 @@ def _fastcpu_worker_init(
 
 def _fastcpu_worker_evaluate(
     task: tuple[list[Genome], bool, str, int],
-) -> tuple[list[tuple[int, float, int]], dict]:
+) -> tuple[list[tuple[int, float, list[int]]], dict]:
     """Evaluate one shard; returns (per-genome rows, shard telemetry).
 
     The telemetry payload carries the worker-side wall seconds, the
@@ -713,7 +756,7 @@ def _fastcpu_worker_evaluate(
     previous = set_metrics(registry) if want_metrics else None
     t0 = time.perf_counter()
     try:
-        fitnesses, lengths = backend._fitness_for(genomes)
+        fitnesses, steps = backend._fitness_for(genomes)
     finally:
         if want_metrics:
             set_metrics(previous)
@@ -737,8 +780,8 @@ def _fastcpu_worker_evaluate(
     reported["hits"] = info["hits"]
     reported["misses"] = info["misses"]
     rows = [
-        (genome.key, fitness, length)
-        for genome, fitness, length in zip(genomes, fitnesses, lengths)
+        (genome.key, fitness, episodes)
+        for genome, fitness, episodes in zip(genomes, fitnesses, steps)
     ]
     return rows, telemetry
 
@@ -897,46 +940,32 @@ class CompiledCPUBackend(_CompiledBackend):
 
     # -------------------------------------------------------- evaluation
     def _evaluate(self, genomes: list[Genome]) -> None:
-        entries, shapes = self._lower(genomes)
+        entries, _ = self._lower(genomes)
         if self.workers > 1 and len(genomes) > 1:
-            fitnesses, lengths = self._fitness_sharded(genomes)
+            fitnesses, steps = self._fitness_sharded(genomes)
         else:
-            fitnesses, lengths = self._fitness_for(genomes, entries=entries)
+            fitnesses, steps = self._fitness_for(genomes, entries=entries)
         for genome, fitness in zip(genomes, fitnesses):
             genome.fitness = fitness
         self._publish_compile_gauges()
-        # the record lowers its configs, if they are read, from the
-        # shapes and these values, copied now: it keeps no genome alive
-        parameters = np.array(
-            [
-                value
-                for entry, genome in zip(entries, genomes)
-                for value in entry.parameters(genome)
-            ],
-            dtype=np.float64,
-        )
-        self._record(
-            shapes,
-            lengths,
-            [g.key for g in genomes],
-            lambda: hw_configs(shapes, parameters),
-        )
+        self._record_compiled(genomes, entries, steps)
 
     def _fitness_for(
         self, genomes: list[Genome], entries=None
-    ) -> tuple[list[float], list[int]]:
-        """Evaluate ``genomes`` in-process; returns (fitnesses, lengths).
+    ) -> tuple[list[float], list[list[int]]]:
+        """Evaluate ``genomes`` in-process; returns (fitnesses, steps),
+        each genome's steps one entry per episode.
 
         ``entries`` are the genomes' compiled structures when the caller
         already looked them up.  Each genome's records sum through
-        :func:`_fitness_of`, like :meth:`_interpreted_fitness`, so the
+        :func:`_fitness_of`, like the interpreted path's, so the
         resulting floats are bit-identical.
         """
-        results = [
-            _fitness_of(records)
-            for records in self._episode_records(genomes, entries)
-        ]
-        return [f for f, _ in results], [steps for _, steps in results]
+        fitnesses, steps = [], []
+        for records in self._episode_records(genomes, entries):
+            fitnesses.append(_fitness_of(records)[0])
+            steps.append([record.steps for record in records])
+        return fitnesses, steps
 
     def _make_pool(self):
         """Build a fresh initialized worker pool (supervisor factory)."""
@@ -969,10 +998,10 @@ class CompiledCPUBackend(_CompiledBackend):
         the parent's own cache (counted by :meth:`compile_cache_info`
         already), so the telemetry payload carries zero deltas.
         """
-        fitnesses, lengths = self._fitness_for(genomes)
+        fitnesses, steps = self._fitness_for(genomes)
         rows = [
-            (genome.key, fitness, length)
-            for genome, fitness, length in zip(genomes, fitnesses, lengths)
+            (genome.key, fitness, episodes)
+            for genome, fitness, episodes in zip(genomes, fitnesses, steps)
         ]
         telemetry = {
             "site": site,
@@ -986,7 +1015,7 @@ class CompiledCPUBackend(_CompiledBackend):
 
     def _fitness_sharded(
         self, genomes: list[Genome]
-    ) -> tuple[list[float], list[int]]:
+    ) -> tuple[list[float], list[list[int]]]:
         """Shard the population across the supervised worker pool.
 
         The :class:`ShardSupervisor` watches each shard with a timeout,
@@ -1029,16 +1058,16 @@ class CompiledCPUBackend(_CompiledBackend):
             fallback,
             site_prefix=f"gen={generation}|",
         )
-        merged: dict[int, tuple[float, int]] = {}
+        merged: dict[int, tuple[float, list[int]]] = {}
         payloads: list[dict] = []
         for shard_rows, shard_telemetry in results:
-            for key, fitness, length in shard_rows:
-                merged[key] = (fitness, length)
+            for key, fitness, episodes in shard_rows:
+                merged[key] = (fitness, episodes)
             payloads.append(shard_telemetry)
         self._merge_shard_telemetry(payloads)
         fitnesses = [merged[g.key][0] for g in genomes]
-        lengths = [merged[g.key][1] for g in genomes]
-        return fitnesses, lengths
+        steps = [merged[g.key][1] for g in genomes]
+        return fitnesses, steps
 
     def _merge_shard_telemetry(self, payloads: list[dict]) -> None:
         """Fold worker-side telemetry into the parent's accumulators.
@@ -1138,12 +1167,12 @@ class INAXBackend(_CompiledBackend):
         the fitness without evaluating, so selection prunes oversized
         topologies — the resource pressure a deployed E3 would apply.
 
-        ``fallback`` (``"cpu-fast"`` or ``"cpu"``) arms graceful
-        degradation: a wave that hits a device fault
-        (:class:`DeviceFault`, :class:`BufferOverflowError`) re-runs on
-        the bit-identical software path instead of aborting, and an
-        oversized genome under ``oversize_policy="raise"`` is evaluated
-        in software rather than killing the run.  :attr:`oversize_count`
+        ``fallback="cpu-fast"`` arms graceful degradation: a wave that
+        hits a device fault (:class:`DeviceFault`,
+        :class:`BufferOverflowError`) re-runs on the bit-identical
+        software path instead of aborting, and an oversized genome
+        under ``oversize_policy="raise"`` is evaluated in software
+        rather than killing the run.  :attr:`oversize_count`
         is cumulative over the backend's lifetime — it is never reset,
         so per-generation deltas come from successive reporter rows."""
         if oversize_policy not in ("raise", "penalize"):
@@ -1151,10 +1180,9 @@ class INAXBackend(_CompiledBackend):
                 f"unknown oversize_policy {oversize_policy!r}; "
                 "use 'raise' or 'penalize'"
             )
-        if fallback not in (None, "cpu-fast", "cpu"):
+        if fallback not in (None, "cpu-fast"):
             raise ValueError(
-                f"unknown fallback {fallback!r}; use 'cpu-fast', 'cpu', "
-                "or None"
+                f"unknown fallback {fallback!r}; use 'cpu-fast' or None"
             )
         inax_config = inax_config or INAXConfig()
         super().__init__(
@@ -1230,24 +1258,19 @@ class INAXBackend(_CompiledBackend):
 
     def _gate_oversize(
         self, genomes: list[Genome]
-    ) -> tuple[list[Genome], list[HWNetConfig], list[ShapeCost], list]:
+    ) -> tuple[list[Genome], list]:
         """Apply the buffer-capacity gate (§IV-D) to the shapes' words.
 
-        Returns the runnable genomes with their HW configs (lowered
-        here, for the devices to load), shape costs and compiled
-        structures; oversized genomes are resolved here (software
-        fallback or penalty) per ``oversize_policy``.
+        Returns the runnable genomes with their compiled structures;
+        oversized genomes are resolved here (software fallback or
+        penalty) per ``oversize_policy``.
         """
         all_entries, all_shapes = self._lower(genomes)
         runnable: list[Genome] = []
-        configs: list[HWNetConfig] = []
-        shapes: list[ShapeCost] = []
         entries: list = []
         for genome, shape, entry in zip(genomes, all_shapes, all_entries):
             if self._fits_buffers(shape):
                 runnable.append(genome)
-                configs.append(entry.hw_config(genome))
-                shapes.append(shape)
                 entries.append(entry)
                 continue
             site = f"gen={self._generation}|genome={genome.key}"
@@ -1262,7 +1285,9 @@ class INAXBackend(_CompiledBackend):
             if self.oversize_policy == "raise":
                 # degradation ladder: an unrunnable genome evaluates in
                 # software instead of aborting the whole run
-                genome.fitness, _ = self._interpreted_fitness(genome)
+                genome.fitness, _ = _fitness_of(
+                    self._interpreted_records(genome)
+                )
                 self.fallback_genomes += 1
                 self._event(
                     "fallback.oversize", site,
@@ -1274,7 +1299,7 @@ class INAXBackend(_CompiledBackend):
                     "inax.oversize", site,
                     penalty=self.oversize_penalty,
                 )
-        return runnable, configs, shapes, entries
+        return runnable, entries
 
     def _evaluate(self, genomes: list[Genome]) -> None:
         """The one device dispatch loop, over per-device wave queues.
@@ -1293,17 +1318,19 @@ class INAXBackend(_CompiledBackend):
         generation = self._generation
         self._begin_generation(generation)
         # buffer-capacity gate (§IV-D: finite weight/value buffers)
-        runnable, configs, shapes, entries = self._gate_oversize(genomes)
+        runnable, entries = self._gate_oversize(genomes)
 
-        lengths = [0] * len(runnable)
+        steps = [[0] * self.episodes_per_genome for _ in runnable]
         rewards = [0.0] * len(runnable)
-        keys = [g.key for g in runnable]
 
         with self._functional_pass(runnable, entries):
             # wave packing happens *before* evaluation, off last-generation
             # episode lengths — exactly what the analytic scheduler replays
             with _span("inax.pack", genomes=len(runnable)):
-                predicted = self._predict_costs(shapes, keys)
+                predicted = self._predict_costs(
+                    [entry.cost for entry in entries],
+                    [g.key for g in runnable],
+                )
                 waves = pack_waves(
                     predicted
                     if predicted is not None
@@ -1332,7 +1359,7 @@ class INAXBackend(_CompiledBackend):
                             records = self._device_wave_episode(
                                 self.farm[device],
                                 wave,
-                                [configs[i] for i in indices],
+                                [entries[i] for i in indices],
                                 episode,
                                 prefetched=prefetched,
                             )
@@ -1346,7 +1373,7 @@ class INAXBackend(_CompiledBackend):
                         dispatched[device] += 1
                         for slot, record in enumerate(records):
                             rewards[indices[slot]] += record.total_reward
-                            lengths[indices[slot]] += record.steps
+                            steps[indices[slot]][episode] = record.steps
                         if episode + 1 < self.episodes_per_genome:
                             queue[0] = (ordinal, episode + 1)
                         else:
@@ -1354,11 +1381,10 @@ class INAXBackend(_CompiledBackend):
 
         for genome, reward in zip(runnable, rewards):
             genome.fitness = reward / self.episodes_per_genome
-        record = self._record(
-            shapes,
-            lengths,
-            keys,
-            configs,
+        record = self._record_compiled(
+            runnable,
+            entries,
+            steps,
             predicted_costs=predicted,
             cycle_report=self._finish_generation(generation),
         )
@@ -1479,11 +1505,9 @@ class INAXBackend(_CompiledBackend):
         wave).  Fresh envs + the same per-(genome, episode) seeds make
         the records bit-identical to what the device would have
         produced (the backend-parity contract), no matter how far the
-        faulted wave got.  ``fallback="cpu-fast"`` runs it through the
-        backend's own compile cache and :meth:`_episode_records`;
-        ``fallback="cpu"`` runs each genome's episode through
-        :meth:`_interpreted_records`, the interpreted oracle's one
-        episode loop.
+        faulted wave got.  The re-run goes through the backend's own
+        compile cache and :meth:`_episode_records`, which runs shapes
+        that do not vectorize on the interpreted oracle.
         """
         if self.fallback is None:
             raise error
@@ -1495,23 +1519,16 @@ class INAXBackend(_CompiledBackend):
             error=type(error).__name__,
             genomes=len(genomes),
         )
-        if self.fallback == "cpu-fast":
-            return [
-                records[0]
-                for records in self._episode_records(
-                    genomes, episodes=[episode]
-                )
-            ]
         return [
-            self._interpreted_records(genome, [episode])[0]
-            for genome in genomes
+            records[0]
+            for records in self._episode_records(genomes, episodes=[episode])
         ]
 
     def _device_wave_episode(
         self,
         device: INAX,
         genomes: list[Genome],
-        configs: list[HWNetConfig],
+        entries: list,
         episode: int,
         prefetched: bool = False,
     ):
@@ -1519,19 +1536,25 @@ class INAXBackend(_CompiledBackend):
 
         The one place a wave-episode's execution is chosen.  Inside a
         live :meth:`_functional_pass` the records come from the pass
-        and ``device`` replays the wave from their lengths; otherwise
-        ``device`` steps the wave in lock-step.  The fresh-env +
-        per-(genome, episode) seed discipline makes either way, on any
-        device of the farm, produce bit-identical episode records for
-        the same wave.
+        and ``device`` replays the wave from their lengths and the
+        genomes' shape costs; otherwise the genomes are lowered from
+        their compiled ``entries`` for ``device`` to load, and it steps
+        the wave in lock-step.  The fresh-env + per-(genome, episode)
+        seed discipline makes either way, on any device of the farm,
+        produce bit-identical episode records for the same wave.
         """
         if self._pass_records is not None:
             records = [self._pass_records[id(g)][episode] for g in genomes]
             device.replay_wave(
-                configs, [r.steps for r in records], prefetched=prefetched
+                [entry.cost for entry in entries],
+                [r.steps for r in records],
+                prefetched=prefetched,
             )
             return records
-        device.begin_wave(configs, prefetched=prefetched)
+        device.begin_wave(
+            [entry.hw_config(g) for entry, g in zip(entries, genomes)],
+            prefetched=prefetched,
+        )
         envs = [self._make_env() for _ in genomes]
         seeds = [self._episode_seed(genome, episode) for genome in genomes]
         episode_records = run_lockstep(envs, device.step, seeds=seeds)

@@ -138,8 +138,8 @@ class E3:
 
         The resilience knobs (see ``docs/resilience.md``): ``fault_plan``
         arms a seeded :class:`~repro.resilience.faults.FaultPlan` for
-        chaos runs; ``fallback`` (``"cpu-fast"`` or ``"cpu"``) lets the
-        ``inax`` backend degrade faulted waves to the software path;
+        chaos runs; ``fallback="cpu-fast"`` lets the ``inax`` backend
+        degrade faulted waves to the software path;
         ``supervisor`` tunes the software shard watchdog *and* the
         fabric device supervisor — the shared
         :class:`~repro.resilience.supervisor.SupervisorConfig`.

@@ -13,20 +13,20 @@ Two execution paths are provided:
   6/7/9(a)/11 sweeps), exploiting the fact that an individual's
   per-inference latency is input-independent.
 
-Both paths share the same per-PU timing semantics, and the tests assert
-they agree cycle-for-cycle.
-
-The stepwise device drives a wave one of two ways, with identical cycle
-reports and wave spans.  :meth:`INAX.step` is the reference: each live
-slot's :meth:`~repro.inax.pu.ProcessingUnit.infer` runs node by node on
-its PEs.  When nothing about a wave can make the data matter (no fault
-injector, no fixed-point ``datapath``, no ``skip_zero_activations``),
-a slot's outputs depend on no other slot and its per-step latency is
-static, so the host computes the episodes elsewhere (the backends run a
-whole generation in one lock-step pass) and :meth:`INAX.replay_wave`
-charges the wave from its configurations and episode lengths alone:
-step ``t`` runs every slot whose episode outlives ``t``, through the
-same per-step accounting :meth:`INAX.step` uses.
+One closed-form wave pricer, a set-up half (:func:`_price_setup`) and
+a compute half over the wave's episode-length horizons
+(:func:`_price_compute`), prices every wave that is not stepped.  The
+analytic scheduler prices through it, and so does the device when
+nothing about a wave can make the data matter (no fault injector, no
+fixed-point ``datapath``, no ``skip_zero_activations``): a slot's
+outputs then depend on no other slot and its per-step latency is
+static, so the host computes the episodes elsewhere (the backends run
+a whole generation in one lock-step pass) and :meth:`INAX.replay_wave`
+prices the wave from its members' cost descriptors and episode
+lengths.  :meth:`INAX.step` is the independent reference: each live
+slot's :meth:`~repro.inax.pu.ProcessingUnit.infer` runs node by node
+on its PEs, and the tests assert the two agree cycle for cycle and
+span for span.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.inax.compiler import HWNetConfig
 from repro.inax.dma import DMAModel
 from repro.inax.pe import PECosts
 from repro.inax.pipeline import PipelineConfig, pack_waves
-from repro.inax.pu import ProcessingUnit, PUCosts, _static_step_cycles
+from repro.inax.pu import ProcessingUnit, PUCosts
 from repro.inax.timing import CycleReport
 from repro.telemetry.spans import get_tracer
 
@@ -183,8 +183,8 @@ class INAX:
         """Set-up phase: dispatch up to ``num_pus`` individuals.
 
         The batch "is controlled to match the number of PUs" (§IV-C2).
-        Configuration words stream over the shared weight channel
-        (serialized); each PU decodes its own individual in parallel.
+        Each PU loads its own individual; :func:`_price_setup` charges
+        the set-up.
 
         With ``prefetched`` the controller double-buffered this wave's
         DMA/decode behind the *previous* wave's compute window, so only
@@ -193,6 +193,22 @@ class INAX:
         :attr:`CycleReport.prefetch_hidden_cycles`.  The first wave of a
         generation has no window and must not pass ``prefetched``.
         """
+        self._open_wave(configs)
+        for pu, cfg in zip(self.pus, configs):
+            pu.load(cfg)
+        if self.fault_injector is not None:
+            for slot in range(len(configs)):
+                self.fault_injector.on_load(
+                    self.pus[slot], self._wave_index, slot
+                )
+        self._set_up(prefetched)
+        if self._tracing:
+            self._slot_last_active = [self._cycle] * len(configs)
+            self._slot_active_cycles = [0] * len(configs)
+            self._slot_steps = [0] * len(configs)
+
+    def _open_wave(self, configs: list) -> None:
+        """Check the handshake and the wave's width, then open it."""
         if self._wave_slots:
             raise RuntimeError(
                 "a wave is already in progress; the controller requires "
@@ -208,40 +224,21 @@ class INAX:
         self._wave_slots = list(configs)
         self._wave_index += 1
         self._wave_step = 0
-        decode_cycles = []
-        for pu, cfg in zip(self.pus, configs):
-            decode_cycles.append(pu.load(cfg))
-        if self.fault_injector is not None:
-            for slot in range(len(configs)):
-                self.fault_injector.on_load(
-                    self.pus[slot], self._wave_index, slot
-                )
-        dma_cycles = self.config.dma.transfer_cycles(
-            sum(c.config_words for c in configs)
+
+    def _set_up(self, prefetched: bool) -> None:
+        """Charge the open wave's set-up and start its timeline."""
+        exposed, hidden = _price_setup(
+            self.config,
+            self._wave_slots,
+            self.report,
+            self._prev_wave_compute if prefetched else 0,
         )
-        setup_wall = dma_cycles + max(decode_cycles)
-        if prefetched:
-            exposed = max(0, setup_wall - self._prev_wave_compute)
-        else:
-            exposed = setup_wall
-        hidden = setup_wall - exposed
         self._compute_since_setup = 0
-        self.report.setup_cycles += exposed
-        self.report.prefetch_hidden_cycles += hidden
-        self.report.pu_provisioned_cycles += self.config.num_pus * exposed
-        self.report.pu_active_cycles += len(configs) * exposed
-        self.report.individuals += len(configs)
-        self.report.waves += 1
         self._tracing = get_tracer() is not None
         self._wave_start_cycle = self._cycle
         self._wave_setup_cycles = exposed
         self._wave_hidden_setup = hidden
         self._cycle += exposed
-        if self._tracing:
-            end_of_setup = self._cycle
-            self._slot_last_active = [end_of_setup] * len(configs)
-            self._slot_active_cycles = [0] * len(configs)
-            self._slot_steps = [0] * len(configs)
 
     def step(self, slots: list[int], obs: np.ndarray) -> np.ndarray:
         """One synchronized inference across the wave's live slots.
@@ -251,7 +248,8 @@ class INAX:
         are left out and idle), row ``i`` of ``obs`` is ``slots[i]``'s
         observation and row ``i`` of the result its output vector.
         Each live slot's PU infers its own row; fault hooks fire per
-        slot in slot order.
+        slot in slot order.  The step is charged here, as it runs: the
+        reference the closed-form wave pricer is checked against.
         """
         if not self._wave_slots:
             raise RuntimeError("no wave in progress; call begin_wave() first")
@@ -286,97 +284,15 @@ class INAX:
             pe_active += timing.pe_active_cycles
             in_words += self._wave_slots[slot].num_inputs
             out_words += self._wave_slots[slot].num_outputs
-        # a dropped input transfer is re-sent; the retry serializes on
-        # the shared input channel
-        retries = (
-            injector.input_retries(wave, step_index)
-            if injector is not None
-            else 0
-        )
-        self._charge_step(
-            slots,
-            slot_cycles,
-            (slowest, pe_active, sum(slot_cycles), in_words, out_words),
-            retries,
-        )
-        return np.array(rows, dtype=np.float64)
-
-    def replay_wave(
-        self,
-        configs: list[HWNetConfig],
-        lengths: list[int],
-        prefetched: bool = False,
-    ) -> None:
-        """Run one whole wave from its episode lengths, without inputs.
-
-        Opens the wave exactly like :meth:`begin_wave` (``prefetched``
-        included), charges step ``t`` to every slot whose episode is
-        longer than ``t``, each at its input-independent latency
-        (``_static_step_cycles``) and PE activity (``_static_pe_active``),
-        and closes it with :meth:`end_wave`.  The live sets are the ones
-        :func:`repro.envs.rollout.run_lockstep` would hand :meth:`step`,
-        and every step goes through the same accounting, so the report,
-        the prefetch window and the wave spans equal a stepped wave's.
-        Only valid while :attr:`replayable` holds.
-        """
-        if len(lengths) != len(configs):
-            raise ValueError("need one episode length per configuration")
-        if any(length < 1 for length in lengths):
-            raise ValueError("episode lengths must be >= 1")
-        if not self.replayable:
-            raise RuntimeError(
-                "replay_wave needs a device whose data cannot matter: "
-                "no fault injector, datapath or skip_zero_activations"
-            )
-        self.begin_wave(configs, prefetched=prefetched)
-        cfg = self.config
-        static = [
-            (
-                _static_step_cycles(
-                    c, cfg.num_pes_per_pu, cfg.pe_costs, cfg.pu_costs
-                ),
-                _static_pe_active(c, cfg.pe_costs),
-            )
-            for c in configs
-        ]
-        live = list(range(len(configs)))
-        done = 0
-        for horizon in sorted(set(lengths)):
-            # the live set holds until the next episode ends
-            slot_cycles = [static[slot][0] for slot in live]
-            timing = (
-                max(slot_cycles),
-                sum(static[slot][1] for slot in live),
-                sum(slot_cycles),
-                sum(configs[slot].num_inputs for slot in live),
-                sum(configs[slot].num_outputs for slot in live),
-            )
-            for _ in range(horizon - done):
-                self._charge_step(live, slot_cycles, timing)
-            done = horizon
-            live = [slot for slot in live if lengths[slot] > horizon]
-        self.end_wave()
-
-    def _charge_step(
-        self,
-        slots: list[int],
-        slot_cycles: list[int],
-        timing: tuple[int, int, int, int, int],
-        input_retries: int = 0,
-    ) -> None:
-        """Charge one synchronized step to the report and the timeline.
-
-        ``slot_cycles[i]`` is ``slots[i]``'s active cycles this step;
-        ``timing`` is ``(slowest, pe_active, pu_active, in_words,
-        out_words)`` over the live slots.  ``input_retries`` re-sends
-        of the input block serialize on the input channel.
-        """
-        slowest, pe_active, pu_active, in_words, out_words = timing
         cfg = self.config
         dma = cfg.dma
         io = dma.transfer_cycles(in_words) + dma.transfer_cycles(out_words)
-        if input_retries:
-            io += dma.retry_cycles(in_words, input_retries)
+        if injector is not None:
+            # a dropped input transfer is re-sent; the retry serializes
+            # on the shared input channel
+            retries = injector.input_retries(wave, step_index)
+            if retries:
+                io += dma.retry_cycles(in_words, retries)
         if cfg.overlap_io:
             step_wall = max(slowest, io) + cfg.step_sync_cycles
         else:
@@ -394,12 +310,56 @@ class INAX:
         report.pe_provisioned_cycles += (
             cfg.num_pus * cfg.num_pes_per_pu * step_wall
         )
-        report.pu_active_cycles += pu_active
+        report.pu_active_cycles += sum(slot_cycles)
         report.pu_provisioned_cycles += cfg.num_pus * step_wall
         report.steps += 1
         report.live_slot_steps += len(slots)
         report.slot_steps_provisioned += cfg.num_pus
         self._compute_since_setup += step_wall
+        return np.array(rows, dtype=np.float64)
+
+    def replay_wave(
+        self,
+        configs: list,
+        lengths: list[int],
+        prefetched: bool = False,
+    ) -> None:
+        """Run one whole wave from its episode lengths, without inputs.
+
+        ``configs`` are the members' cost descriptors, each a compiled
+        shape's :class:`~repro.compile.structure.ShapeCost` or an
+        :class:`HWNetConfig`.  The wave opens like :meth:`begin_wave`
+        but loads no PU, the wave pricer charges it in closed form, and
+        :meth:`end_wave` closes it, so the report, the prefetch window
+        and the wave spans equal a stepped wave's over the same live
+        sets.  Only valid while :attr:`replayable` holds.
+        """
+        if len(lengths) != len(configs):
+            raise ValueError("need one episode length per configuration")
+        if any(length < 1 for length in lengths):
+            raise ValueError("episode lengths must be >= 1")
+        if not self.replayable:
+            raise RuntimeError(
+                "replay_wave needs a device whose data cannot matter: "
+                "no fault injector, datapath or skip_zero_activations"
+            )
+        self._open_wave(configs)
+        for pu, cfg in zip(self.pus, configs):
+            pu.check_fits(cfg)
+        self._set_up(prefetched)
+        timings = [c.timing(self.config) for c in configs]
+        wall, ends = _price_compute(
+            self.config, configs, lengths, timings, self.report
+        )
+        if self._tracing:
+            self._slot_last_active = [self._cycle + end for end in ends]
+            self._slot_active_cycles = [
+                n * cycles for n, (cycles, _) in zip(lengths, timings)
+            ]
+            self._slot_steps = list(lengths)
+        self._cycle += wall
+        self._compute_since_setup = wall
+        self.end_wave()
 
     def end_wave(self) -> None:
         if not self._wave_slots:
@@ -528,10 +488,13 @@ def schedule_generation(
     reproduces exactly what the stepwise device would report, without
     functional execution — per-inference latency is input-independent.
 
+    Each of ``net_configs`` (an :class:`HWNetConfig` or a compiled
+    shape's :class:`~repro.compile.structure.ShapeCost`) is timed by
+    its own :meth:`~repro.inax.compiler.ConfigWords.timing`;
     ``step_cycles_fn`` / ``pe_active_fn`` override the per-inference
-    latency/activity models; the defaults are INAX's.  The systolic-array
-    baseline (Fig 11) passes its own latency model through here so both
-    accelerators share the identical wave/episode schedule.
+    latency/activity models.  The systolic-array baseline (Fig 11)
+    passes its own latency model through here so both accelerators
+    share the identical wave/episode schedule.
 
     ``pipeline`` applies the :mod:`repro.inax.pipeline` policies: with
     ``schedule="lpt"`` waves are packed by ``predicted_costs`` (the
@@ -545,27 +508,18 @@ def schedule_generation(
         raise ValueError("need one episode length per individual")
     if any(length < 1 for length in episode_lengths):
         raise ValueError("episode lengths must be >= 1")
-    if step_cycles_fn is None:
-        step_cycles_fn = lambda c: _static_step_cycles(  # noqa: E731
-            c, config.num_pes_per_pu, config.pe_costs, config.pu_costs
-        )
-    if pe_active_fn is None:
-        pe_active_fn = lambda c: _static_pe_active(c, config.pe_costs)  # noqa: E731
     pipeline = pipeline or PipelineConfig()
     if predicted_costs is not None and len(predicted_costs) != len(net_configs):
         raise ValueError("need one predicted cost per individual")
-    report = CycleReport()
-    report.individuals = len(net_configs)
     _, waves = pack_generation(
         config, net_configs, episode_lengths, pipeline.schedule,
         step_cycles_fn, predicted_costs,
     )
-    schedule_waves(
-        config, net_configs, episode_lengths, waves, report,
+    return schedule_waves(
+        config, net_configs, episode_lengths, waves,
         step_cycles_fn=step_cycles_fn, pe_active_fn=pe_active_fn,
         prefetch=pipeline.prefetch,
     )
-    return report
 
 
 def pack_generation(
@@ -592,12 +546,9 @@ def pack_generation(
     elif predicted_costs is not None:
         costs = list(predicted_costs)
     else:
-        if step_cycles_fn is None:
-            step_cycles_fn = lambda c: _static_step_cycles(  # noqa: E731
-                c, config.num_pes_per_pu, config.pe_costs, config.pu_costs
-            )
+        timing = _timing(config, step_cycles_fn)
         costs = [
-            float(length) * step_cycles_fn(c)
+            float(length) * timing(c)[0]
             for c, length in zip(net_configs, episode_lengths)
         ]
     return costs, pack_waves(costs, config.num_pus, schedule)
@@ -608,7 +559,6 @@ def schedule_waves(
     net_configs: list[HWNetConfig],
     episode_lengths: list[int],
     waves: list[list[int]],
-    report: CycleReport | None = None,
     step_cycles_fn=None,
     pe_active_fn=None,
     prefetch: bool = False,
@@ -618,98 +568,116 @@ def schedule_waves(
     The device-subset entry point behind :func:`schedule_generation`:
     the fabric prices each farm device's assigned waves through here so
     multi-device scaling numbers use the exact single-device wave
-    semantics (including per-device prefetch windows).
+    semantics (including per-device prefetch windows).  Each wave goes
+    through the wave pricer the device replays with.
     """
-    if step_cycles_fn is None:
-        step_cycles_fn = lambda c: _static_step_cycles(  # noqa: E731
-            c, config.num_pes_per_pu, config.pe_costs, config.pu_costs
-        )
-    if pe_active_fn is None:
-        pe_active_fn = lambda c: _static_pe_active(c, config.pe_costs)  # noqa: E731
-    if report is None:
-        report = CycleReport()
-        report.individuals = sum(len(indices) for indices in waves)
-    prev_compute = 0.0
-    for ordinal, indices in enumerate(waves):
+    timing = _timing(config, step_cycles_fn, pe_active_fn)
+    report = CycleReport()
+    window = 0
+    for indices in waves:
         wave = [net_configs[i] for i in indices]
-        lengths = [episode_lengths[i] for i in indices]
-        window = prev_compute if (prefetch and ordinal > 0) else 0.0
-        prev_compute = _schedule_wave(
-            config, wave, lengths, report, step_cycles_fn, pe_active_fn,
-            prefetch_window=window,
+        _price_setup(config, wave, report, window)
+        compute, _ = _price_compute(
+            config,
+            wave,
+            [episode_lengths[i] for i in indices],
+            [timing(c) for c in wave],
+            report,
         )
+        window = compute if prefetch else 0
     return report
 
 
-def _schedule_wave(
-    config: INAXConfig,
-    wave: list[HWNetConfig],
-    lengths: list[int],
-    report: CycleReport,
-    step_cycles_fn,
-    pe_active_fn,
-    prefetch_window: float = 0.0,
-) -> float:
-    """Price one wave into ``report``; returns its compute wall-clock."""
-    pu_costs, dma = config.pu_costs, config.dma
+def _timing(config: INAXConfig, step_cycles_fn=None, pe_active_fn=None):
+    """``descriptor -> (cycles, PE-active cycles)`` of one inference:
+    the descriptor's own :meth:`~repro.inax.compiler.ConfigWords.timing`
+    under ``config``, with either term replaced by its override."""
+    if step_cycles_fn is None and pe_active_fn is None:
+        return lambda c: c.timing(config)
+    cycles = step_cycles_fn or (lambda c: c.timing(config)[0])
+    pe_active = pe_active_fn or (lambda c: c.timing(config)[1])
+    return lambda c: (cycles(c), pe_active(c))
 
-    # --- set-up phase (the prefetch window hides the leading part) ---
-    decode = [
-        c.config_words * pu_costs.decode_cycles_per_word for c in wave
-    ]
-    setup_wall = dma.transfer_cycles(sum(c.config_words for c in wave)) + max(
-        decode
-    )
-    exposed = max(0, setup_wall - prefetch_window)
+
+def _price_setup(
+    config: INAXConfig, wave: list, report: CycleReport, window: int = 0
+) -> tuple[int, int]:
+    """The wave pricer's set-up half: charge ``wave``'s set-up phase.
+
+    Configuration words stream over the shared weight channel
+    (serialized), then each PU decodes its own individual in parallel.
+    A prefetch ``window`` (the previous wave's compute cycles, or 0)
+    hides up to that much of it.  Returns ``(exposed, hidden)`` cycles.
+    """
+    decode = config.pu_costs.decode_cycles_per_word
+    setup = config.dma.transfer_cycles(
+        sum(c.config_words for c in wave)
+    ) + max(c.config_words * decode for c in wave)
+    exposed = max(0, setup - window)
     report.setup_cycles += exposed
-    report.prefetch_hidden_cycles += setup_wall - exposed
+    report.prefetch_hidden_cycles += setup - exposed
     report.pu_provisioned_cycles += config.num_pus * exposed
     report.pu_active_cycles += len(wave) * exposed
+    report.individuals += len(wave)
     report.waves += 1
+    return exposed, setup - exposed
 
-    # --- compute phase: group steps by the set of live individuals ---
-    # Sorted by episode length, the individuals live through horizon
-    # ``lengths[order[p]]`` are the suffix ``order[p:]``, so suffix
-    # maxima/sums over that order price every horizon in one sweep.
-    # All terms are ints, so the sums equal re-summing each live set.
-    order = sorted(range(len(wave)), key=lambda i: lengths[i])
-    ranked = [wave[i] for i in order]
-    cycles = [step_cycles_fn(c) for c in ranked]
+
+def _price_compute(
+    config: INAXConfig,
+    wave: list,
+    lengths: list[int],
+    timings: list[tuple[int, int]],
+    report: CycleReport,
+) -> tuple[int, list[int]]:
+    """The wave pricer's compute half: charge ``wave``'s steps.
+
+    Slot ``i`` runs ``lengths[i]`` inferences at ``timings[i]``
+    (cycles, PE-active cycles), and step ``t`` runs every slot whose
+    episode is longer than ``t``.  Sorted by length, the slots live
+    through horizon ``lengths[order[p]]`` are the suffix ``order[p:]``,
+    so suffix maxima and sums price every horizon in one sweep; all
+    terms are ints, so they equal re-summing each live set.  Returns
+    the compute wall clock and each slot's end offset, the compute
+    cycles until its last step ends.
+    """
+    dma = config.dma
+    order = sorted(range(len(wave)), key=lengths.__getitem__)
+    cycles = [timings[i][0] for i in order]
     slowest = _suffix(cycles, max)
     pu_active = _suffix(cycles)
-    pe_active = _suffix([pe_active_fn(c) for c in ranked])
-    in_words = _suffix([c.num_inputs for c in ranked])
-    out_words = _suffix([c.num_outputs for c in ranked])
-    compute_wall = 0.0
-    t = 0
+    pe_active = _suffix([timings[i][1] for i in order])
+    in_words = _suffix([wave[i].num_inputs for i in order])
+    out_words = _suffix([wave[i].num_outputs for i in order])
+    ends = [0] * len(wave)
+    wall = 0
+    done = 0
     for p, i in enumerate(order):
-        horizon = lengths[i]  # order[p:] all survive through horizon
-        if horizon == t:  # a length tie: this horizon is priced already
-            continue
-        n_steps = horizon - t
-        live = len(order) - p
-        io = dma.transfer_cycles(in_words[p]) + dma.transfer_cycles(
-            out_words[p]
-        )
-        if config.overlap_io:
-            step_wall = max(slowest[p], io) + config.step_sync_cycles
-        else:
-            step_wall = slowest[p] + io + config.step_sync_cycles
-
-        report.compute_cycles += n_steps * step_wall
-        compute_wall += n_steps * step_wall
-        report.io_cycles += n_steps * io
-        report.pe_active_cycles += n_steps * pe_active[p]
-        report.pe_provisioned_cycles += (
-            n_steps * config.num_pus * config.num_pes_per_pu * step_wall
-        )
-        report.pu_active_cycles += n_steps * pu_active[p]
-        report.pu_provisioned_cycles += n_steps * config.num_pus * step_wall
-        report.steps += n_steps
-        report.live_slot_steps += n_steps * live
-        report.slot_steps_provisioned += n_steps * config.num_pus
-        t = horizon
-    return compute_wall
+        horizon = lengths[i]
+        if horizon > done:  # a length tie is priced already
+            steps = horizon - done
+            io = dma.transfer_cycles(in_words[p]) + dma.transfer_cycles(
+                out_words[p]
+            )
+            if config.overlap_io:
+                step_wall = max(slowest[p], io) + config.step_sync_cycles
+            else:
+                step_wall = slowest[p] + io + config.step_sync_cycles
+            wall += steps * step_wall
+            report.compute_cycles += steps * step_wall
+            report.io_cycles += steps * io
+            report.pe_active_cycles += steps * pe_active[p]
+            report.pe_provisioned_cycles += (
+                steps * config.num_pus * config.num_pes_per_pu * step_wall
+            )
+            report.pu_active_cycles += steps * pu_active[p]
+            report.pu_provisioned_cycles += steps * config.num_pus * step_wall
+            report.steps += steps
+            report.live_slot_steps += steps * (len(order) - p)
+            report.slot_steps_provisioned += steps * config.num_pus
+            done = horizon
+        ends[i] = wall
+    return wall, ends
 
 
 def _suffix(values: list[int], combine=operator.add) -> list[int]:
@@ -719,7 +687,8 @@ def _suffix(values: list[int], combine=operator.add) -> list[int]:
 
 def _static_pe_active(net: HWNetConfig, pe_costs: PECosts) -> int:
     """Sum of PE-active cycles for one inference of ``net`` (like
-    ``_static_step_cycles``, it reads only layers and fan-ins)."""
+    :func:`~repro.inax.pu._static_step_cycles`, it reads only layers and
+    fan-ins)."""
     return sum(
         pe_costs.node_cycles(plan.fan_in)
         for layer in net.layers

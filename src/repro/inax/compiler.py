@@ -56,6 +56,21 @@ class ConfigWords:
         inputs stay resident."""
         return self.num_inputs + self.num_nodes
 
+    def timing(self, hw) -> tuple[int, int]:
+        """``(cycles, PE-active cycles)`` of one inference on a PU of
+        ``hw`` (an :class:`~repro.inax.accelerator.INAXConfig`): the
+        PU's static latency and activity, which read only ``layers``
+        and each node's ``fan_in``."""
+        from repro.inax.accelerator import _static_pe_active
+        from repro.inax.pu import _static_step_cycles
+
+        return (
+            _static_step_cycles(
+                self, hw.num_pes_per_pu, hw.pe_costs, hw.pu_costs
+            ),
+            _static_pe_active(self, hw.pe_costs),
+        )
+
 
 @dataclass(frozen=True)
 class HWNetConfig(ConfigWords):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.inax.compiler import HWNetConfig
+from repro.inax.compiler import ConfigWords, HWNetConfig
 from repro.inax.pe import PECosts, ProcessingElement
 
 __all__ = ["PUCosts", "BufferOverflowError", "ProcessingUnit", "StepTiming"]
@@ -114,9 +114,18 @@ class ProcessingUnit:
         """Set-up phase: decode a configuration into the weight buffer.
 
         Returns the decode cycle count.  Raises
-        :class:`BufferOverflowError` if the individual does not fit —
-        the design-time constraint FPGA BRAM sizing imposes.
+        :class:`BufferOverflowError` if the individual does not fit
+        (:meth:`check_fits`).
         """
+        self.check_fits(config)
+        self._config = config
+        self._values = {}
+        return config.config_words * self.pu_costs.decode_cycles_per_word
+
+    def check_fits(self, config: ConfigWords) -> None:
+        """Raise :class:`BufferOverflowError` unless ``config``'s words
+        fit the weight and value buffers — the design-time constraint
+        FPGA BRAM sizing imposes."""
         if (
             self.weight_buffer_capacity is not None
             and config.weight_buffer_words > self.weight_buffer_capacity
@@ -133,9 +142,6 @@ class ProcessingUnit:
                 f"value buffer needs {config.value_buffer_words} words, "
                 f"capacity is {self.value_buffer_capacity}"
             )
-        self._config = config
-        self._values = {}
-        return config.config_words * self.pu_costs.decode_cycles_per_word
 
     @property
     def loaded(self) -> HWNetConfig | None:

@@ -265,6 +265,32 @@ class TestRecords:
             assert record.workload == expected.workload
             assert record.configs == expected.configs
 
+    def test_replayed_inax_records_equal_cpu_compiled(self, monkeypatch):
+        """A replayable ``inax`` run prices its waves from shape costs
+        and records like ``cpu-compiled``: it lowers no genome until
+        its records' configs are read, and its records equal
+        ``cpu-compiled``'s."""
+        compiled = self._run(self._compiled())
+        built = []
+        original_init = HWNetConfig.__init__
+
+        def counting_init(config, *args, **kwargs):
+            built.append(config)
+            original_init(config, *args, **kwargs)
+
+        monkeypatch.setattr(HWNetConfig, "__init__", counting_init)
+        device = self._run("inax")
+        assert built == []
+        assert len(device) == len(compiled) == 5
+        for expected, record in zip(compiled, device):
+            assert dataclasses.asdict(record.cycle_report) == (
+                dataclasses.asdict(expected.cycle_report)
+            )
+            assert record.predicted_costs == expected.predicted_costs
+            assert record.episode_lengths == expected.episode_lengths
+            assert record.workload == expected.workload
+            assert record.configs == expected.configs
+
     def test_evicted_structure_is_freed_while_records_live(
         self, monkeypatch
     ):

@@ -6,7 +6,8 @@ wave-episode's cycle accounting on its device.  Attaching a disarmed
 :class:`DeviceFaultInjector` forces the same backend onto the stepped
 per-PU path.  On generated multi-level populations, under ``lpt``
 packing with prefetch, the two must agree on every fitness bit, every
-episode length and every record's :class:`CycleReport`.
+episode length and every record's :class:`CycleReport`.  Only a stepped
+wave lowers its genomes to HW configurations, one per slot it loads.
 """
 
 import dataclasses
@@ -17,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.backends import create_backend
 from repro.inax.accelerator import INAXConfig
+from repro.inax.compiler import HWNetConfig
 from repro.inax.pipeline import PipelineConfig
+from repro.inax.pu import ProcessingUnit
 from repro.neat.config import NEATConfig
 from repro.neat.innovation import InnovationTracker
 from repro.resilience.faults import FaultPlan
@@ -93,3 +96,45 @@ def test_replayed_backend_equals_stepped(kind, env, episodes, seed, mutations):
     assert replayed[1] == stepped[1]  # lengths, configs, cycle reports
     # the replay path really ran: its devices computed no node
     assert replayed[2] == 0 < stepped[2]
+
+
+@pytest.mark.parametrize("kind", ["inax", "fabric"])
+def test_stepped_farm_lowers_the_configs_its_waves_load(kind, monkeypatch):
+    """Every HW configuration a stepped farm builds is loaded into a
+    PU, once, in the order it was built: one per slot of every
+    wave-episode, and none for the record until it is read."""
+    cfg, genomes = _genomes("lunar_lander", 3, 6)
+    backend = create_backend(
+        kind,
+        "lunar_lander",
+        cfg,
+        episodes_per_genome=2,
+        base_seed=3,
+        inax_config=INAXConfig(num_pus=4, num_pes_per_pu=cfg.num_outputs),
+        pipeline=PipelineConfig(schedule="lpt", prefetch=True),
+        devices=2,
+    )
+    for device in backend.farm:
+        device.fault_injector = DeviceFaultInjector(FaultPlan(seed=0))
+    built, loaded = [], []
+    original_init, original_load = HWNetConfig.__init__, ProcessingUnit.load
+
+    def counting_init(config, *args, **kwargs):
+        built.append(config)
+        original_init(config, *args, **kwargs)
+
+    def recording_load(pu, config):
+        loaded.append(config)
+        return original_load(pu, config)
+
+    monkeypatch.setattr(HWNetConfig, "__init__", counting_init)
+    monkeypatch.setattr(ProcessingUnit, "load", recording_load)
+    try:
+        for _ in range(2):
+            backend.evaluate(genomes)
+    finally:
+        backend.close()
+    # two generations of two episodes of every genome
+    assert len(loaded) == 2 * 2 * len(genomes)
+    assert len(built) == len(loaded)
+    assert all(b is c for b, c in zip(built, loaded))

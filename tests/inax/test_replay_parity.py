@@ -1,12 +1,15 @@
 """The replayed device against the stepped device, on generated waves.
 
-:meth:`INAX.replay_wave` charges a wave from its configurations and
-episode lengths alone.  A twin device that a disarmed fault injector
-keeps on the per-PU :meth:`INAX.step` path runs the same waves through
-the live sets the replay charges (step ``t`` runs every slot whose
-episode is longer than ``t``).  Every :class:`CycleReport` field and
-every wave span must come out equal, with ``==`` and no tolerance, and
-so must :func:`schedule_waves`, the analytic pricer.
+:meth:`INAX.replay_wave` charges a wave from its members' cost
+descriptors and episode lengths alone, through the closed-form wave
+pricer.  A twin device that a disarmed fault injector keeps on the
+per-PU :meth:`INAX.step` path runs the same waves through the live sets
+the replay charges (step ``t`` runs every slot whose episode is longer
+than ``t``).  Every :class:`CycleReport` field and every wave span must
+come out equal, with ``==`` and no tolerance, whether the replay gets
+each member's weighted :class:`HWNetConfig` or the weight-free
+:class:`ShapeCost` a compiled backend replays with, and so must
+:func:`schedule_waves`, the analytic pricer.
 
 The ``@example`` cases are the shrunk counterexamples the property
 found (``--hypothesis-seed=0``) against deliberately broken copies of
@@ -22,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.compile.structure import ShapeCost, _RowRecipe
 from repro.inax.accelerator import INAX, INAXConfig, schedule_waves
 from repro.inax.synthetic import synthetic_population
 from repro.resilience.faults import FaultPlan
@@ -42,6 +46,27 @@ POOL = [
         seed=seed,
     )
 ]
+
+
+def _shape(hw):
+    """``hw``'s weight-free cost descriptor, as its compiled shape
+    would carry it."""
+    return ShapeCost(
+        hw.input_keys,
+        hw.output_keys,
+        tuple(
+            tuple(
+                _RowRecipe(
+                    plan.key,
+                    plan.activation,
+                    plan.aggregation,
+                    tuple(source for source, _ in plan.ingress),
+                )
+                for plan in layer
+            )
+            for layer in hw.layers
+        ),
+    )
 
 
 @st.composite
@@ -85,13 +110,15 @@ def _build(case):
 
 
 def _run(config, configs, waves, lengths, prefetch):
-    """Replay the waves on one device and step them on a twin, traced.
+    """Replay the waves on one device, replay them from shape costs on
+    another, and step them on a third twin, traced.
 
-    Returns both reports and both devices' spans, track prefixes
-    stripped.
+    Returns the three devices and their spans, track prefixes stripped.
     """
     replayed = INAX(config)
     replayed.track_prefix = "replay."
+    shaped = INAX(config)
+    shaped.track_prefix = "shape."
     stepped = INAX(
         config, fault_injector=DeviceFaultInjector(FaultPlan(seed=0))
     )
@@ -103,6 +130,9 @@ def _run(config, configs, waves, lengths, prefetch):
             wave_lengths = [lengths[i] for i in indices]
             prefetched = prefetch and ordinal > 0
             replayed.replay_wave(wave, wave_lengths, prefetched=prefetched)
+            shaped.replay_wave(
+                [_shape(c) for c in wave], wave_lengths, prefetched=prefetched
+            )
             stepped.begin_wave(wave, prefetched=prefetched)
             for t in range(max(wave_lengths)):
                 live = [s for s, n in enumerate(wave_lengths) if n > t]
@@ -120,8 +150,10 @@ def _run(config, configs, waves, lengths, prefetch):
 
     return (
         replayed,
+        shaped,
         stepped,
         spans("replay."),
+        spans("shape."),
         spans("step."),
     )
 
@@ -190,12 +222,14 @@ def _run(config, configs, waves, lengths, prefetch):
 )
 def test_replay_equals_stepping_and_the_pricer(case):
     config, configs, waves, lengths, prefetch = _build(case)
-    replayed, stepped, replay_spans, step_spans = _run(
+    replayed, shaped, stepped, replay_spans, shape_spans, step_spans = _run(
         config, configs, waves, lengths, prefetch
     )
     report = dataclasses.asdict(replayed.report)
     assert report == dataclasses.asdict(stepped.report)
     assert replay_spans == step_spans
+    assert dataclasses.asdict(shaped.report) == report
+    assert shape_spans == step_spans
     assert any(name == "pu.compute" for name, *_ in replay_spans)
     assert report == dataclasses.asdict(
         schedule_waves(config, configs, lengths, waves, prefetch=prefetch)

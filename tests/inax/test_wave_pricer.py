@@ -1,11 +1,12 @@
 """The one-pass wave pricer against a per-step reference.
 
-``_schedule_wave`` prices each horizon of a wave from suffix maxima and
-sums over its episode-length order.  The reference here walks every
-step ``t`` instead, with the live set re-derived as every individual
-whose episode is longer than ``t``; every ``CycleReport`` field must
-come out equal, through ``schedule_waves`` (the fabric's entry),
-``schedule_generation`` and ``schedule_generation_sa``.
+The wave pricer's compute half (``_price_compute``) prices each
+horizon of a wave from suffix maxima and sums over its episode-length
+order.  The reference here walks every step ``t`` instead, with the
+live set re-derived as every individual whose episode is longer than
+``t``; every ``CycleReport`` field must come out equal, through
+``schedule_waves`` (the fabric's entry), ``schedule_generation`` and
+``schedule_generation_sa``.
 """
 
 import dataclasses

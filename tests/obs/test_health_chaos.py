@@ -44,7 +44,7 @@ class TestChaosEventKinds:
         assert all(site.startswith("gen=") for site in sites)
 
     def test_wedged_device_produces_fallback_events(self):
-        monitor = _chaos_run(WEDGE_SPEC, backend="inax", fallback="cpu")
+        monitor = _chaos_run(WEDGE_SPEC, backend="inax", fallback="cpu-fast")
         detectors = {e.detector for e in monitor.events}
         assert "fallback.storm" in detectors
 
@@ -77,10 +77,10 @@ class TestChaosReplayDeterminism:
 
     def test_replayed_inax_chaos_byte_identical(self, tmp_path):
         first = self._health_bytes(
-            tmp_path, "a.json", WEDGE_SPEC, backend="inax", fallback="cpu"
+            tmp_path, "a.json", WEDGE_SPEC, backend="inax", fallback="cpu-fast"
         )
         second = self._health_bytes(
-            tmp_path, "b.json", WEDGE_SPEC, backend="inax", fallback="cpu"
+            tmp_path, "b.json", WEDGE_SPEC, backend="inax", fallback="cpu-fast"
         )
         assert first == second
 
