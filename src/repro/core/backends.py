@@ -84,7 +84,7 @@ from repro.inax.accelerator import (
     INAX,
     INAXConfig,
     pack_generation,
-    schedule_generation,
+    schedule_generation,  # noqa: F401  (genbench's ledger wraps this name)
     schedule_waves,
 )
 from repro.inax.compiler import HWNetConfig, compile_genome
@@ -450,14 +450,9 @@ class EvaluationBackend:
         dispatches each wave once per episode, in queue order ``(wave,
         episode)``; with prefetch every wave-episode after the first
         hides its set-up behind the one before.  With one episode per
-        genome that is :func:`schedule_generation` itself.
+        genome that is :func:`schedule_generation`'s report.
         """
         hw, pipeline = self.inax_config, self.pipeline
-        if self.episodes_per_genome == 1:
-            return schedule_generation(
-                hw, shapes, lengths,
-                pipeline=pipeline, predicted_costs=predicted_costs,
-            )
         _, waves = pack_generation(
             hw, shapes, lengths, pipeline.schedule,
             predicted_costs=predicted_costs,
@@ -1202,9 +1197,11 @@ class INAXBackend(_CompiledBackend):
         self.fallback = fallback
         self.fallback_waves = 0
         self.fallback_genomes = 0
-        # id(genome) -> its episode records, while a generation's
+        # id(genome) -> its episode records (replayable devices) or its
+        # HW configuration (stepped devices), while a generation's
         # functional pass is live (see _functional_pass)
         self._pass_records: dict[int, list[EpisodeRecord]] | None = None
+        self._pass_configs: dict[int, HWNetConfig] | None = None
         self._build_farm()
 
     def _build_farm(self) -> None:
@@ -1436,8 +1433,9 @@ class INAXBackend(_CompiledBackend):
         episodes run in one pass of :meth:`_episode_records`, and every
         wave-episode dispatched inside the ``with`` block replays its
         cycle accounting from them (:meth:`_device_wave_episode`).
-        Otherwise nothing runs here and the devices step every wave.
-        The records never outlive the block.
+        Otherwise each genome is lowered here, once, from its compiled
+        entry, and the devices load and step every wave-episode.
+        Neither the records nor the configurations outlive the block.
         """
         if self.farm[0].replayable:
             self._pass_records = {
@@ -1446,10 +1444,15 @@ class INAXBackend(_CompiledBackend):
                     genomes, self._episode_records(genomes, entries)
                 )
             }
+        else:
+            self._pass_configs = {
+                id(genome): entry.hw_config(genome)
+                for genome, entry in zip(genomes, entries)
+            }
         try:
             yield
         finally:
-            self._pass_records = None
+            self._pass_records = self._pass_configs = None
 
     def _publish_cycle_gauges(self, report) -> None:
         """Per-generation pipeline gauges (watchtower detector inputs)."""
@@ -1534,14 +1537,14 @@ class INAXBackend(_CompiledBackend):
     ):
         """One wave's episode on one device; raises on device faults.
 
-        The one place a wave-episode's execution is chosen.  Inside a
-        live :meth:`_functional_pass` the records come from the pass
-        and ``device`` replays the wave from their lengths and the
-        genomes' shape costs; otherwise the genomes are lowered from
-        their compiled ``entries`` for ``device`` to load, and it steps
-        the wave in lock-step.  The fresh-env + per-(genome, episode)
-        seed discipline makes either way, on any device of the farm,
-        produce bit-identical episode records for the same wave.
+        The one place a wave-episode's execution is chosen.  When the
+        live :meth:`_functional_pass` ran the episodes, the records come
+        from the pass and ``device`` replays the wave from their lengths
+        and the genomes' shape costs (their compiled ``entries``);
+        otherwise ``device`` loads the configurations the pass lowered
+        and steps the wave in lock-step.  The fresh-env + per-(genome,
+        episode) seed discipline makes either way, on any device of the
+        farm, produce bit-identical episode records for the same wave.
         """
         if self._pass_records is not None:
             records = [self._pass_records[id(g)][episode] for g in genomes]
@@ -1552,7 +1555,7 @@ class INAXBackend(_CompiledBackend):
             )
             return records
         device.begin_wave(
-            [entry.hw_config(g) for entry, g in zip(entries, genomes)],
+            [self._pass_configs[id(g)] for g in genomes],
             prefetched=prefetched,
         )
         envs = [self._make_env() for _ in genomes]

@@ -546,9 +546,9 @@ def pack_generation(
     elif predicted_costs is not None:
         costs = list(predicted_costs)
     else:
-        timing = _timing(config, step_cycles_fn)
+        cycles = step_cycles_fn or (lambda c: c.timing(config)[0])
         costs = [
-            float(length) * timing(c)[0]
+            float(length) * cycles(c)
             for c, length in zip(net_configs, episode_lengths)
         ]
     return costs, pack_waves(costs, config.num_pus, schedule)
