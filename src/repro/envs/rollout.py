@@ -10,6 +10,7 @@ step counts the hardware cost models need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -332,14 +333,27 @@ def run_lockstep(
 
 
 def _batchable(envs: Sequence[Environment]) -> bool:
-    """Whether one kernel can step all of ``envs`` bit-identically."""
-    if len(envs) < BATCH_MIN_WIDTH or not isinstance(envs[0], Environment):
+    """Whether one kernel can step all of ``envs`` bit-identically.
+
+    That is, the head has a kernel and every env has the head's
+    :meth:`~repro.envs.base.Environment.batch_key`: its exact class, its
+    ``max_episode_steps`` and its ``BATCH_PARAMS`` values, compared
+    without building a key per env.
+    """
+    head = envs[0] if len(envs) >= BATCH_MIN_WIDTH else None
+    if not isinstance(head, Environment) or head.batch_key() is None:
         return False
-    key = envs[0].batch_key()
-    return key is not None and all(
-        isinstance(env, Environment) and env.batch_key() == key
-        for env in envs
+    cls = type(head)
+    names = ("max_episode_steps", *cls.BATCH_PARAMS)
+    # a tuple, as in batch_key, also for one name, which attrgetter
+    # would return bare
+    params = (
+        attrgetter(*names)
+        if len(names) > 1
+        else lambda env: (env.max_episode_steps,)
     )
+    key = params(head)
+    return all(type(env) is cls and params(env) == key for env in envs)
 
 
 def _run_batched(

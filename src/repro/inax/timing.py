@@ -49,7 +49,8 @@ class CycleReport:
     io_cycles: float = 0.0
     #: number of synchronized inference steps executed
     steps: int = 0
-    #: number of individuals processed
+    #: individual dispatches: each wave-episode adds its width, so an
+    #: individual evaluated for E episodes counts E times
     individuals: int = 0
     #: number of dispatch waves executed
     waves: int = 0

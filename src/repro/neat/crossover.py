@@ -9,9 +9,8 @@ that keeps topology exploration from being instantly re-enabled.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.neat.config import NEATConfig
+from repro.neat.draws import Draws
 from repro.neat.genome import Genome, creates_cycle
 
 __all__ = ["crossover"]
@@ -25,7 +24,7 @@ def crossover(
     parent_b: Genome,
     child_key: int,
     config: NEATConfig,
-    rng: np.random.Generator,
+    rng: Draws,
 ) -> Genome:
     """Blend two parents' genes into a child genome.
 

@@ -6,12 +6,13 @@ a weight, an enabled flag, and the historical innovation number NEAT
 uses to align genes during crossover and distance computation.
 
 Mutation runs once per gene per child, so each rule lives here once as
-a closure over its config values and the population RNG
-(:func:`weight_mutation`, :func:`node_mutation`), which
-:meth:`Genome.mutate <repro.neat.genome.Genome.mutate>` builds once per
-genome and the per-gene ``mutate`` methods build per call.  They
-consume the same draws and give the same bits as the NumPy spelling,
-``rng.normal`` and ``np.clip`` (DESIGN.md, determinism contract):
+a closure over its config values and the population's draws
+(:func:`weight_mutation`, :func:`node_mutation`).
+:class:`~repro.neat.reproduction.Reproduction` builds both once per
+draw stream (:func:`mutation_rules`), and the per-gene ``mutate``
+methods build one per call.  They consume the same draws and give the
+same bits as the NumPy spelling, ``rng.normal`` and ``np.clip``
+(DESIGN.md, determinism contract):
 
 * ``0.0 + s * rng.standard_normal()`` is ``rng.normal(0.0, s)``: one
   ziggurat draw, and NumPy computes ``loc + scale * draw`` in C;
@@ -28,11 +29,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from repro.neat.config import NEATConfig
+from repro.neat.draws import Draws
 
 __all__ = ["NodeGene", "ConnectionGene"]
+
+#: a genome's per-gene mutation rules: ``(node rule, weight rule)``
+MutationRules = tuple[Callable[["NodeGene"], None], Callable[[float], float]]
 
 
 def clamp(value: float, lo: float, hi: float) -> float:
@@ -52,7 +55,7 @@ def _float_mutation(
     power: float,
     lo: float,
     hi: float,
-    rng: np.random.Generator,
+    rng: Draws,
 ) -> Callable[[float], float]:
     """The perturb-or-replace rule of a bounded float gene attribute.
 
@@ -75,7 +78,7 @@ def _float_mutation(
 
 
 def weight_mutation(
-    config: NEATConfig, rng: np.random.Generator
+    config: NEATConfig, rng: Draws
 ) -> Callable[[float], float]:
     """A connection weight's mutation: perturb or replace, then clamp."""
     return _float_mutation(
@@ -90,7 +93,7 @@ def weight_mutation(
 
 
 def node_mutation(
-    config: NEATConfig, rng: np.random.Generator
+    config: NEATConfig, rng: Draws
 ) -> Callable[["NodeGene"], None]:
     """A node's mutation: the bias rule, then optionally a new
     activation and aggregation drawn from the configured options."""
@@ -121,6 +124,12 @@ def node_mutation(
     return mutate
 
 
+def mutation_rules(config: NEATConfig, rng: Draws) -> MutationRules:
+    """The node and weight rules :meth:`Genome.mutate
+    <repro.neat.genome.Genome.mutate>` applies to every gene."""
+    return node_mutation(config, rng), weight_mutation(config, rng)
+
+
 @dataclass(slots=True)
 class NodeGene:
     """One neuron: bias + activation + aggregation."""
@@ -142,13 +151,13 @@ class NodeGene:
             d += 1.0
         return d
 
-    def mutate(self, config: NEATConfig, rng: np.random.Generator) -> None:
+    def mutate(self, config: NEATConfig, rng: Draws) -> None:
         """Perturb or replace the bias; optionally swap activation."""
         node_mutation(config, rng)(self)
 
     @classmethod
     def random(
-        cls, key: int, config: NEATConfig, rng: np.random.Generator
+        cls, key: int, config: NEATConfig, rng: Draws
     ) -> "NodeGene":
         return cls(
             key=key,
@@ -190,7 +199,7 @@ class ConnectionGene:
             d += 1.0
         return d
 
-    def mutate(self, config: NEATConfig, rng: np.random.Generator) -> None:
+    def mutate(self, config: NEATConfig, rng: Draws) -> None:
         """Perturb or replace the weight."""
         self.weight = weight_mutation(config, rng)(self.weight)
 
@@ -200,7 +209,7 @@ class ConnectionGene:
         key: tuple[int, int],
         innovation: int,
         config: NEATConfig,
-        rng: np.random.Generator,
+        rng: Draws,
     ) -> "ConnectionGene":
         return cls(
             key=key,

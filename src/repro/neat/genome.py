@@ -13,14 +13,13 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable
 
-import numpy as np
-
 from repro.neat.config import NEATConfig
+from repro.neat.draws import Draws
 from repro.neat.genes import (
     ConnectionGene,
+    MutationRules,
     NodeGene,
-    node_mutation,
-    weight_mutation,
+    mutation_rules,
 )
 from repro.neat.innovation import InnovationTracker
 
@@ -76,7 +75,7 @@ class Genome:
         key: int,
         config: NEATConfig,
         tracker: InnovationTracker,
-        rng: np.random.Generator,
+        rng: Draws,
     ) -> "Genome":
         """A generation-0 genome: inputs wired (fully or partially)
         straight to outputs, no hidden nodes (paper §VI-C: "start with
@@ -200,9 +199,14 @@ class Genome:
         self,
         config: NEATConfig,
         tracker: InnovationTracker,
-        rng: np.random.Generator,
+        rng: Draws,
+        rules: MutationRules | None = None,
     ) -> None:
-        """Apply structural then parametric mutation in place."""
+        """Apply structural then parametric mutation in place.
+
+        ``rules`` are :func:`~repro.neat.genes.mutation_rules` over
+        ``rng``; a caller that mutates many genomes builds them once.
+        """
         random = rng.random
         if random() < config.node_add_rate:
             self.mutate_add_node(config, tracker, rng)
@@ -212,10 +216,9 @@ class Genome:
             self.mutate_add_connection(config, tracker, rng)
         if random() < config.conn_delete_rate:
             self.mutate_delete_connection(rng)
-        mutate_node = node_mutation(config, rng)
+        mutate_node, mutate_weight = rules or mutation_rules(config, rng)
         for node in self.nodes.values():
             mutate_node(node)
-        mutate_weight = weight_mutation(config, rng)
         enable_rate = config.enable_mutate_rate
         for conn in self.connections.values():
             conn.weight = mutate_weight(conn.weight)
@@ -226,7 +229,7 @@ class Genome:
         self,
         config: NEATConfig,
         tracker: InnovationTracker,
-        rng: np.random.Generator,
+        rng: Draws,
     ) -> bool:
         """Add one new connection; returns True if a connection was added.
 
@@ -253,7 +256,7 @@ class Genome:
                 return True
         return False
 
-    def mutate_delete_connection(self, rng: np.random.Generator) -> bool:
+    def mutate_delete_connection(self, rng: Draws) -> bool:
         """Remove a random connection; returns True if one was removed."""
         if not self.connections:
             return False
@@ -266,7 +269,7 @@ class Genome:
         self,
         config: NEATConfig,
         tracker: InnovationTracker,
-        rng: np.random.Generator,
+        rng: Draws,
     ) -> bool:
         """Split an enabled connection with a new hidden node.
 
@@ -297,7 +300,7 @@ class Genome:
         return True
 
     def mutate_delete_node(
-        self, config: NEATConfig, rng: np.random.Generator
+        self, config: NEATConfig, rng: Draws
     ) -> bool:
         """Remove a random hidden node and its incident connections."""
         output_keys = set(config.output_keys)

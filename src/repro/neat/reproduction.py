@@ -5,6 +5,11 @@ fitness-shared (adjusted) fitness.  Within a species, elites are copied
 unchanged, the bottom of the ranking is culled by the survival
 threshold, and the remainder of the quota is filled with children made
 by crossover (probability ``crossover_rate``) or mutation-only cloning.
+
+Every entry point draws through one
+:class:`~repro.neat.draws.DrawStream` over the population generator and
+commits it on the way out, so the generator ends where the same draws
+on it would have left it.
 """
 
 from __future__ import annotations
@@ -15,6 +20,8 @@ import numpy as np
 
 from repro.neat.config import NEATConfig
 from repro.neat.crossover import crossover
+from repro.neat.draws import DrawStream
+from repro.neat.genes import MutationRules, mutation_rules
 from repro.neat.genome import Genome
 from repro.neat.innovation import InnovationTracker
 from repro.neat.species import SpeciesSet
@@ -83,10 +90,13 @@ class Reproduction:
     def create_initial_population(
         self, rng: np.random.Generator
     ) -> list[Genome]:
-        return [
-            Genome.initial(self.fresh_key(), self._config, self._tracker, rng)
-            for _ in range(self._config.population_size)
-        ]
+        with DrawStream(rng) as draws:
+            return [
+                Genome.initial(
+                    self.fresh_key(), self._config, self._tracker, draws
+                )
+                for _ in range(self._config.population_size)
+            ]
 
     def create_population_from_seed(
         self, seed_genome: Genome, rng: np.random.Generator
@@ -99,13 +109,16 @@ class Reproduction:
         scratch (the paper's "adequate model trained on a generic
         environment, continuously trained on the target environment").
         """
+        config = self._config
         population = [seed_genome.copy(new_key=self.fresh_key())]
         population[0].fitness = None
-        for _ in range(self._config.population_size - 1):
-            clone = seed_genome.copy(new_key=self.fresh_key())
-            clone.fitness = None
-            clone.mutate(self._config, self._tracker, rng)
-            population.append(clone)
+        with DrawStream(rng) as draws:
+            rules = mutation_rules(config, draws)
+            for _ in range(config.population_size - 1):
+                clone = seed_genome.copy(new_key=self.fresh_key())
+                clone.fitness = None
+                clone.mutate(config, self._tracker, draws, rules)
+                population.append(clone)
         return population
 
     # ---------------------------------------------------------- reproduce
@@ -146,16 +159,21 @@ class Reproduction:
 
         next_population: list[Genome] = []
         offset = 0
-        for ranked, quota, parents in zip(ranked_members, sizes, survivor_pools):
-            # elites survive unchanged
-            for elite in ranked[: min(config.elitism, quota)]:
-                next_population.append(elite.copy(new_key=self.fresh_key()))
-            remaining = quota - min(config.elitism, quota)
-            for _ in range(remaining):
-                next_population.append(
-                    self._make_child(parents, offset, all_survivors, rng)
-                )
-            offset += len(parents)
+        with DrawStream(rng) as draws:
+            rules = mutation_rules(config, draws)
+            for ranked, quota, parents in zip(
+                ranked_members, sizes, survivor_pools
+            ):
+                elites = min(config.elitism, quota)
+                # elites survive unchanged
+                for elite in ranked[:elites]:
+                    next_population.append(elite.copy(self.fresh_key()))
+                for _ in range(quota - elites):
+                    child = self._make_child(
+                        parents, offset, all_survivors, draws, rules
+                    )
+                    next_population.append(child)
+                offset += len(parents)
         return next_population
 
     def _make_child(
@@ -163,7 +181,8 @@ class Reproduction:
         parents: list[Genome],
         offset: int,
         all_survivors: list[Genome],
-        rng: np.random.Generator,
+        draws: DrawStream,
+        rules: MutationRules,
     ) -> Genome:
         """One offspring of ``parents``, which is
         ``all_survivors[offset : offset + len(parents)]``.
@@ -177,28 +196,28 @@ class Reproduction:
         can_cross = len(parents) >= 2 or (
             len(parents) >= 1 and len(all_survivors) >= 2
         )
-        if can_cross and rng.random() < config.crossover_rate:
-            first_at = int(rng.integers(len(parents)))
+        if can_cross and draws.random() < config.crossover_rate:
+            first_at = draws.integers(len(parents))
             first = parents[first_at]
             if (
                 len(all_survivors) > len(parents)
-                and rng.random() < config.interspecies_crossover_rate
+                and draws.random() < config.interspecies_crossover_rate
             ):
                 # interspecies mating: second parent from anywhere
                 pool, skip = all_survivors, offset + first_at
             else:
                 pool, skip = parents, first_at
             if len(pool) > 1:
-                at = int(rng.integers(len(pool) - 1))
+                at = draws.integers(len(pool) - 1)
                 second = pool[at + (at >= skip)]
                 child = crossover(
-                    first, second, self.fresh_key(), config, rng
+                    first, second, self.fresh_key(), config, draws
                 )
             else:
                 child = first.copy(new_key=self.fresh_key())
         else:
-            parent = parents[int(rng.integers(len(parents)))]
+            parent = parents[draws.integers(len(parents))]
             child = parent.copy(new_key=self.fresh_key())
         child.fitness = None
-        child.mutate(config, self._tracker, rng)
+        child.mutate(config, self._tracker, draws, rules)
         return child

@@ -468,6 +468,31 @@ class TestPathSelection:
             lambda slot: CartPole(pole_mass=0.1 + 0.1 * (slot % 2)), 12, seed=6
         )
 
+    @pytest.mark.parametrize("at", [0, 5, 11])
+    @pytest.mark.parametrize(
+        "odd", ["same_value", "override", "time_limit", "subclass", "wrapped"]
+    )
+    def test_one_odd_env_keeps_the_wave_apart(self, odd, at):
+        """``_batchable`` decides as one shared ``batch_key`` would:
+        one env, the head included, whose class, time limit or kernel
+        parameter differs keeps the whole wave apart."""
+        envs = [CartPole() for _ in range(12)]
+        if odd == "same_value":
+            envs[at].GRAVITY = float(CartPole.GRAVITY)
+        elif odd == "override":
+            envs[at].GRAVITY = CartPole.GRAVITY + 1e-12
+        elif odd == "time_limit":
+            envs[at].max_episode_steps += 1
+        elif odd == "subclass":
+            envs[at] = _SubclassedCartPole()
+        else:
+            envs[at] = FaultySensor(CartPole(), obs_nan=0.1, seed=3)
+        key = envs[0].batch_key() if isinstance(envs[0], CartPole) else None
+        one_key = key is not None and all(
+            isinstance(env, CartPole) and env.batch_key() == key for env in envs
+        )
+        assert rollout._batchable(envs) is one_key is (odd == "same_value")
+
     def test_handoff_width_is_the_module_constant(self, monkeypatch):
         envs = [CartPole() for _ in range(12)]
         monkeypatch.setattr(rollout, "BATCH_MIN_WIDTH", 13)
