@@ -340,7 +340,9 @@ def _batchable(envs: Sequence[Environment]) -> bool:
     ``max_episode_steps`` and its ``BATCH_PARAMS`` values, compared
     without building a key per env.
     """
-    head = envs[0] if len(envs) >= BATCH_MIN_WIDTH else None
+    if len(envs) < BATCH_MIN_WIDTH:
+        return False
+    head = envs[0]
     if not isinstance(head, Environment) or head.batch_key() is None:
         return False
     cls = type(head)
