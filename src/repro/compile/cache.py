@@ -67,7 +67,7 @@ class CompileCache:
         self, key: str, genome: Genome, config: NEATConfig, warm: bool = False
     ) -> CompiledStructure:
         with _span("compile.build", shape=key[:12], warm=warm):
-            entry = CompiledStructure.from_genome(genome, config)
+            entry = CompiledStructure.from_genome(genome, config, key)
         self._entries[key] = entry
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

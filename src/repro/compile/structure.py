@@ -206,9 +206,13 @@ class CompiledStructure:
 
     @classmethod
     def from_genome(
-        cls, genome: Genome, config: NEATConfig
+        cls, genome: Genome, config: NEATConfig, shape_key: str | None = None
     ) -> "CompiledStructure":
-        """Decode once (CreateNet + plan lowering) for this shape."""
+        """Decode once (CreateNet + plan lowering) for this shape.
+
+        ``shape_key`` is ``genome.shape_key()``, from a caller that has
+        already hashed the genome.
+        """
         net = FeedForwardNetwork.create(genome, config)
         rows = tuple(
             tuple(
@@ -228,8 +232,10 @@ class CompiledStructure:
             plan = _NetPlan(net)
         except ValueError:
             plan = None
+        if shape_key is None:
+            shape_key = genome.shape_key()
         return cls(
-            shape_key=genome.shape_key(),
+            shape_key=shape_key,
             input_keys=tuple(net.input_keys),
             output_keys=tuple(net.output_keys),
             rows=rows,

@@ -9,6 +9,7 @@ implementation the authors profiled [25].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.neat.activations import activations, aggregations
@@ -121,8 +122,10 @@ class NEATConfig:
             "bias_mutate_power",
             "bias_init_stdev",
         ):
-            if not getattr(self, scale_name) >= 0.0:
-                raise ValueError(f"{scale_name} must be >= 0")
+            # -0.0 fails too: rng.normal(0.0, -0.0) raises
+            scale = getattr(self, scale_name)
+            if not scale >= 0.0 or math.copysign(1.0, scale) < 0:
+                raise ValueError(f"{scale_name} must be >= 0, got {scale}")
         for rate_name in (
             "crossover_rate",
             "interspecies_crossover_rate",
@@ -141,8 +144,20 @@ class NEATConfig:
             rate = getattr(self, rate_name)
             if not 0.0 <= rate <= 1.0:
                 raise ValueError(f"{rate_name} must be in [0, 1], got {rate}")
-        if self.compatibility_threshold <= 0:
+        # NaN fails too; negative coefficients would make the distance
+        # negative (repro.neat.species bounds it relative to itself)
+        if not self.compatibility_threshold > 0:
             raise ValueError("compatibility_threshold must be > 0")
+        for coefficient_name in (
+            "excess_coefficient",
+            "disjoint_coefficient",
+            "weight_coefficient",
+        ):
+            coefficient = getattr(self, coefficient_name)
+            if not coefficient >= 0:
+                raise ValueError(
+                    f"{coefficient_name} must be >= 0, got {coefficient}"
+                )
         if self.default_activation not in activations:
             raise ValueError(
                 f"unknown default_activation {self.default_activation!r}"

@@ -297,8 +297,8 @@ class TestRecords:
         structures = []
         from_genome = CompiledStructure.from_genome.__func__
 
-        def tracked(cls, genome, config):
-            structure = from_genome(cls, genome, config)
+        def tracked(cls, genome, config, shape_key=None):
+            structure = from_genome(cls, genome, config, shape_key)
             structures.append(weakref.ref(structure))
             return structure
 

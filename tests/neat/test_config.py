@@ -43,9 +43,20 @@ def test_for_env_sizes_interface():
         {"weight_init_stdev": -1.0},
         {"bias_mutate_power": float("nan")},
         {"bias_init_stdev": -1.0},
+        {"weight_mutate_power": -0.0},
+        {"weight_init_stdev": -0.0},
+        {"bias_mutate_power": -0.0},
+        {"bias_init_stdev": -0.0},
         {"crossover_rate": 1.2},
         {"conn_add_rate": -0.1},
         {"compatibility_threshold": 0.0},
+        {"compatibility_threshold": float("nan")},
+        {"excess_coefficient": float("nan")},
+        {"disjoint_coefficient": float("nan")},
+        {"weight_coefficient": float("nan")},
+        {"excess_coefficient": -1.0},
+        {"disjoint_coefficient": -1.0},
+        {"weight_coefficient": -1.0},
         {"default_activation": "nope"},
         {"activation_options": ("tanh", "nope")},
         {"default_aggregation": "median"},
