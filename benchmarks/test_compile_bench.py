@@ -9,20 +9,20 @@ weight-mutated offspring (the overwhelming majority of a NEAT
 generation — see Fig 1(b)'s decode share), so each one re-decodes from
 scratch — the hash, two interpreted network builds (``CreateNet`` and
 the HW config) plus a fresh vectorized plan.  The ``cpu-compiled``
-backend keys on the weights-excluded shape key, hits for every
-offspring whose parent was ever compiled, and only fills each shape's
-parameter blocks from the cached structure's recipes.
+backend keys on the weights-excluded topology signature, hits for every
+offspring whose parent was ever compiled, reads each member's
+parameters once and lays the generation out from the cached shapes'
+row templates, a fixed number of NumPy calls per depth.
 
 The bench prepares an identical mid-run CartPole population of
 weight-mutated offspring on both paths:
 
-* **prep** (gated): per-genome decode misses vs. compile-cache hits +
-  per-shape parameter fill — everything up to the point where every
-  member's parameters are in plan layout on both paths;
-* **assemble + ticks** (reported): the flattened engine's build (from
-  the per-member plans on one side, the per-shape blocks on the other)
-  plus a fixed number of lock-step inference ticks, asserted
-  bit-identical between the paths.
+* **prep** (gated): per-genome decode misses and the engine's layout
+  of their plans vs. compile-cache hits, one parameter read and the
+  engine's layout of the generation — everything up to the point where
+  the engine can tick, on both paths;
+* **ticks** (reported): a fixed number of lock-step inference ticks on
+  the shared engine, asserted bit-identical between the paths.
 
 The compile cache persists across repeats, exactly like the
 cross-generation cache a running E3 carries (weight-mutated children
@@ -41,7 +41,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import OUTPUT_DIR, write_output
-from repro.compile import CompileCache
+from repro.compile import CompileCache, CompiledPopulationEvaluator
 from repro.core.backends import CompiledCPUBackend
 from repro.core.results import format_table
 from repro.inax.compiler import compile_genome
@@ -90,10 +90,9 @@ def _observations(config, count, tick):
     return rng.normal(size=(count, config.num_inputs))
 
 
-def _run_ticks(config, assemble, count):
-    """The shared phase: flat engine assembly + lock-step ticks."""
+def _run_ticks(config, evaluator, count):
+    """The shared phase: lock-step ticks on a laid-out engine."""
     start = time.perf_counter()
-    evaluator = assemble()
     slots = list(range(count))
     outputs = [
         evaluator.infer(slots, _observations(config, count, tick))
@@ -105,8 +104,8 @@ def _run_ticks(config, assemble, count):
 def _decode_prep(config, offspring):
     """Per-genome decode: the miss a structural-hash-keyed cache takes
     for every weight-mutated child (hash, CreateNet, vectorized plan,
-    HW config, insert).  Returns the keys so the caller can check that
-    they really miss."""
+    HW config, insert), then the engine's layout of the plans.  Returns
+    the keys so the caller can check that they really miss."""
     start = time.perf_counter()
     decoded = {}
     plans = []
@@ -117,27 +116,17 @@ def _decode_prep(config, offspring):
             net, plan, compile_genome(genome, config)
         )
         plans.append(plan)
-    return time.perf_counter() - start, plans, set(decoded)
+    evaluator = PopulationEvaluator.from_plans(plans)
+    return time.perf_counter() - start, evaluator, set(decoded)
 
 
 def _compiled_prep(config, cache, offspring):
-    """cpu-compiled: shape-key hits + one parameter fill per shape."""
+    """cpu-compiled: signature hits, one parameter read, one layout."""
     start = time.perf_counter()
     entries = [cache.get(genome, config) for genome in offspring]
-    grouped: dict[int, tuple[object, list[int]]] = {}
-    for slot, entry in enumerate(entries):
-        bucket = grouped.get(id(entry))
-        if bucket is None:
-            grouped[id(entry)] = (entry, [slot])
-        else:
-            bucket[1].append(slot)
-    groups = []
-    for structure, slots in grouped.values():
-        weights, biases = structure.parameter_blocks(
-            [offspring[slot] for slot in slots]
-        )
-        groups.append((structure.plan, slots, weights, biases))
-    return time.perf_counter() - start, groups, len(groups)
+    _, views = CompiledCPUBackend._read_parameters(offspring, entries)
+    evaluator = CompiledPopulationEvaluator(list(zip(entries, views)))
+    return time.perf_counter() - start, evaluator, evaluator.num_buckets
 
 
 def test_compile_speedup():
@@ -164,23 +153,15 @@ def test_compile_speedup():
     fast_prep = comp_prep = float("inf")
     fast_shared = comp_shared = float("inf")
     for _ in range(REPEATS):
-        prep, fast_plans, keys = _decode_prep(config, offspring)
-        shared, fast_out = _run_ticks(
-            config,
-            lambda: PopulationEvaluator.from_plans(fast_plans),
-            len(offspring),
-        )
+        prep, fast_engine, keys = _decode_prep(config, offspring)
+        shared, fast_out = _run_ticks(config, fast_engine, len(offspring))
         fast_prep = min(fast_prep, prep)
         fast_shared = min(fast_shared, shared)
 
-        prep, comp_groups, buckets = _compiled_prep(
+        prep, comp_engine, buckets = _compiled_prep(
             config, compile_cache, offspring
         )
-        shared, comp_out = _run_ticks(
-            config,
-            lambda: PopulationEvaluator.from_groups(comp_groups),
-            len(offspring),
-        )
+        shared, comp_out = _run_ticks(config, comp_engine, len(offspring))
         comp_prep = min(comp_prep, prep)
         comp_shared = min(comp_shared, shared)
 
@@ -209,7 +190,7 @@ def test_compile_speedup():
     ]
     table = format_table(
         ["software path", "prep (ms)",
-         f"assemble + {TICKS} ticks (ms)", "prep speedup"],
+         f"{TICKS} ticks (ms)", "prep speedup"],
         rows,
         title=(
             f"compile-cache speedup: {len(offspring)} weight-mutated "

@@ -1,10 +1,14 @@
-"""Cross-generation compile cache: shape key -> compiled structure.
+"""Cross-generation compile cache: topology signature -> compiled structure.
 
 A cache keyed on the *weighted* structural hash would hit only for
 unchanged elites.  This cache keys on the weights-excluded
-:meth:`~repro.neat.genome.Genome.shape_key`: weight-mutated offspring —
-the bulk of every generation — reuse their parents' compiled structure,
-so steady-state generations build almost nothing.
+:meth:`~repro.neat.genome.Genome.shape_signature`: weight-mutated
+offspring — the bulk of every generation — reuse their parents'
+compiled structure, so steady-state generations build almost nothing.
+The signature tuple is an exact key (equal tuples are equal
+topologies) and costs a fraction of rendering and hashing it; a miss
+computes the shape key, the signature's digest, once, for its
+structure and its ``compile.build`` span.
 
 ``warm()`` exists for checkpoint resume: ``load_checkpoint`` restores
 the population but no cache state, and a cold cache silently recompiles
@@ -19,14 +23,14 @@ from collections import OrderedDict
 
 from repro.compile.structure import CompiledStructure
 from repro.neat.config import NEATConfig
-from repro.neat.genome import Genome
+from repro.neat.genome import Genome, signature_digest
 from repro.telemetry.spans import span as _span
 
 __all__ = ["CompileCache"]
 
 
 class CompileCache:
-    """LRU of shape key -> :class:`CompiledStructure`."""
+    """LRU of topology signature -> :class:`CompiledStructure`."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
@@ -37,17 +41,17 @@ class CompileCache:
         #: structures inserted by :meth:`warm` (resume warm-start), kept
         #: out of hits/misses so hit-rate telemetry stays honest
         self.warmed = 0
-        self._entries: OrderedDict[str, CompiledStructure] = OrderedDict()
+        self._entries: OrderedDict[tuple, CompiledStructure] = OrderedDict()
 
     def get(self, genome: Genome, config: NEATConfig) -> CompiledStructure:
-        key = genome.shape_key()
-        entry = self._entries.get(key)
+        signature = genome.shape_signature()
+        entry = self._entries.get(signature)
         if entry is not None:
             self.hits += 1
-            self._entries.move_to_end(key)
+            self._entries.move_to_end(signature)
             return entry
         self.misses += 1
-        return self._build(key, genome, config)
+        return self._build(signature, genome, config)
 
     def warm(self, genome: Genome, config: NEATConfig) -> bool:
         """Pre-populate from ``genome`` without touching hit/miss counts.
@@ -55,20 +59,25 @@ class CompileCache:
         Returns True when a structure was actually built (False: its
         shape was already cached).
         """
-        key = genome.shape_key()
-        if key in self._entries:
-            self._entries.move_to_end(key)
+        signature = genome.shape_signature()
+        if signature in self._entries:
+            self._entries.move_to_end(signature)
             return False
         self.warmed += 1
-        self._build(key, genome, config, warm=True)
+        self._build(signature, genome, config, warm=True)
         return True
 
     def _build(
-        self, key: str, genome: Genome, config: NEATConfig, warm: bool = False
+        self,
+        signature: tuple,
+        genome: Genome,
+        config: NEATConfig,
+        warm: bool = False,
     ) -> CompiledStructure:
+        key = signature_digest(signature)
         with _span("compile.build", shape=key[:12], warm=warm):
             entry = CompiledStructure.from_genome(genome, config, key)
-        self._entries[key] = entry
+        self._entries[signature] = entry
         if len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
         return entry

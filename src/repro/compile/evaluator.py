@@ -1,18 +1,20 @@
-"""Lock-step inference over a mixed-shape generation, set up per shape.
+"""Lock-step inference over a mixed-shape generation, laid out per level.
 
-A *bucket* is every member of a generation sharing one shape key.  Its
-weights and biases fill once, straight from the shape's recipes, into
-``(B, rows, fan_in)`` / ``(B, rows)`` blocks over the shape's single
-compiled plan — the software analogue of mapping same-topology
-individuals onto identically-configured PUs.
-:class:`CompiledPopulationEvaluator` hands those blocks to the proven
+Every member of a generation runs its shape's compiled row templates
+with its own parameter vector — the software analogue of mapping
+same-topology individuals onto identically-configured PUs.
+:class:`CompiledPopulationEvaluator` hands the generation's distinct
+shapes and one parameter array to the proven
 :class:`~repro.neat.vectorized.PopulationEvaluator` engine, which lays
-each shape out by broadcasting its shared plan over the members — same
-flattened tensors, same term-by-term accumulation order, so fitness is
-bit-identical to the interpreted ``cpu`` path by construction.
+every member's rows out depth by depth with a fixed number of NumPy
+calls — same flattened tensors, same term-by-term accumulation order,
+so fitness is bit-identical to the interpreted ``cpu`` path by
+construction.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 import numpy as np
 
@@ -26,33 +28,49 @@ __all__ = ["CompiledPopulationEvaluator"]
 class CompiledPopulationEvaluator:
     """Lock-step inference over a mixed-shape generation.
 
-    ``members`` is the slot-ordered ``(structure, genome)`` list — one
-    entry per (genome, episode) slot, exactly how the backend lays out
-    its lock-step envs.  Slots bucket by compiled structure, each
-    bucket's parameters fill once into per-shape blocks, and the
-    flattened engine then runs all buckets in one pass per tick.
+    ``members`` is the slot-ordered ``(structure, parameters)`` list —
+    one entry per (genome, episode) slot, exactly how the backend lays
+    out its lock-step envs.  ``parameters`` is the member's genome, or
+    its parameter vector already read
+    (:meth:`CompiledStructure.parameters`, e.g. a view of the array a
+    backend records).  Each distinct structure is one shape and each
+    distinct ``parameters`` object is read once, however many slots
+    list it; the flattened engine then runs every shape in one pass per
+    tick.
     """
 
-    def __init__(self, members: list[tuple[CompiledStructure, Genome]]):
+    def __init__(
+        self, members: list[tuple[CompiledStructure, Genome | np.ndarray]]
+    ):
         if not members:
             raise ValueError(
                 "CompiledPopulationEvaluator needs at least one member"
             )
-        grouped: dict[int, tuple[CompiledStructure, list[int]]] = {}
-        for slot, (structure, _) in enumerate(members):
-            bucket = grouped.get(id(structure))
-            if bucket is None:
-                grouped[id(structure)] = (structure, [slot])
-            else:
-                bucket[1].append(slot)
-        groups = []
-        for structure, slots in grouped.values():
-            weights, biases = structure.parameter_blocks(
-                [members[slot][1] for slot in slots]
-            )
-            groups.append((structure.plan, slots, weights, biases))
-        self.num_buckets = len(groups)
-        self._flat = PopulationEvaluator.from_groups(groups)
+        structures = [structure for structure, _ in members]
+        shapes = list(dict.fromkeys(structures))
+        for structure in shapes:
+            if structure.plan is None:
+                raise ValueError(
+                    f"shape {structure.shape_key[:12]} is not vectorizable"
+                )
+        shape_index = {structure: k for k, structure in enumerate(shapes)}
+        # each distinct parameters object once, in slot order
+        ids = [id(parameters) for _, parameters in members]
+        distinct = dict(zip(ids, members))
+        vectors = [
+            structure.parameters(parameters)
+            if isinstance(parameters, Genome)
+            else parameters
+            for structure, parameters in distinct.values()
+        ]
+        offsets = dict(zip(distinct, accumulate(map(len, vectors), initial=0)))
+        self.num_buckets = len(shapes)
+        self._flat = PopulationEvaluator(
+            [structure.plan for structure in shapes],
+            list(map(shape_index.__getitem__, structures)),
+            np.concatenate(vectors).astype(np.float64, copy=False),
+            list(map(offsets.__getitem__, ids)),
+        )
 
     @property
     def rebuilds(self) -> int:

@@ -1,14 +1,15 @@
-"""One topology signature, compiled once; parameters filled per shape.
+"""One topology signature, compiled once; parameters read per member.
 
 A :class:`CompiledStructure` is everything about a decoded network that
-the shape key determines: the pruned/layered topology, the padded
-``_NetPlan`` index matrices, activation grouping, and the *recipes*
-(node keys and ingress connection keys in plan order) needed to fill
-same-shape genomes' weights and biases into that layout, stacked one
-block per plan layer, without re-running ``CreateNet``.  The contract
-is pinned by :meth:`repro.neat.genome.Genome.shape_key`: two genomes
-with equal shape keys decode to identical structure, so they may share
-one compiled plan and differ only in the parameter tensors.
+the topology signature determines, built from one topology solve
+(:func:`repro.neat.network.solve_topology`) with no weighted decode:
+the *recipes* (each node's key, activation, aggregation and ingress
+sources, layer by layer), the keys its :meth:`CompiledStructure.parameters`
+reads, and the engine's flat per-level row templates
+(:class:`~repro.neat.vectorized._ShapePlan`).  The contract is pinned by
+:meth:`repro.neat.genome.Genome.shape_signature`: two genomes with
+equal signatures decode to identical structure, so they may share one
+compiled structure and differ only in their parameter vectors.
 
 Its :class:`ShapeCost` is what the shape costs, whatever its weights:
 the sizes a workload records, the buffer words the device gates on and
@@ -22,7 +23,8 @@ configuration.  What a member adds to its shape is its
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,23 +32,25 @@ from repro.inax.accelerator import INAXConfig
 from repro.inax.compiler import ConfigWords, HWNetConfig
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
-from repro.neat.network import FeedForwardNetwork, NodeEval
+from repro.neat.network import NodeEval, solve_topology
 
-# the compiled plan reuses the vectorized engine's private lowering: one
-# arithmetic implementation means one bit-identity proof obligation
-from repro.neat.vectorized import _NetPlan
+# the engine's own row templates: one arithmetic implementation means one
+# bit-identity proof obligation
+from repro.neat.vectorized import _ShapePlan
 
 __all__ = ["CompiledStructure", "ShapeCost", "hw_configs"]
 
+_BIAS = attrgetter("bias")
+_WEIGHT = attrgetter("weight")
 
-@dataclass(frozen=True)
-class _RowRecipe:
-    """How to fill one plan row from any same-shape genome."""
+
+class _RowRecipe(NamedTuple):
+    """One node of a shape, whatever its weights."""
 
     key: int
     activation: str
     aggregation: str
-    #: ingress source keys in plan term order (sorted; weight-independent)
+    #: ingress source keys in term order (sorted; weight-independent)
     sources: tuple[int, ...]
 
     @property
@@ -156,9 +160,10 @@ def hw_configs(
 
 
 class CompiledStructure:
-    """Shared execution plan + parameter fill recipes for one shape.
+    """Recipes, parameter keys and engine row templates for one shape.
 
-    ``plan`` is ``None`` when the shape does not vectorize (exotic
+    ``plan`` is the shape's :class:`~repro.neat.vectorized._ShapePlan`,
+    or ``None`` when the shape does not vectorize (exotic
     aggregation/activation); the recipes still work, so the HW config
     lowering stays cheap and the backend can fall back to the
     interpreted path for those genomes.  ``cost`` is the shape's
@@ -174,7 +179,6 @@ class CompiledStructure:
         "cost",
         "_bias_keys",
         "_conn_keys",
-        "_fill_plan",
         "__weakref__",
     )
 
@@ -184,140 +188,65 @@ class CompiledStructure:
         input_keys: tuple[int, ...],
         output_keys: tuple[int, ...],
         rows: tuple[tuple[_RowRecipe, ...], ...],
-        plan: _NetPlan | None,
     ):
         self.shape_key = shape_key
         self.input_keys = input_keys
         self.output_keys = output_keys
         self.rows = rows
-        self.plan = plan
+        try:
+            self.plan = _ShapePlan(input_keys, output_keys, rows)
+        except ValueError:
+            self.plan = None
         self.cost = ShapeCost(input_keys, output_keys, rows)
-        # recipe keys in plan order: node biases, then ingress weights
-        self._bias_keys = tuple(
-            recipe.key for layer in rows for recipe in layer
-        )
-        self._conn_keys = tuple(
+        # recipe keys in row order: node biases, then ingress weights
+        self._bias_keys = [recipe.key for layer in rows for recipe in layer]
+        self._conn_keys = [
             (src, recipe.key)
             for layer in rows
             for recipe in layer
             for src in recipe.sources
-        )
-        self._fill_plan = None
+        ]
 
     @classmethod
     def from_genome(
         cls, genome: Genome, config: NEATConfig, shape_key: str | None = None
     ) -> "CompiledStructure":
-        """Decode once (CreateNet + plan lowering) for this shape.
+        """Compile ``genome``'s shape from one topology solve.
 
         ``shape_key`` is ``genome.shape_key()``, from a caller that has
         already hashed the genome.
         """
-        net = FeedForwardNetwork.create(genome, config)
+        layers, sources = solve_topology(genome, config)
+        nodes = genome.nodes
         rows = tuple(
             tuple(
-                _RowRecipe(
-                    key=key,
-                    activation=net.node_evals[key].activation,
-                    aggregation=net.node_evals[key].aggregation,
-                    sources=tuple(
-                        src for src, _ in net.node_evals[key].ingress
-                    ),
-                )
-                for key in layer
+                [
+                    _RowRecipe(
+                        key,
+                        nodes[key].activation,
+                        nodes[key].aggregation,
+                        sources[key],
+                    )
+                    for key in layer
+                ]
             )
-            for layer in net.layers
+            for layer in layers
         )
-        try:
-            plan = _NetPlan(net)
-        except ValueError:
-            plan = None
         if shape_key is None:
             shape_key = genome.shape_key()
-        return cls(
-            shape_key=shape_key,
-            input_keys=tuple(net.input_keys),
-            output_keys=tuple(net.output_keys),
-            rows=rows,
-            plan=plan,
-        )
+        return cls(shape_key, config.input_keys, config.output_keys, rows)
 
     # -------------------------------------------------------- parameters
     def parameters(self, genome: Genome) -> list[float]:
         """``genome``'s biases, then its weights, in recipe order: all a
         same-shape genome adds to the shape."""
-        nodes = genome.nodes
-        connections = genome.connections
-        values = [nodes[key].bias for key in self._bias_keys]
-        values += [connections[key].weight for key in self._conn_keys]
+        values = list(
+            map(_BIAS, map(genome.nodes.__getitem__, self._bias_keys))
+        )
+        values += map(
+            _WEIGHT, map(genome.connections.__getitem__, self._conn_keys)
+        )
         return values
-
-    def parameter_blocks(
-        self, genomes: list[Genome]
-    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Same-shape ``genomes``' parameters, stacked in plan layout.
-
-        Returns one ``(B, rows, terms)`` weight block and one
-        ``(B, rows)`` bias block per plan layer, row ``b`` holding
-        ``genomes[b]``.  Padded terms stay weight ``0.0``, just like
-        ``_NetPlan`` builds them, so evaluating a row is bit-identical
-        to decoding its genome.  :meth:`parameters` reads each distinct
-        genome once; a genome listed several times (one per episode
-        slot) has its rows copied.
-        """
-        plan = self.plan
-        if plan is None:
-            raise ValueError(
-                f"shape {self.shape_key[:12]} is not vectorizable"
-            )
-        if self._fill_plan is None:
-            self._fill_plan = self._make_fill_plan()
-        distinct: dict[int, int] = {}
-        rows: list[list[float]] = []
-        member_rows: list[int] = []
-        for genome in genomes:
-            row = distinct.get(id(genome))
-            if row is None:
-                row = distinct[id(genome)] = len(rows)
-                rows.append(self.parameters(genome))
-            member_rows.append(row)
-        values = np.array(rows, dtype=np.float64)
-        if len(rows) < len(genomes):
-            values = values[member_rows]
-        weights: list[np.ndarray] = []
-        biases: list[np.ndarray] = []
-        for base, (bias_span, conn_span, row_index, term_index) in zip(
-            plan.layers, self._fill_plan
-        ):
-            block = np.zeros((len(genomes),) + base.weights.shape)
-            block[:, row_index, term_index] = values[:, conn_span]
-            weights.append(block)
-            biases.append(values[:, bias_span])
-        return weights, biases
-
-    def _make_fill_plan(self):
-        """Each layer's spans into :meth:`parameters` and the
-        ``(row, term)`` plan position of each of its connections."""
-        layers = []
-        bias_start, conn_start = 0, len(self._bias_keys)
-        for layer_rows in self.rows:
-            rows, terms = [], []
-            for row, recipe in enumerate(layer_rows):
-                for term in range(recipe.fan_in):
-                    rows.append(row)
-                    terms.append(term)
-            bias_end = bias_start + len(layer_rows)
-            conn_end = conn_start + len(rows)
-            layers.append(
-                (
-                    slice(bias_start, bias_end),
-                    slice(conn_start, conn_end),
-                    np.array(rows, dtype=np.intp),
-                    np.array(terms, dtype=np.intp),
-                )
-            )
-            bias_start, conn_start = bias_end, conn_end
-        return layers
 
     # --------------------------------------------------------- HW config
     def hw_config(self, genome: Genome) -> HWNetConfig:

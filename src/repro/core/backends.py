@@ -54,8 +54,8 @@ The compiled backends price and record from each shape's
 :class:`~repro.compile.structure.ShapeCost`, and a ``cpu-compiled``
 generation, like a replayed ``inax`` or ``fabric`` one, builds no
 :class:`~repro.inax.compiler.HWNetConfig` unless its record's
-``configs`` are read; until then the record keeps only the
-generation's parameters, in one array.
+``configs`` are read; the record keeps only the generation's
+parameters, in the one array the engine read them into.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ import multiprocessing
 import time
 from collections import deque
 from contextlib import contextmanager
+from itertools import accumulate, chain
 from typing import Callable
 
 import numpy as np
@@ -140,11 +141,12 @@ class GenerationRecord:
     """Everything recorded while evaluating one generation.
 
     ``configs`` (the compiled individuals, aligned with
-    ``workload.individuals``) and ``workload`` are built on first read.
-    ``configs`` is given as a list or as a function that lowers the
-    individuals from values copied at evaluation time, never from the
-    genomes, so a record keeps no genome alive; ``shapes`` holds one
-    object per individual with the sizes
+    ``workload.individuals``) and ``workload`` are built on every read
+    and kept by nobody, so reading a record leaves it as small as it
+    was.  ``configs`` is given as a list or as a function that lowers
+    the individuals from values copied at evaluation time, never from
+    the genomes, so a record keeps no genome alive; ``shapes`` holds
+    one object per individual with the sizes
     :meth:`IndividualWork.from_config` reads: its
     :class:`~repro.inax.compiler.HWNetConfig`, or its shape's
     :class:`~repro.compile.structure.ShapeCost`.  A record never holds a
@@ -170,24 +172,20 @@ class GenerationRecord:
         self.predicted_costs = predicted_costs
         self._shapes = shapes
         self._configs = configs
-        self._workload: GenerationWorkload | None = None
 
     @property
     def configs(self) -> list[HWNetConfig]:
-        if callable(self._configs):
-            self._configs = self._configs()
-        return self._configs
+        configs = self._configs
+        return configs() if callable(configs) else configs
 
     @property
     def workload(self) -> GenerationWorkload:
-        if self._workload is None:
-            self._workload = GenerationWorkload(
-                individuals=[
-                    IndividualWork.from_config(shape, steps)
-                    for shape, steps in zip(self._shapes, self.episode_lengths)
-                ]
-            )
-        return self._workload
+        return GenerationWorkload(
+            individuals=[
+                IndividualWork.from_config(shape, steps)
+                for shape, steps in zip(self._shapes, self.episode_lengths)
+            ]
+        )
 
 
 class EvaluationBackend:
@@ -576,26 +574,38 @@ class _CompiledBackend(EvaluationBackend):
             ]
         return entries, [entry.cost for entry in entries]
 
+    @staticmethod
+    def _read_parameters(
+        genomes: list[Genome], entries: list
+    ) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Every genome's :meth:`~repro.compile.CompiledStructure.parameters`,
+        read once into one array, and each genome's view of it: the
+        engine's members and the record share the read."""
+        rows = [
+            entry.parameters(genome)
+            for entry, genome in zip(entries, genomes)
+        ]
+        ends = list(accumulate(map(len, rows)))
+        values = np.fromiter(
+            chain.from_iterable(rows), np.float64, ends[-1] if ends else 0
+        )
+        return values, [
+            values[start:end] for start, end in zip([0, *ends], ends)
+        ]
+
     def _record_compiled(
         self,
         genomes: list[Genome],
         entries: list,
         steps: list[list[int]],
+        parameters: np.ndarray,
         **device,
     ) -> GenerationRecord:
         """Record ``genomes`` from their compiled ``entries``: the
-        record keeps their shape costs and their parameters, copied now
-        into one array, and lowers its ``configs`` from them only when
-        they are read, so it keeps no genome alive.  ``device`` is the
-        device backends' report and predictions (:meth:`_record`)."""
-        parameters = np.array(
-            [
-                value
-                for entry, genome in zip(entries, genomes)
-                for value in entry.parameters(genome)
-            ],
-            dtype=np.float64,
-        )
+        record keeps their shape costs and ``parameters``, their
+        :meth:`_read_parameters` array, and lowers its ``configs`` from
+        them on every read, so it keeps no genome alive.  ``device`` is
+        the device backends' report and predictions (:meth:`_record`)."""
         shapes = [entry.cost for entry in entries]
         return self._record(
             shapes,
@@ -610,12 +620,14 @@ class _CompiledBackend(EvaluationBackend):
         genomes: list[Genome],
         entries=None,
         episodes: range | list[int] | None = None,
+        parameters: list[np.ndarray] | None = None,
     ) -> list[list[EpisodeRecord]]:
         """Every (genome, episode) slot's record, ``[genome][episode]``.
 
         ``episodes`` defaults to all of them; ``entries`` are the
-        genomes' compiled structures when the caller already looked
-        them up.  The slots of vectorizable shapes run in one lock-step
+        genomes' compiled structures and ``parameters`` their
+        :meth:`_read_parameters` views, when the caller already has
+        them.  The slots of vectorizable shapes run in one lock-step
         pass of one :class:`~repro.compile.CompiledPopulationEvaluator`;
         the rest run on the interpreted path, which produces the same
         bits by construction.
@@ -624,6 +636,8 @@ class _CompiledBackend(EvaluationBackend):
             entries = [
                 self._compile_cache.get(g, self.neat_config) for g in genomes
             ]
+        if parameters is None:
+            parameters = genomes
         if episodes is None:
             episodes = range(self.episodes_per_genome)
         records: list[list] = [[None] * len(episodes) for _ in genomes]
@@ -643,7 +657,7 @@ class _CompiledBackend(EvaluationBackend):
                 "compile.batch_step", slots=len(slots), buckets=buckets
             ):
                 evaluator = CompiledPopulationEvaluator(
-                    [(entries[i], genomes[i]) for i, _ in slots]
+                    [(entries[i], parameters[i]) for i, _ in slots]
                 )
                 for (i, e), record in zip(
                     slots, run_lockstep(envs, evaluator.infer, seeds=seeds)
@@ -789,13 +803,14 @@ class CompiledCPUBackend(_CompiledBackend):
     fitness value:
 
     1. **Structural batching** — genomes bucket by the weights-excluded
-       :meth:`Genome.shape_key`, and each shape compiles **once** into a
+       :meth:`Genome.shape_signature`, and each shape compiles **once** into a
        :class:`~repro.compile.CompiledStructure` held in a
        cross-generation :class:`~repro.compile.CompileCache`, so the
        weight-mutated bulk of a steady-state generation compiles
        nothing.
-    2. **Lock-step inference** — a generation's members become stacked
-       weight/bias tensors over the shared plans
+    2. **Lock-step inference** — a generation's members are laid out
+       level by level from their shapes' row templates and their
+       parameters, read once into one array
        (:class:`~repro.compile.CompiledPopulationEvaluator`), and all
        episodes advance together, so an env tick's forward passes cost
        a handful of NumPy ops instead of a Python per-node loop per
@@ -809,9 +824,9 @@ class CompiledCPUBackend(_CompiledBackend):
     bit-identical to ``cpu``.  A generation is priced and its workload
     recorded from the shapes' cost descriptors, which equal what the
     ``cpu`` path reads off :func:`compile_genome`'s configurations; the
-    record keeps the generation's parameters in one array and lowers
-    its ``configs`` from them, through each shape's recipes, only when
-    they are read.  Non-vectorizable shapes (exotic aggregations)
+    record keeps the engine's parameter array and lowers its
+    ``configs`` from it, through each shape's recipes, whenever they
+    are read.  Non-vectorizable shapes (exotic aggregations)
     fall back to the interpreted :func:`run_episode` path, which
     produces the same bits by construction.
     """
@@ -936,28 +951,32 @@ class CompiledCPUBackend(_CompiledBackend):
     # -------------------------------------------------------- evaluation
     def _evaluate(self, genomes: list[Genome]) -> None:
         entries, _ = self._lower(genomes)
+        values, views = self._read_parameters(genomes, entries)
         if self.workers > 1 and len(genomes) > 1:
             fitnesses, steps = self._fitness_sharded(genomes)
         else:
-            fitnesses, steps = self._fitness_for(genomes, entries=entries)
+            fitnesses, steps = self._fitness_for(genomes, entries, views)
         for genome, fitness in zip(genomes, fitnesses):
             genome.fitness = fitness
         self._publish_compile_gauges()
-        self._record_compiled(genomes, entries, steps)
+        self._record_compiled(genomes, entries, steps, values)
 
     def _fitness_for(
-        self, genomes: list[Genome], entries=None
+        self, genomes: list[Genome], entries=None, parameters=None
     ) -> tuple[list[float], list[list[int]]]:
         """Evaluate ``genomes`` in-process; returns (fitnesses, steps),
         each genome's steps one entry per episode.
 
-        ``entries`` are the genomes' compiled structures when the caller
-        already looked them up.  Each genome's records sum through
-        :func:`_fitness_of`, like the interpreted path's, so the
+        ``entries`` and ``parameters`` are the genomes' compiled
+        structures and parameter views when the caller already has
+        them (:meth:`_episode_records`).  Each genome's records sum
+        through :func:`_fitness_of`, like the interpreted path's, so the
         resulting floats are bit-identical.
         """
         fitnesses, steps = [], []
-        for records in self._episode_records(genomes, entries):
+        for records in self._episode_records(
+            genomes, entries, parameters=parameters
+        ):
             fitnesses.append(_fitness_of(records)[0])
             steps.append([record.steps for record in records])
         return fitnesses, steps
@@ -1316,11 +1335,12 @@ class INAXBackend(_CompiledBackend):
         self._begin_generation(generation)
         # buffer-capacity gate (§IV-D: finite weight/value buffers)
         runnable, entries = self._gate_oversize(genomes)
+        values, views = self._read_parameters(runnable, entries)
 
         steps = [[0] * self.episodes_per_genome for _ in runnable]
         rewards = [0.0] * len(runnable)
 
-        with self._functional_pass(runnable, entries):
+        with self._functional_pass(runnable, entries, views):
             # wave packing happens *before* evaluation, off last-generation
             # episode lengths — exactly what the analytic scheduler replays
             with _span("inax.pack", genomes=len(runnable)):
@@ -1382,6 +1402,7 @@ class INAXBackend(_CompiledBackend):
             runnable,
             entries,
             steps,
+            values,
             predicted_costs=predicted,
             cycle_report=self._finish_generation(generation),
         )
@@ -1425,7 +1446,9 @@ class INAXBackend(_CompiledBackend):
         return self.farm[0].report
 
     @contextmanager
-    def _functional_pass(self, genomes: list[Genome], entries: list):
+    def _functional_pass(
+        self, genomes: list[Genome], entries: list, parameters: list
+    ):
         """Run the generation's episodes first, when the data cannot matter.
 
         With a :attr:`~repro.inax.accelerator.INAX.replayable` device
@@ -1434,20 +1457,24 @@ class INAXBackend(_CompiledBackend):
         wave-episode dispatched inside the ``with`` block replays its
         cycle accounting from them (:meth:`_device_wave_episode`).
         Otherwise each genome is lowered here, once, from its compiled
-        entry, and the devices load and step every wave-episode.
-        Neither the records nor the configurations outlive the block.
+        entry and its ``parameters`` view, and the devices load and step
+        every wave-episode.  Neither the records nor the configurations
+        outlive the block.
         """
         if self.farm[0].replayable:
             self._pass_records = {
                 id(genome): records
                 for genome, records in zip(
-                    genomes, self._episode_records(genomes, entries)
+                    genomes,
+                    self._episode_records(
+                        genomes, entries, parameters=parameters
+                    ),
                 )
             }
         else:
             self._pass_configs = {
-                id(genome): entry.hw_config(genome)
-                for genome, entry in zip(genomes, entries)
+                id(genome): entry.cost.hw_config(view.tolist())
+                for genome, entry, view in zip(genomes, entries, parameters)
             }
         try:
             yield

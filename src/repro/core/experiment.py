@@ -111,15 +111,17 @@ def price_run(
     cpu_times, gpu_times, inax_times = PhaseTimes(), PhaseTimes(), PhaseTimes()
     merged_report = CycleReport()
     for record in records:
-        cpu_times.merge(cpu_model.generation_times(record.workload))
-        gpu_times.merge(gpu_model.generation_times(record.workload))
+        # a record lowers its workload on every read: read it once
+        workload = record.workload
+        cpu_times.merge(cpu_model.generation_times(workload))
+        gpu_times.merge(gpu_model.generation_times(workload))
         if record.cycle_report is None:
             raise ValueError(
                 "record has no INAX cycle report; evaluate with an "
                 "inax_config attached"
             )
         inax_times.merge(
-            inax_model.generation_times(record.workload, record.cycle_report)
+            inax_model.generation_times(workload, record.cycle_report)
         )
         merged_report.merge(record.cycle_report)
 

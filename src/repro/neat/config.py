@@ -186,7 +186,7 @@ class NEATConfig:
     @property
     def input_keys(self) -> tuple[int, ...]:
         """Input node keys: -1, -2, ..., -num_inputs (neat-python style)."""
-        return tuple(-(i + 1) for i in range(self.num_inputs))
+        return tuple(range(-1, -self.num_inputs - 1, -1))
 
     @property
     def output_keys(self) -> tuple[int, ...]:

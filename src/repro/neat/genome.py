@@ -23,11 +23,26 @@ from repro.neat.genes import (
 )
 from repro.neat.innovation import InnovationTracker
 
-__all__ = ["Genome", "creates_cycle"]
+__all__ = ["Genome", "creates_cycle", "signature_digest"]
 
 #: A genome's connection genes keyed by innovation number, plus the
 #: largest number (-1 without connections).
 InnovationIndex = tuple[dict[int, ConnectionGene], int]
+
+
+def signature_digest(signature: tuple) -> str:
+    """The SHA-256 hex digest of a :meth:`Genome.shape_signature`: one
+    ``n|key|activation|aggregation`` line per node, then one
+    ``c|in|out`` line per enabled connection."""
+    text = "".join(
+        [
+            f"n|{entry[0]}|{entry[1]}|{entry[2]}\n"
+            if len(entry) == 3
+            else f"c|{entry[0]}|{entry[1]}\n"
+            for entry in signature
+        ]
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def creates_cycle(
@@ -153,9 +168,28 @@ class Genome:
             )
         return hasher.hexdigest()
 
+    def shape_signature(self) -> tuple:
+        """The genome's *topology signature*: each node's ``(key,
+        activation, aggregation)``, sorted by key, then every **enabled**
+        connection's key, sorted.
+
+        Equal signatures are equal topologies, exactly, so the compile
+        cache keys on this tuple; :meth:`shape_key` is its digest.
+        """
+        nodes = self.nodes
+        connections = self.connections
+        return tuple(
+            [
+                (key, (node := nodes[key]).activation, node.aggregation)
+                for key in sorted(nodes)
+            ]
+            + [key for key in sorted(connections) if connections[key].enabled]
+        )
+
     def shape_key(self) -> str:
-        """SHA-256 digest of the genome's *topology signature* — the
-        weights-excluded companion of :meth:`structural_hash`.
+        """SHA-256 digest of the genome's topology signature
+        (:meth:`shape_signature`) — the weights-excluded companion of
+        :meth:`structural_hash`.
 
         Covers every node's (key, activation, aggregation) and every
         **enabled** connection's endpoints, but *not* biases, weights,
@@ -169,30 +203,16 @@ class Genome:
 
         * equal ``structural_hash()`` ⇒ equal ``shape_key()``;
         * equal ``shape_key()`` ⇒ identical decoded layering, ingress
-          slots, activation grouping, and vectorizability — the two
-          genomes differ at most in weight/bias *values*, so they can
-          share one compiled execution plan with per-member parameter
-          tensors.
+          slots, activations, and vectorizability — the two genomes
+          differ at most in weight/bias *values*, so they can share one
+          compiled structure with per-member parameter vectors.
 
         Weight-only mutation (by far the most common NEAT mutation)
         preserves the shape key, which is why a shape-keyed compile
         cache keeps hitting where a cache keyed on
         :meth:`structural_hash` would miss.
         """
-        nodes = self.nodes
-        connections = self.connections
-        signature = "".join(
-            [
-                f"n|{key}|{nodes[key].activation}|{nodes[key].aggregation}\n"
-                for key in sorted(nodes)
-            ]
-            + [
-                f"c|{key[0]}|{key[1]}\n"
-                for key in sorted(connections)
-                if connections[key].enabled
-            ]
-        )
-        return hashlib.sha256(signature.encode()).hexdigest()
+        return signature_digest(self.shape_signature())
 
     # ---------------------------------------------------------- mutation
     def mutate(

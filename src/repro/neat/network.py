@@ -12,10 +12,14 @@ The decoder
 3. produces per-node evaluation plans (bias, activation, aggregation,
    weighted ingress list).
 
-The same layering drives both the software forward pass
-(:meth:`FeedForwardNetwork.activate`) and the INAX compiler
-(:mod:`repro.inax.compiler`), which is what lets the tests require the
-simulated accelerator to agree with software bit-for-bit.
+Steps 1 and 2 read no weight or bias: they are one topology solve,
+:func:`solve_topology`, which the oracle's :meth:`FeedForwardNetwork.create`
+and the structural-batching compiler
+(:meth:`repro.compile.CompiledStructure.from_genome`) share.  The same
+layering drives the software forward pass
+(:meth:`FeedForwardNetwork.activate`), the INAX compiler
+(:mod:`repro.inax.compiler`) and the compiled engine, which is what lets
+the tests require them to agree bit-for-bit.
 """
 
 from __future__ import annotations
@@ -28,7 +32,12 @@ from repro.neat.activations import activations, aggregations
 from repro.neat.config import NEATConfig
 from repro.neat.genome import Genome
 
-__all__ = ["FeedForwardNetwork", "NodeEval", "required_nodes"]
+__all__ = [
+    "FeedForwardNetwork",
+    "NodeEval",
+    "required_nodes",
+    "solve_topology",
+]
 
 
 def required_nodes(genome: Genome, config: NEATConfig) -> set[int]:
@@ -37,19 +46,99 @@ def required_nodes(genome: Genome, config: NEATConfig) -> set[int]:
     Computed as backward reachability from the output set over enabled
     connections.  Input keys are never included (they carry no genes).
     """
-    reverse: dict[int, list[int]] = {}
+    return _required(_enabled_ingress(genome), config.output_keys)
+
+
+def _enabled_ingress(genome: Genome) -> dict[int, list[int]]:
+    """Each destination's enabled ingress source keys."""
+    ingress: dict[int, list[int]] = {}
     for conn in genome.connections.values():
         if conn.enabled:
-            reverse.setdefault(conn.out_node, []).append(conn.in_node)
-    required = set(config.output_keys)
-    frontier = list(config.output_keys)
+            src, dst = conn.key
+            sources = ingress.get(dst)
+            if sources is None:
+                ingress[dst] = [src]
+            else:
+                sources.append(src)
+    return ingress
+
+
+def _required(
+    ingress: dict[int, list[int]], output_keys: tuple[int, ...]
+) -> set[int]:
+    required = set(output_keys)
+    frontier = list(output_keys)
     while frontier:
         node = frontier.pop()
-        for src in reverse.get(node, ()):
+        for src in ingress.get(node, ()):
             if src >= 0 and src not in required:
                 required.add(src)
                 frontier.append(src)
     return required
+
+
+def solve_topology(
+    genome: Genome, config: NEATConfig
+) -> tuple[list[list[int]], dict[int, tuple[int, ...]]]:
+    """CreateNet's dependency solve: everything no weight or bias moves.
+
+    Returns ``(layers, sources)``: the nodes that can influence an
+    output (:func:`required_nodes`) grouped by ASAP depth, sorted by key
+    within a depth, and each such node's ingress source keys, sorted —
+    the inputs and required nodes among its enabled connections'
+    sources.  :meth:`FeedForwardNetwork.create` and the compiler
+    (:meth:`repro.compile.CompiledStructure.from_genome`) both decode
+    from it.  Raises ``ValueError`` when the required nodes hold a
+    cycle.
+    """
+    input_keys = config.input_keys
+    ingress = _enabled_ingress(genome)
+    required = _required(ingress, config.output_keys)
+    order = sorted(required)
+    # a required node's sources at or above 0 are required themselves,
+    # so the filter only drops sources below 0 that are not inputs
+    inputs = set(input_keys)
+    sources: dict[int, tuple[int, ...]] = {}
+    for node in order:
+        node_sources = ingress.get(node)
+        if node_sources is None:
+            sources[node] = ()
+            continue
+        node_sources.sort()
+        sources[node] = tuple(
+            [src for src in node_sources if src >= 0 or src in inputs]
+        )
+
+    # --- ASAP layering: passes in key order until every node is placed ---
+    depth: dict[int, int] = dict.fromkeys(input_keys, 0)
+    depth_of = depth.get
+    pending = order
+    while pending:
+        waiting = []
+        for node in pending:
+            deepest = 0
+            for src in sources[node]:
+                src_depth = depth_of(src)
+                if src_depth is None:
+                    waiting.append(node)
+                    break
+                if src_depth > deepest:
+                    deepest = src_depth
+            else:
+                depth[node] = deepest + 1
+        if len(waiting) == len(pending):
+            raise ValueError(
+                f"genome {genome.key} is not feed-forward: cycle among "
+                f"nodes {waiting}"
+            )
+        pending = waiting
+
+    layers: list[list[int]] = [
+        [] for _ in range(max(depth.values(), default=0))
+    ]
+    for node in order:
+        layers[depth[node] - 1].append(node)
+    return layers, sources
 
 
 @dataclass(frozen=True)
@@ -97,52 +186,23 @@ class FeedForwardNetwork:
     @classmethod
     def create(cls, genome: Genome, config: NEATConfig) -> "FeedForwardNetwork":
         """Decode ``genome`` (the paper's CreateNet)."""
-        required = required_nodes(genome, config)
-        input_keys = config.input_keys
-        input_set = set(input_keys)
-
-        ingress: dict[int, list[tuple[int, float]]] = {k: [] for k in required}
-        for conn in genome.connections.values():
-            if not conn.enabled or conn.out_node not in required:
-                continue
-            if conn.in_node in input_set or conn.in_node in required:
-                ingress[conn.out_node].append((conn.in_node, conn.weight))
-
-        # --- ASAP layering over the acyclic dependency graph ---
-        depth: dict[int, int] = {k: 0 for k in input_keys}
-        unassigned = set(required)
-        while unassigned:
-            progressed = False
-            for node in sorted(unassigned):
-                sources = [src for src, _ in ingress[node]]
-                if all(src in depth for src in sources):
-                    depth[node] = (
-                        1 + max((depth[src] for src in sources), default=0)
-                    )
-                    unassigned.discard(node)
-                    progressed = True
-            if not progressed:
-                raise ValueError(
-                    f"genome {genome.key} is not feed-forward: cycle among "
-                    f"nodes {sorted(unassigned)}"
-                )
-
-        max_depth = max((depth[k] for k in required), default=0)
-        layers: list[list[int]] = [[] for _ in range(max_depth)]
-        for node in sorted(required):
-            layers[depth[node] - 1].append(node)
-
+        layers, sources = solve_topology(genome, config)
+        nodes = genome.nodes
+        connections = genome.connections
         node_evals = {}
-        for node in required:
-            gene = genome.nodes[node]
+        for node, node_sources in sources.items():
+            gene = nodes[node]
             node_evals[node] = NodeEval(
                 key=node,
                 bias=gene.bias,
                 activation=gene.activation,
                 aggregation=gene.aggregation,
-                ingress=tuple(sorted(ingress[node])),
+                ingress=tuple(
+                    (src, connections[src, node].weight)
+                    for src in node_sources
+                ),
             )
-        return cls(input_keys, config.output_keys, layers, node_evals)
+        return cls(config.input_keys, config.output_keys, layers, node_evals)
 
     # ---------------------------------------------------------- activate
     def activate(self, inputs: np.ndarray) -> np.ndarray:

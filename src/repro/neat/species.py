@@ -206,6 +206,14 @@ class _DistanceFilter:
         near = ~decided
         if decided.any():
             near |= lo <= hi[decided].min()
+        (at,) = np.nonzero(near)
+        if len(at) == 1 and decided[at[0]]:
+            # the one candidate is the first minimum; its bounds may
+            # already place it on one side of the threshold
+            if hi[at[0]] <= threshold:
+                return int(positions[at[0]])
+            if lo[at[0]] > threshold:
+                return None
         candidates = positions[near].tolist()
         population = self._population
         exact = [self.distance(rep, population[p]) for p in candidates]

@@ -25,10 +25,11 @@ the reference computation with NumPy:
 observation each, flattened into a single value buffer so a whole
 population's forward pass costs a handful of NumPy ops per layer.  It
 is the inference engine behind every compiled backend
-(:class:`repro.compile.CompiledPopulationEvaluator`, through
-:meth:`PopulationEvaluator.from_groups`);
-:meth:`PopulationEvaluator.from_plans` builds one straight from
-compiled plans.
+(:class:`repro.compile.CompiledPopulationEvaluator`), and
+:meth:`PopulationEvaluator.from_plans` builds one straight from decoded
+networks' plans; both lay a generation out the same way, one shape
+template per distinct topology (:class:`_ShapePlan`) and one parameter
+vector per member.
 
 Only ``sum`` aggregation is supported (the default and the only one
 NEAT's evolved networks use here); anything else falls back to the
@@ -45,6 +46,7 @@ it (``NaN * 0.0`` is NaN), exactly as in the interpreted pass.
 from __future__ import annotations
 
 import math
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -138,59 +140,86 @@ class _LayerPlan:
         self.slots = slots
 
 
-class _NetPlan:
-    """A full network compiled to layered padded matrices."""
+class _ShapePlan:
+    """One shape's rows on the engine, flat per level and member-relative.
 
-    __slots__ = ("num_inputs", "num_outputs", "num_slots", "layers",
-                 "output_slots")
+    A member-relative slot indexes one member's value buffer: its
+    inputs, then every node in level order, then one always-zero slot
+    (``num_slots - 1``).  ``levels`` holds, per depth, the rows'
+    fan-ins, the source slots of every ingress term (row after row, in
+    ingress order) and the rows' activation codes, then the level's
+    first node slot and first weight position.  A row's node slot and
+    its bias position follow from its place in the level, because a
+    member's parameter vector holds every bias in node order, then
+    every weight in row and ingress order (the order
+    :meth:`repro.compile.CompiledStructure.parameters` reads them in).
+
+    ``layers`` lists each depth's rows as ``(key, activation,
+    aggregation, sources)``, sources in ingress order.  Raises
+    ``ValueError`` for a row the engine cannot run.
+    """
+
+    __slots__ = ("num_inputs", "num_outputs", "num_slots", "output_slots",
+                 "levels")
+
+    def __init__(self, input_keys, output_keys, layers):
+        slot_of = {key: slot for slot, key in enumerate(input_keys)}
+        slot = len(slot_of)
+        weight = sum(map(len, layers))
+        self.levels = []
+        for layer in layers:
+            fans, sources, codes = [], [], []
+            for key, activation, aggregation, row_sources in layer:
+                if aggregation != "sum":
+                    raise ValueError(
+                        f"vectorization supports 'sum' aggregation only; "
+                        f"node {key} uses {aggregation!r}"
+                    )
+                code = _ACTIVATION_CODES.get(activation)
+                if code is None:
+                    raise ValueError(
+                        f"no vectorized activation {activation!r}"
+                    )
+                fans.append(len(row_sources))
+                sources += map(slot_of.__getitem__, row_sources)
+                codes.append(code)
+            self.levels.append((fans, sources, codes, slot, weight))
+            for row in layer:
+                slot_of[row[0]] = slot
+                slot += 1
+            weight += len(sources)
+        self.num_inputs = len(input_keys)
+        self.num_outputs = len(output_keys)
+        self.num_slots = slot + 1
+        self.output_slots = [slot_of.get(key, -1) for key in output_keys]
+
+
+class _NetPlan:
+    """One decoded network on the engine: its shape and its parameters."""
+
+    __slots__ = ("shape", "parameters")
 
     def __init__(self, net: FeedForwardNetwork):
-        for plan in net.node_evals.values():
-            if plan.aggregation != "sum":
-                raise ValueError(
-                    f"vectorization supports 'sum' aggregation only; node "
-                    f"{plan.key} uses {plan.aggregation!r}"
-                )
-            if plan.activation not in _VECTOR_ACTIVATIONS:
-                raise ValueError(
-                    f"no vectorized activation {plan.activation!r}"
-                )
-        self.num_inputs = len(net.input_keys)
-        self.num_outputs = len(net.output_keys)
-
-        # value-buffer slot index for every key, inputs first; the slot
-        # after the last node is never written, so it stays 0.0
-        index: dict[int, int] = {
-            key: i for i, key in enumerate(net.input_keys)
-        }
-        zero_slot = self.num_inputs + sum(len(layer) for layer in net.layers)
-        self.layers: list[_LayerPlan] = []
-        for layer in net.layers:
-            rows = len(layer)
-            fan_in = max(
-                (net.node_evals[key].fan_in for key in layer), default=0
-            )
-            sources = np.full((rows, fan_in), zero_slot, dtype=np.intp)
-            weights = np.zeros((rows, fan_in))
-            biases = np.empty(rows)
-            codes = np.empty(rows, dtype=np.intp)
-            for row, key in enumerate(layer):
-                plan = net.node_evals[key]
-                biases[row] = plan.bias
-                codes[row] = _ACTIVATION_CODES[plan.activation]
-                for term, (src, w) in enumerate(plan.ingress):
-                    sources[row, term] = index[src]
-                    weights[row, term] = w
-            slots = np.empty(rows, dtype=np.intp)
-            for row, key in enumerate(layer):
-                index[key] = len(index)
-                slots[row] = index[key]
-            self.layers.append(
-                _LayerPlan(sources, weights, biases, codes, slots)
-            )
-        self.num_slots = zero_slot + 1
-        self.output_slots = np.array(
-            [index.get(k, -1) for k in net.output_keys], dtype=np.intp
+        evals = [
+            [net.node_evals[key] for key in layer] for layer in net.layers
+        ]
+        self.shape = _ShapePlan(
+            net.input_keys,
+            net.output_keys,
+            [
+                [
+                    (node.key, node.activation, node.aggregation,
+                     [src for src, _ in node.ingress])
+                    for node in layer
+                ]
+                for layer in evals
+            ],
+        )
+        nodes = [node for layer in evals for node in layer]
+        self.parameters = np.array(
+            [node.bias for node in nodes]
+            + [weight for node in nodes for _, weight in node.ingress],
+            dtype=np.float64,
         )
 
 
@@ -229,50 +258,77 @@ def _apply_activations(layer: _LayerPlan, pre: np.ndarray) -> np.ndarray:
 class _LevelTable:
     """Every member's rows at one depth, with member-relative slots.
 
-    ``sources`` and ``slots`` index a member's own value buffer (its
-    plan's slots), so any subset of members lays out by adding its
-    offsets; level padding beyond a shape's own fan-in reads the
-    member's own zero slot with weight ``0.0``.  ``member`` and
-    ``terms`` give each row's member and its shape's fan-in width.
+    Built with a fixed number of NumPy calls, whatever the number of
+    shapes: the distinct shapes' rows at this depth are laid one after
+    another as padded templates, and every member's rows are gathered
+    from them, its weights and biases from its parameter vector.
+    ``sources`` and ``slots`` index the member's own value buffer, so
+    any subset of members lays out by adding its offsets; padding
+    beyond a row's fan-in reads the member's own zero slot with weight
+    ``0.0``.  ``member`` and ``terms`` give each row's member and
+    fan-in.
     """
 
     __slots__ = ("sources", "weights", "biases", "codes", "slots",
                  "member", "terms")
 
-    def __init__(self, groups: list, level: int):
-        present = [group for group in groups if len(group[0].layers) > level]
-        total = sum(
-            len(members) * plan.layers[level].sources.shape[0]
-            for plan, members, _, _ in present
+    def __init__(self, shapes, level, shape_of, parameters, starts):
+        levels = [
+            shape.levels[level] if level < len(shape.levels) else _ABSENT
+            for shape in shapes
+        ]
+        # per shape: rows, ingress terms, first slot, first weight, and
+        # its members' zero slot
+        rows, terms, first_slot, first_weight, zero = np.array(
+            [
+                (len(codes), len(sources), slot, weight, shape.num_slots - 1)
+                for (_, sources, codes, slot, weight), shape in zip(
+                    levels, shapes
+                )
+            ],
+            dtype=np.intp,
+        ).T
+        # the shapes' rows one after another, padded to the widest
+        fans = _flat(levels, 0)
+        width = int(fans.max())
+        real = np.arange(width) < fans[:, None]
+        template_sources = np.repeat(np.repeat(zero, rows), width).reshape(
+            real.shape
         )
-        width = max(plan.layers[level].sources.shape[1] for plan, *_ in present)
-        self.sources = np.empty((total, width), dtype=np.intp)
-        self.weights = np.zeros((total, width))
-        self.biases = np.empty(total)
-        self.codes = np.empty(total, dtype=np.intp)
-        self.slots = np.empty(total, dtype=np.intp)
-        self.member = np.empty(total, dtype=np.intp)
-        self.terms = np.empty(total, dtype=np.intp)
-        row = 0
-        for plan, members, weights, biases in present:
-            layer = plan.layers[level]
-            rows, terms = layer.sources.shape
-            count = len(members)
-            block = slice(row, row + count * rows)
-            # one broadcast per shape: its shared structure rows repeat
-            # for every member, its parameter blocks copy in as they are
-            sources = self.sources[block].reshape(count, rows, width)
-            sources[:, :, :terms] = layer.sources
-            sources[:, :, terms:] = plan.num_slots - 1
-            self.weights[block].reshape(count, rows, width)[
-                :, :, :terms
-            ] = weights[level]
-            self.biases[block] = biases[level].reshape(-1)
-            self.codes[block].reshape(count, rows)[:] = layer.codes
-            self.slots[block].reshape(count, rows)[:] = layer.slots
-            self.member[block] = np.repeat(members, rows)
-            self.terms[block] = terms
-            row = block.stop
+        template_sources[real] = _flat(levels, 1)
+        template_weights = np.full(real.shape, -1, dtype=np.intp)
+        template_weights[real] = np.arange(terms.sum()) + np.repeat(
+            first_weight - (np.cumsum(terms) - terms), terms
+        )
+
+        # every member's rows, gathered from its shape's
+        count = rows[shape_of]
+        member = np.repeat(np.arange(len(count)), count)
+        shape = shape_of[member]
+        # each row's place among its member's rows at this depth
+        local = np.arange(len(member)) - (np.cumsum(count) - count)[member]
+        row = local + (np.cumsum(rows) - rows)[shape]
+        self.slots = local + first_slot[shape]
+        base = starts[member]
+        at = template_weights[row]
+        self.weights = parameters[at + base[:, None]]
+        self.weights[at < 0] = 0.0
+        self.biases = parameters[self.slots - shapes[0].num_inputs + base]
+        self.sources = template_sources[row]
+        self.codes = _flat(levels, 2)[row]
+        self.member = member
+        self.terms = fans[row]
+
+
+#: the level of a shape that is not this deep
+_ABSENT = ([], [], [], 0, 0)
+
+
+def _flat(levels: list, field: int) -> np.ndarray:
+    """One per-row or per-term list of every level, back to back."""
+    return np.fromiter(
+        chain.from_iterable([level[field] for level in levels]), np.intp
+    )
 
 
 class PopulationEvaluator:
@@ -285,11 +341,11 @@ class PopulationEvaluator:
     the per-step cost is a few microseconds per *population*, not per
     individual.
 
-    Members arrive in *groups* that share one plan's structure (see
-    :meth:`from_groups`), and the evaluator keeps every member's rows in
-    per-depth tables built once, one broadcast per group and depth.
-    The flat tensors a tick runs on are laid out from those tables for
-    the current live set.
+    Each member runs one shape (:class:`_ShapePlan`) with its own
+    parameter vector, and the evaluator keeps every member's rows in
+    per-depth tables, built with a fixed number of NumPy calls per
+    depth however many shapes the members run.  The flat tensors a tick
+    runs on are laid out from those tables for the current live set.
 
     The interface mirrors the INAX device's scatter/infer/gather step:
     :meth:`infer` is an :data:`repro.envs.rollout.InferFn`, taking the
@@ -307,33 +363,19 @@ class PopulationEvaluator:
     #: fraction of the currently built set
     REBUILD_FRACTION = 0.6
 
-    @classmethod
-    def from_plans(cls, plans: "list[_NetPlan]") -> "PopulationEvaluator":
-        """Build directly from compiled plans, each its own group."""
-        evaluator = cls.__new__(cls)
-        evaluator._init_groups(_single_groups(list(plans)))
-        return evaluator
-
-    @classmethod
-    def from_groups(cls, groups: list) -> "PopulationEvaluator":
-        """Build from per-shape parameter blocks.
-
-        Each group is ``(plan, members, weights, biases)``: a plan whose
-        structure (``sources``, ``slots``, activation codes) all of the
-        group's members share, the ascending member indices, and one
-        ``(B, rows, terms)`` weight block and ``(B, rows)`` bias block
-        per plan layer, row ``b`` holding ``members[b]``'s parameters.
-        Together the groups' members must be exactly ``0..N-1``.
-        """
-        evaluator = cls.__new__(cls)
-        evaluator._init_groups(list(groups))
-        return evaluator
-
-    def _init_groups(self, groups: list) -> None:
-        if not groups:
+    def __init__(
+        self,
+        shapes: "list[_ShapePlan]",
+        shape_of: list[int],
+        parameters: np.ndarray,
+        starts: list[int],
+    ):
+        """Members ``0..N-1``: member ``m`` runs ``shapes[shape_of[m]]``
+        with its parameter vector at ``parameters[starts[m]:]``."""
+        if not shapes:
             raise ValueError("PopulationEvaluator needs at least one network")
-        num_inputs = {plan.num_inputs for plan, *_ in groups}
-        num_outputs = {plan.num_outputs for plan, *_ in groups}
+        num_inputs = {shape.num_inputs for shape in shapes}
+        num_outputs = {shape.num_outputs for shape in shapes}
         if len(num_inputs) != 1 or len(num_outputs) != 1:
             raise ValueError(
                 "all member networks must share input/output arity; got "
@@ -341,16 +383,33 @@ class PopulationEvaluator:
             )
         self.num_inputs = num_inputs.pop()
         self.num_outputs = num_outputs.pop()
-        count = sum(len(members) for _, members, _, _ in groups)
-        self._sizes = np.empty(count, dtype=np.intp)
-        self._outputs = np.empty((count, self.num_outputs), dtype=np.intp)
-        for plan, members, _, _ in groups:
-            self._sizes[members] = plan.num_slots
-            self._outputs[members] = plan.output_slots
-        depth = max(len(plan.layers) for plan, *_ in groups)
-        self._tables = [_LevelTable(groups, level) for level in range(depth)]
+        shape_of = np.asarray(shape_of, dtype=np.intp)
+        starts = np.asarray(starts, dtype=np.intp)
+        self._sizes = np.array(
+            [shape.num_slots for shape in shapes], dtype=np.intp
+        )[shape_of]
+        self._outputs = np.array(
+            [shape.output_slots for shape in shapes], dtype=np.intp
+        ).reshape(len(shapes), self.num_outputs)[shape_of]
+        depth = max(len(shape.levels) for shape in shapes)
+        self._tables = [
+            _LevelTable(shapes, level, shape_of, parameters, starts)
+            for level in range(depth)
+        ]
         self.rebuilds = 0
-        self._layout(list(range(count)))
+        self._layout(list(range(len(shape_of))))
+
+    @classmethod
+    def from_plans(cls, plans: "list[_NetPlan]") -> "PopulationEvaluator":
+        """One member per plan, each its own shape."""
+        plans = list(plans)
+        sizes = [len(plan.parameters) for plan in plans]
+        return cls(
+            [plan.shape for plan in plans],
+            range(len(plans)),
+            np.concatenate([plan.parameters for plan in plans] or [[]]),
+            [0, *accumulate(sizes)][:-1],
+        )
 
     # ------------------------------------------------------------ layout
     def _layout(self, members: list[int]) -> None:
@@ -435,16 +494,3 @@ class PopulationEvaluator:
             pre = _accumulate(gathered * layer.weights) + layer.biases
             values[layer.slots] = _apply_activations(layer, pre)
         return values[self._output_index]
-
-
-def _single_groups(plans: "list[_NetPlan]") -> list:
-    """One group per plan: its own parameters as one-member blocks."""
-    return [
-        (
-            plan,
-            [member],
-            [layer.weights[None] for layer in plan.layers],
-            [layer.biases[None] for layer in plan.layers],
-        )
-        for member, plan in enumerate(plans)
-    ]

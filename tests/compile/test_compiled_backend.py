@@ -10,6 +10,7 @@ runs.
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -336,3 +337,39 @@ class TestRecords:
         # ... and still lower every generation on first read
         for record in records:
             assert len(record.configs) == record.workload.population_size
+
+    def test_read_records_keep_only_what_they_were_built_from(self):
+        """Reading a record lowers its configs and workload and keeps
+        neither: a run's read records keep a tenth or less of what
+        caching the reads would (cartpole, population 1000, 3
+        generations, measured with tracemalloc)."""
+        tracemalloc.start()
+        try:
+            e3 = E3(
+                "cartpole",
+                backend="cpu-compiled",
+                neat_config=NEATConfig(population_size=1000),
+                seed=1,
+                workers=0,
+            )
+            e3.run(max_generations=3, fitness_threshold=float("inf"))
+            records = list(e3.backend.records)
+            e3.backend.records.clear()
+            gc.collect()
+            unread = tracemalloc.get_traced_memory()[0]
+            for record in records:
+                assert len(record.configs) == 1000
+                assert record.workload.population_size == 1000
+            gc.collect()
+            read = tracemalloc.get_traced_memory()[0]
+            lowered = [(record.configs, record.workload) for record in records]
+            gc.collect()
+            holding = tracemalloc.get_traced_memory()[0]
+            del lowered, records
+            gc.collect()
+            gone = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        kept, reads = read - gone, holding - read
+        assert read - unread <= reads / 100
+        assert 10 * kept <= kept + reads

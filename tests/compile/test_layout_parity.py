@@ -1,8 +1,8 @@
 """Generated-input parity of the per-shape lock-step engine.
 
-``CompiledPopulationEvaluator`` fills each shape's parameters once into
-per-shape blocks, lays them out by broadcasting, and re-lays a shrunk
-or revived live set by gathering rows.  Every output row must still
+``CompiledPopulationEvaluator`` lays every member out level by level
+from its shape's row templates and its parameters, and re-lays a
+shrunk or revived live set by gathering rows.  Every output row must still
 equal the interpreted ``FeedForwardNetwork.activate`` bit for bit, for
 mixed-shape populations (same-shape members with different weights,
 one genome in several slots), live-set walks that shrink below

@@ -2,7 +2,7 @@
 
 Everything here pins the bit-identity chain the ``cpu-compiled``
 backend rests on: recipe-lowered HW configs equal ``compile_genome``,
-filled parameter blocks equal a fresh decode's plan, and the population
+laid-out rows equal a fresh per-node decode's plan, and the population
 evaluator reproduces each genome's interpreted forward pass exactly.
 """
 
@@ -18,8 +18,8 @@ from repro.inax.compiler import compile_genome
 from repro.neat.config import NEATConfig
 from repro.neat.innovation import InnovationTracker
 from repro.neat.network import FeedForwardNetwork
-from repro.neat.vectorized import _NetPlan
 
+from tests.compile import topology_reference
 from tests.conftest import evolved_genome
 
 
@@ -64,21 +64,36 @@ class TestCompiledStructure:
             assert clone.shape_key() == genome.shape_key()
             assert structure.hw_config(clone) == compile_genome(clone, cfg)
 
-    def test_parameter_blocks_match_fresh_decode(self):
-        """Filled blocks equal a from-scratch ``_NetPlan`` bit for bit,
-        row by row, also for a genome listed in several slots."""
+    def test_laid_out_rows_match_fresh_decode(self):
+        """Every member's laid-out rows equal a from-scratch per-node
+        decode's plan bit for bit, also for a genome listed in several
+        slots."""
         cfg = _cfg()
         for genome in _genomes(cfg):
             structure = CompiledStructure.from_genome(genome, cfg)
             clone = _perturbed(genome, 100 + genome.key)
             members = [clone, genome, clone]
-            weights, biases = structure.parameter_blocks(members)
-            for row, member in enumerate(members):
-                fresh = _NetPlan(FeedForwardNetwork.create(member, cfg))
-                assert len(weights) == len(biases) == len(fresh.layers)
-                for level, layer in enumerate(fresh.layers):
-                    assert np.array_equal(weights[level][row], layer.weights)
-                    assert np.array_equal(biases[level][row], layer.biases)
+            evaluator = CompiledPopulationEvaluator(
+                [(structure, member) for member in members]
+            )
+            tables = evaluator._flat._tables
+            for slot, member in enumerate(members):
+                fresh = topology_reference.Plan(
+                    topology_reference.create(member, cfg)
+                )
+                assert len(tables) == len(fresh.layers)
+                for table, layer in zip(tables, fresh.layers):
+                    rows = table.member == slot
+                    assert np.array_equal(table.sources[rows], layer.sources)
+                    assert np.array_equal(table.codes[rows], layer.codes)
+                    assert np.array_equal(table.slots[rows], layer.slots)
+                    assert (
+                        table.weights[rows].tobytes()
+                        == layer.weights.tobytes()
+                    )
+                    assert (
+                        table.biases[rows].tobytes() == layer.biases.tobytes()
+                    )
 
     def test_unvectorizable_shape_still_lowers(self):
         cfg = _cfg()
@@ -89,8 +104,6 @@ class TestCompiledStructure:
         structure = CompiledStructure.from_genome(genome, cfg)
         assert structure.plan is None
         assert structure.hw_config(genome) == compile_genome(genome, cfg)
-        with pytest.raises(ValueError):
-            structure.parameter_blocks([genome])
         with pytest.raises(ValueError):
             CompiledPopulationEvaluator([(structure, genome)])
 

@@ -274,6 +274,48 @@ def test_far_fewer_exact_distances_than_the_exact_loop(monkeypatch):
     assert calls["filtered"] * 100 <= calls["reference"]
 
 
+def test_decided_reanchoring_makes_no_exact_distance(monkeypatch):
+    """When each species' one closest candidate has filtered bounds on
+    one side of the threshold, re-anchoring takes the filter's word:
+    the pass makes no exact distance call at all, where re-anchoring
+    used to call one per species."""
+
+    def genome(key, innovations, weight):
+        g = Genome(key=key)
+        g.nodes[0] = NodeGene(0, 0.0, "tanh", "sum")
+        for innovation in innovations:
+            conn = (-innovation - 1, 0)
+            g.connections[conn] = ConnectionGene(conn, weight, True, innovation)
+        return g
+
+    config = NEATConfig(
+        num_inputs=40, num_outputs=1, compatibility_threshold=0.6
+    )
+    groups = [range(0, 3), range(10, 13), range(20, 23)]
+    first = [genome(k, group, 0.0) for k, group in enumerate(groups)]
+    # each species' own kind, nudged, then one far from every species
+    second = [genome(10 + k, group, 0.25) for k, group in enumerate(groups)]
+    second.append(genome(20, range(30, 36), 0.0))
+    threshold = config.compatibility_threshold
+    for rep in first:
+        distances = [rep.distance(g, config) for g in second]
+        assert sorted(distances)[0] <= threshold / 2
+        assert sorted(distances)[1] >= 2 * threshold
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return compatibility(*args)
+
+    compatibility = species_module.compatibility
+    species_set = SpeciesSet(config)
+    _check_pass(species_set, first, generation=0)
+    monkeypatch.setattr(species_module, "compatibility", counting)
+    _check_pass(species_set, second, generation=1)
+    assert len(species_set) == 4
+    assert calls == []
+
+
 def test_empty_population_drops_every_species():
     rng = np.random.default_rng(0)
     config = NEATConfig(num_inputs=2, num_outputs=1)
